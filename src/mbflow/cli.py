@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Mapping
 
-import numpy as np
-
 from ._fplinalg import rank as _fp_rank
 from .errors import (
     MBFlowError,
@@ -51,6 +49,7 @@ from .homalg import (
     IntegerMatrix,
     complex_from_ranks,
     dim_t,
+    fp_array,
     homology,
 )
 from .inequalities import equivariant_inequality, mb_inequality
@@ -492,10 +491,8 @@ def _cmd_ss(args) -> int:
         for (p, q) in sorted(page.dims):
             print(f"  E[{p},{q}] dim {page.dims[p, q]}")
         for (p, q) in sorted(page.differentials):
-            m = page.differentials[p, q]
-            arr = np.array(m.to_rows(), dtype=np.int64).reshape(
-                m.rows, m.cols)
-            r = _fp_rank(arr, args.field)
+            r = _fp_rank(fp_array(page.differentials[p, q], args.field),
+                         args.field)
             if r:
                 print(f"  d{page.number} E[{p},{q}] -> "
                       f"E[{p - page.number},{q + page.number - 1}] "

@@ -17,6 +17,7 @@ assert rather than assume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -35,12 +36,15 @@ from .homalg import (
     direct_sum,
     dual_complex,
     homology,
+    negate_complex,
     shift_complex,
 )
 from .twisted import (
     TwistedComplex,
     TwistedMorphism,
     cone,
+    place_piece_blocks,
+    quotient_sequence,
     totalize,
     twisted_from_parts,
     validate as validate_twisted,
@@ -136,6 +140,18 @@ class FlowCategoryData:
     def object_names(self) -> list[str]:
         return [o.name for o in self.objects]
 
+    # Realization and verdict are built at most once per category value
+    # and shared by validate_category, realize and everything above them.
+
+    @cached_property
+    def _realized(self) -> tuple[TwistedComplex, "_PieceLayout"]:
+        # only well-formed after the structural checks of _diagnose pass
+        return _realize_unchecked(self)
+
+    @cached_property
+    def _diagnostics(self) -> "CategoryDiagnostics":
+        return _diagnose(self)
+
 
 # ---------------------------------------------------------------------------
 # validation
@@ -157,19 +173,18 @@ class CategoryDiagnostics:
     failure_generator: int | None = None
 
 
-def _corr_shift(f: FlowCategoryData, c: CorrespondenceMap) -> int:
-    src = f.object(c.source)
-    dst = f.object(c.target)
-    return src.framing_rank - dst.framing_rank - 1
-
-
 def validate_category(f: FlowCategoryData) -> CategoryDiagnostics:
     """Check index decrease, block shapes, and the induced D.D = 0.
 
     Structural problems are all reported at once; the Maurer-Cartan
     audit then runs on the induced twisted complex and translates the
     offending generator back to an object name and local cell index.
+    The verdict is computed once per category value.
     """
+    return f._diagnostics
+
+
+def _diagnose(f: FlowCategoryData) -> CategoryDiagnostics:
     issues: list[str] = []
     for c in f.correspondences:
         src = f.object(c.source)
@@ -179,7 +194,7 @@ def validate_category(f: FlowCategoryData) -> CategoryDiagnostics:
                 f"correspondence {c.source!r} -> {c.target!r} does not "
                 f"decrease the index ({src.index} <= {dst.index})")
             continue
-        shift = _corr_shift(f, c)
+        shift = src.framing_rank - dst.framing_rank - 1
         for m, blk in c.blocks.items():
             want = (dst.chain.dim(m + shift), src.chain.dim(m))
             if (blk.rows, blk.cols) != want:
@@ -189,7 +204,7 @@ def validate_category(f: FlowCategoryData) -> CategoryDiagnostics:
                     f"{want[0]}x{want[1]}")
     if issues:
         return CategoryDiagnostics(False, tuple(issues))
-    t, lay = _realize_unchecked(f)
+    t, lay = f._realized
     diag = validate_twisted(t)
     if diag.valid:
         return CategoryDiagnostics(True)
@@ -221,7 +236,6 @@ class _PieceLayout:
     """
 
     def __init__(self, f: FlowCategoryData) -> None:
-        self.category = f
         self.by_index: dict[int, list[FlowObject]] = {}
         for o in f.objects:
             self.by_index.setdefault(o.index, []).append(o)
@@ -258,27 +272,21 @@ class _PieceLayout:
 def _realize_unchecked(f: FlowCategoryData,
                        ) -> tuple[TwistedComplex, _PieceLayout]:
     lay = _PieceLayout(f)
-    structure: dict[tuple[int, int], dict[int, IntegerMatrix]] = {}
+    by_name = {o.name: o for o in f.objects}
+    placed: dict[tuple[int, int, int], list] = {}
     for c in f.correspondences:
-        src = f.object(c.source)
-        dst = f.object(c.target)
-        i, j = src.index, dst.index
-        shift = _corr_shift(f, c)
+        src = by_name[c.source]
+        dst = by_name[c.target]
+        shift = src.framing_rank - dst.framing_rank - 1
         for m, blk in c.blocks.items():
             if blk.is_zero():
                 continue
             mm = lay.internal_degree(src, m)
             tm = lay.internal_degree(dst, m + shift)
-            fam = structure.setdefault((i, j), {})
-            cur = fam.get(mm, IntegerMatrix.zero(lay.pieces[j].dim(tm),
-                                                 lay.pieces[i].dim(mm)))
-            roff = lay.offsets[(dst.name, tm)]
-            coff = lay.offsets[(src.name, mm)]
-            add = IntegerMatrix(
-                cur.rows, cur.cols,
-                {(roff + r, coff + cc): v for (r, cc), v in
-                 blk.entries.items()})
-            fam[mm] = cur + add
+            placed.setdefault((src.index, dst.index, mm), []).append(
+                (lay.offsets[(dst.name, tm)], lay.offsets[(src.name, mm)],
+                 blk))
+    structure = place_piece_blocks(placed, lay.pieces, lay.pieces, -1)
     return twisted_from_parts(f.ring, lay.pieces, structure), lay
 
 
@@ -307,8 +315,7 @@ def realize(f: FlowCategoryData) -> TwistedComplex:
     if not diag.valid:
         raise ValidationError(diag.issues[0])
     _orientation_gate(f)
-    t, _ = _realize_unchecked(f)
-    return t
+    return f._realized[0]
 
 
 def category_homology(f: FlowCategoryData) -> HomologySummary:
@@ -359,33 +366,22 @@ def include_and_quotient(f: FlowCategoryData, subset: Sequence[str],
         tuple(c for c in f.correspondences if c.source not in wanted
               and c.target not in wanted),
     )
-    _assert_split_commutes(f, sub, quot, wanted)
+    _assert_split_commutes(f, sub, quot)
     return sub, quot
 
 
 def _assert_split_commutes(f: FlowCategoryData, sub: FlowCategoryData,
-                           quot: FlowCategoryData, wanted: set[str]) -> None:
-    whole = totalize(realize(f)) if f.objects else None
-    t_sub = totalize(realize(sub)) if sub.objects else None
-    t_quot = totalize(realize(quot)) if quot.objects else None
-
-    def dim(c, n):
-        return 0 if c is None else c.dim(n)
-
-    degrees = set()
-    for c in (whole, t_sub, t_quot):
-        if c is not None:
-            degrees.update(c.degrees())
-    for n in degrees:
-        if dim(whole, n) != dim(t_sub, n) + dim(t_quot, n):
+                           quot: FlowCategoryData) -> None:
+    whole, t_sub, t_quot = (totalize(realize(c)).rank if c.objects else {}
+                            for c in (f, sub, quot))
+    for n in set(whole) | set(t_sub) | set(t_quot):
+        if whole.get(n, 0) != t_sub.get(n, 0) + t_quot.get(n, 0):
             raise InvariantViolation(
                 f"realization does not commute with the split in degree {n}")
     # index cut: the split agrees with the twisted-level quotient exactly
     sub_idx = {o.index for o in sub.objects}
     quot_idx = {o.index for o in quot.objects}
     if sub_idx and quot_idx and max(sub_idx) < min(quot_idx):
-        from .twisted import quotient_sequence
-
         cut = max(sub_idx)
         qs = quotient_sequence(realize(f), cut)
         if qs.sub != realize(sub) or qs.quotient != realize(quot):
@@ -509,28 +505,21 @@ def bimodule_to_map(b: BimoduleData) -> TwistedMorphism:
     """
     src_t = realize(b.source)
     dst_t = realize(b.target)
-    src_lay = _PieceLayout(b.source)
-    dst_lay = _PieceLayout(b.target)
-    blocks: dict[tuple[int, int], dict[int, IntegerMatrix]] = {}
+    src_lay = b.source._realized[1]
+    dst_lay = b.target._realized[1]
+    placed: dict[tuple[int, int, int], list] = {}
     for (xn, yn), fam in b.blocks.items():
         x = b.source.object(xn)
         y = b.target.object(yn)
-        i, j = x.index, y.index
         shift = x.framing_rank - y.framing_rank
         for m, blk in fam.items():
             if blk.is_zero():
                 continue
             mm = src_lay.internal_degree(x, m)
             tm = dst_lay.internal_degree(y, m + shift)
-            fam_out = blocks.setdefault((i, j), {})
-            cur = fam_out.get(mm, IntegerMatrix.zero(
-                dst_lay.pieces[j].dim(tm), src_lay.pieces[i].dim(mm)))
-            roff = dst_lay.offsets[(yn, tm)]
-            coff = src_lay.offsets[(xn, mm)]
-            fam_out[mm] = cur + IntegerMatrix(
-                cur.rows, cur.cols,
-                {(roff + r, coff + cc): v
-                 for (r, cc), v in blk.entries.items()})
+            placed.setdefault((x.index, y.index, mm), []).append(
+                (dst_lay.offsets[(yn, tm)], src_lay.offsets[(xn, mm)], blk))
+    blocks = place_piece_blocks(placed, src_lay.pieces, dst_lay.pieces, 0)
     morphism = TwistedMorphism(src_t, dst_t, blocks)
     cone_cat = _cone_category(b)
     if realize(cone_cat) != cone(morphism):
@@ -556,15 +545,11 @@ def _cone_category(b: BimoduleData) -> FlowCategoryData:
         taken.add(rename[o.name])
     objects = list(b.target.objects)
     for o in b.source.objects:
-        negated = GradedChainComplex(
-            o.chain.ring, o.chain.min_degree, o.chain.max_degree,
-            dict(o.chain.rank),
-            {n: -d for n, d in o.chain.differential.items()})
         objects.append(FlowObject(
             name=rename[o.name],
             index=o.index + 1,
             framing_rank=o.framing_rank + 1,
-            chain=negated,
+            chain=negate_complex(o.chain),
             orientable_flag=o.orientable_flag,
         ))
     corrs = list(b.target.correspondences)
@@ -634,30 +619,24 @@ def relative_map(rm: RelativeModuleData) -> RelativeMapResult:
     j + twist_rank.
     """
     src_t = realize(rm.base)
-    src_lay = _PieceLayout(rm.base)
+    src_lay = rm.base._realized[1]
     base_index = min([0] + [o.index for o in rm.base.objects])
     piece = shift_complex(rm.target_space_chain,
                           rm.twist_rank - base_index)
     dst_t = twisted_from_parts(rm.base.ring, {base_index: piece}, {})
-    blocks: dict[tuple[int, int], dict[int, IntegerMatrix]] = {}
+    # C(P)_{m + r_x - twist_rank} sits at piece degree mm + i - base_index,
+    # where mm is the internal degree of C(x)_m in piece i
+    placed: dict[tuple[int, int, int], list] = {}
     for xn, fam in rm.blocks.items():
         x = rm.base.object(xn)
-        i = x.index
-        shift = x.framing_rank - rm.twist_rank
         for m, blk in fam.items():
             if blk.is_zero():
                 continue
             mm = src_lay.internal_degree(x, m)
-            # C(P)_{m+shift} sits at piece degree m + shift + twist_rank
-            # - base_index = mm + i - base_index
-            tm = mm + i - base_index
-            fam_out = blocks.setdefault((i, base_index), {})
-            cur = fam_out.get(mm, IntegerMatrix.zero(
-                piece.dim(tm), src_lay.pieces[i].dim(mm)))
-            coff = src_lay.offsets[(xn, mm)]
-            fam_out[mm] = cur + IntegerMatrix(
-                cur.rows, cur.cols,
-                {(r, coff + cc): v for (r, cc), v in blk.entries.items()})
+            placed.setdefault((x.index, base_index, mm), []).append(
+                (0, src_lay.offsets[(xn, mm)], blk))
+    blocks = place_piece_blocks(placed, src_lay.pieces, {base_index: piece},
+                                0)
     morphism = TwistedMorphism(src_t, dst_t, blocks)
     cone_h = homology(totalize(cone(morphism)))
     return RelativeMapResult(

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from . import _fplinalg
 from .errors import (
     InvariantViolation,
     InvalidRange,
@@ -32,7 +35,10 @@ from .errors import (
 class CoefficientRing:
     """Either the integers or a prime field F_p.
 
-    kind is "Z" or "Fp"; p is None exactly when kind is "Z".
+    kind is "Z" or "Fp"; p is None exactly when kind is "Z". Elimination
+    mod p runs on int64 arrays and needs p*p below 2^63, so p is capped
+    at MAX_PRIME_BOUND = 3037000499; the largest accepted prime is
+    3037000493.
     """
 
     kind: str
@@ -43,6 +49,11 @@ class CoefficientRing:
             if self.p is not None:
                 raise UnsupportedRing("Z carries no characteristic parameter")
         elif self.kind == "Fp":
+            if self.p is not None and self.p > MAX_PRIME_BOUND:
+                # checked first: trial division stays below ~55k steps
+                raise UnsupportedRing(
+                    f"Fp:{self.p} is too large: p*p must fit in a 64-bit "
+                    f"integer, so p <= {MAX_PRIME_BOUND}")
             if self.p is None or self.p < 2 or not _is_prime(self.p):
                 raise UnsupportedRing(f"Fp requires a prime, got {self.p!r}")
         else:
@@ -75,6 +86,10 @@ class CoefficientRing:
 
     def __str__(self) -> str:
         return "Z" if self.kind == "Z" else f"Fp:{self.p}"
+
+
+# the largest p with p*p < 2^63 (int64 products in _fplinalg)
+MAX_PRIME_BOUND = 3037000499
 
 
 def _is_prime(n: int) -> bool:
@@ -223,16 +238,39 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols}, {len(self.entries)} nz)"
 
 
+def place_blocks(rows: int, cols: int,
+                 placed: Iterable[tuple[int, int, IntegerMatrix]],
+                 ) -> IntegerMatrix:
+    """Sum of blocks, each added at its (row offset, column offset).
+
+    Overlapping blocks add up; entries that cancel are dropped.
+
+    >>> a = IntegerMatrix.identity(2)
+    >>> place_blocks(3, 3, [(0, 0, a), (1, 1, a)]).to_rows()
+    [[1, 0, 0], [0, 2, 0], [0, 0, 1]]
+    """
+    acc: dict[tuple[int, int], int] = {}
+    for roff, coff, blk in placed:
+        for (r, c), v in blk.entries.items():
+            key = (roff + r, coff + c)
+            s = acc.get(key, 0) + v
+            if s:
+                acc[key] = s
+            else:
+                del acc[key]
+    return IntegerMatrix(rows, cols, acc)
+
+
 def block_matrix(blocks: list[list[IntegerMatrix | None]],
                  row_sizes: list[int], col_sizes: list[int]) -> IntegerMatrix:
     """Assemble a matrix from a grid of blocks; None means a zero block."""
-    entries: dict[tuple[int, int], int] = {}
     roff = [0]
     for r in row_sizes:
         roff.append(roff[-1] + r)
     coff = [0]
     for c in col_sizes:
         coff.append(coff[-1] + c)
+    placed = []
     for bi, brow in enumerate(blocks):
         for bj, blk in enumerate(brow):
             if blk is None:
@@ -241,17 +279,22 @@ def block_matrix(blocks: list[list[IntegerMatrix | None]],
                 raise ShapeMismatch(
                     f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, slot wants "
                     f"{row_sizes[bi]}x{col_sizes[bj]}")
-            for (i, j), v in blk.entries.items():
-                entries[(roff[bi] + i, coff[bj] + j)] = v
-    return IntegerMatrix(roff[-1], coff[-1], entries)
+            placed.append((roff[bi], coff[bj], blk))
+    return place_blocks(roff[-1], coff[-1], placed)
+
+
+def fp_array(m: IntegerMatrix, p: int) -> np.ndarray:
+    """Dense int64 copy of m with every entry reduced mod p first, so
+    entries of any size convert."""
+    out = np.zeros((m.rows, m.cols), dtype=np.int64)
+    if m.entries:
+        rows, cols = zip(*m.entries)
+        out[rows, cols] = [v % p for v in m.entries.values()]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
-
-
-def _dense(m: IntegerMatrix) -> list[list[int]]:
-    return m.to_rows()
 
 
 class _Transforms:
@@ -298,11 +341,6 @@ class _Transforms:
         for k in range(len(vj)):
             vj[k] -= c * vi[k]
 
-    def negate_col(self, i: int) -> None:
-        for row in self.v:
-            row[i] = -row[i]
-        self.vinv[i] = [-x for x in self.vinv[i]]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -334,7 +372,7 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
     >>> smith_normal_form(IntegerMatrix.zero(2, 3))
     ((), 0)
     """
-    a = _dense(m)
+    a = m.to_rows()
     rows, cols = m.rows, m.cols
     tr = _Transforms(rows, cols)
     t = 0
@@ -521,6 +559,13 @@ def shift_complex(c: GradedChainComplex, s: int) -> GradedChainComplex:
     )
 
 
+def negate_complex(c: GradedChainComplex) -> GradedChainComplex:
+    """The same complex with every differential negated."""
+    return GradedChainComplex(
+        c.ring, c.min_degree, c.max_degree, dict(c.rank),
+        {n: -d for n, d in c.differential.items()})
+
+
 def dual_complex(c: GradedChainComplex) -> GradedChainComplex:
     """Linear dual placed in negative degrees: C'_n = Hom(C_{-n}, R).
 
@@ -550,12 +595,13 @@ def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
     ranks: dict[int, int] = {}
     diffs: dict[int, IntegerMatrix] = {}
     for n in range(lo, hi + 1):
-        ranks[n] = sum(c.dim(n) for c in parts)
-    for n in range(lo, hi + 1):
-        blocks = [[c.d(n) if i == j else None for j, c in enumerate(parts)]
-                  for i, _ in enumerate(parts)]
-        d = block_matrix(blocks, [c.dim(n - 1) for c in parts],
-                         [c.dim(n) for c in parts])
+        placed, roff, coff = [], 0, 0
+        for c in parts:
+            placed.append((roff, coff, c.d(n)))
+            roff += c.dim(n - 1)
+            coff += c.dim(n)
+        ranks[n] = coff
+        d = place_blocks(roff, coff, placed)
         if not d.is_zero():
             diffs[n] = d
     return GradedChainComplex(ring, lo, hi,
@@ -662,19 +708,12 @@ def homology(c: GradedChainComplex) -> HomologySummary:
 
 
 def _homology_field(c: GradedChainComplex) -> HomologySummary:
-    from . import _fplinalg
-    import numpy as np
-
     p = c.ring.p
     assert p is not None
     free: dict[int, int] = {}
     for n in c.degrees():
-        dn = np.array(c.d(n).to_rows(), dtype=np.int64).reshape(
-            c.dim(n - 1), c.dim(n))
-        dn1 = np.array(c.d(n + 1).to_rows(), dtype=np.int64).reshape(
-            c.dim(n), c.dim(n + 1))
-        r_out = _fplinalg.rank(dn, p)
-        r_in = _fplinalg.rank(dn1, p)
+        r_out = _fplinalg.rank(fp_array(c.d(n), p), p)
+        r_in = _fplinalg.rank(fp_array(c.d(n + 1), p), p)
         f = c.dim(n) - r_out - r_in
         if f < 0:
             raise InvariantViolation(

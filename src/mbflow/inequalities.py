@@ -109,13 +109,13 @@ def equivariant_inequality(b: FlowCategoryData, cutoff: int,
     h = homology(totalize(realize(b)))
     lhs = _truncate(dim_t(h), cutoff)
     fiber = [b.object(f"{name}@0") for name in b.borel.fiber_names]
+    fiber_h = [(x.framing_rank, homology(x.chain)) for x in fiber]
     rhs_coeffs: dict[int, int] = {}
     for d in range(cutoff + 1):
         total = 0
         for k in range(levels + 1):
-            for x in fiber:
-                hx = homology(x.chain)
-                total += hx.free_rank(d - 2 * k - x.framing_rank)
+            for r, hx in fiber_h:
+                total += hx.free_rank(d - 2 * k - r)
         if total:
             rhs_coeffs[d] = total
     rhs = LaurentPoly.from_coeffs(rhs_coeffs)

@@ -7,6 +7,12 @@ total degree (internal degree + i) and adds all delta blocks to the
 differential; the defining requirement is that the total differential
 squares to zero, with every sign absorbed into the stored maps.
 
+Tot is built once per twisted complex and kept on the (immutable)
+value: its layout, the total differential in every degree, and the
+Maurer-Cartan verdict. validate and totalize read that one value, as do
+the quotient-sequence audit, the spectral sequence and the morphism and
+homotopy checks.
+
 The module also provides the operations that mirror geometric
 constructions at the chain level: index shifts, sub/quotient
 decompositions with a long-exact-sequence audit, mapping cones of
@@ -16,7 +22,9 @@ sequence of the index filtration over a prime field.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -34,8 +42,12 @@ from .homalg import (
     HomologySummary,
     IntegerMatrix,
     complex_from_ranks,
+    direct_sum,
+    fp_array,
     homology,
     integer_rank,
+    negate_complex,
+    place_blocks,
     shift_complex,
     smith_normal_form,
 )
@@ -89,17 +101,30 @@ class TwistedComplex:
     def piece(self, i: int) -> GradedChainComplex:
         return self.pieces[i]
 
-    def delta(self, i: int, j: int, m: int) -> IntegerMatrix:
-        blocks = self.structure_maps.get((i, j))
-        got = None if blocks is None else blocks.get(m)
-        if got is not None:
-            return got
-        return IntegerMatrix.zero(self.pieces[j].dim(m + i - j - 1),
-                                  self.pieces[i].dim(m))
-
     def is_empty(self) -> bool:
         return not self.pieces or all(c.total_dim() == 0
                                       for c in self.pieces.values())
+
+    @cached_property
+    def _tot(self) -> "_Totalization":
+        return _assemble(self)
+
+
+def place_piece_blocks(placed: Mapping[tuple[int, int, int], list],
+                       src: Mapping[int, GradedChainComplex],
+                       dst: Mapping[int, GradedChainComplex], lift: int,
+                       ) -> dict[tuple[int, int], dict[int, IntegerMatrix]]:
+    """Sum placed blocks into families of piece maps.
+
+    placed[(i, j, m)] lists (row offset, column offset, block) inside
+    the map (src piece i)_m -> (dst piece j)_{m + i - j + lift}; lift is
+    -1 for structure maps and 0 for morphism blocks.
+    """
+    out: dict[tuple[int, int], dict[int, IntegerMatrix]] = {}
+    for (i, j, m), blocks in placed.items():
+        out.setdefault((i, j), {})[m] = place_blocks(
+            dst[j].dim(m + i - j + lift), src[i].dim(m), blocks)
+    return out
 
 
 def twisted_from_parts(ring: CoefficientRing,
@@ -114,82 +139,6 @@ def twisted_from_parts(ring: CoefficientRing,
         if clean and key[0] in kept and key[1] in kept:
             maps[key] = clean
     return TwistedComplex(ring, kept, maps)
-
-
-# ---------------------------------------------------------------------------
-# totalization layout
-
-
-@dataclass(frozen=True)
-class _TotLayout:
-    """Basis bookkeeping for Tot: per total degree, pieces in ascending
-    index order, each contributing its internal degree n - i."""
-
-    order: tuple[int, ...]
-    min_degree: int
-    max_degree: int
-    ranks: Mapping[int, int]
-    offsets: Mapping[tuple[int, int], int]  # (total degree, piece) -> column
-
-
-def _layout(t: TwistedComplex) -> _TotLayout:
-    order = tuple(t.indices())
-    if not order:
-        return _TotLayout((), 0, 0, {}, {})
-    lo = min(i + t.piece(i).min_degree for i in order)
-    hi = max(i + t.piece(i).max_degree for i in order)
-    ranks: dict[int, int] = {}
-    offsets: dict[tuple[int, int], int] = {}
-    for n in range(lo, hi + 1):
-        at = 0
-        for i in order:
-            offsets[(n, i)] = at
-            at += t.piece(i).dim(n - i)
-        ranks[n] = at
-    return _TotLayout(order, lo, hi, ranks, offsets)
-
-
-def _total_differential(t: TwistedComplex, lay: _TotLayout, n: int,
-                        ) -> IntegerMatrix:
-    """The map Tot_n -> Tot_{n-1} assembled from pieces and deltas."""
-    rows = lay.ranks.get(n - 1, 0)
-    cols = lay.ranks.get(n, 0)
-    entries: dict[tuple[int, int], int] = {}
-    for i in lay.order:
-        m = n - i
-        src_dim = t.piece(i).dim(m)
-        if src_dim == 0:
-            continue
-        coff = lay.offsets[(n, i)]
-        # internal differential of D_i
-        d = t.piece(i).d(m)
-        if not d.is_zero():
-            roff = lay.offsets[(n - 1, i)]
-            for (r, c), v in d.entries.items():
-                entries[(roff + r, coff + c)] = v
-        # structure maps into lower pieces
-        for j in lay.order:
-            if j >= i:
-                break
-            blk = t.delta(i, j, m)
-            if blk.is_zero():
-                continue
-            roff = lay.offsets[(n - 1, j)]
-            for (r, c), v in blk.entries.items():
-                entries[(roff + r, coff + c)] = \
-                    entries.get((roff + r, coff + c), 0) + v
-    entries = {k: v for k, v in entries.items() if v}
-    return IntegerMatrix(rows, cols, entries)
-
-
-def _locate_generator(t: TwistedComplex, lay: _TotLayout, n: int,
-                      col: int) -> tuple[int, int]:
-    """Map a Tot_n column index back to (piece index, local index)."""
-    for i in reversed(lay.order):
-        off = lay.offsets[(n, i)]
-        if col >= off:
-            return i, col - off
-    raise ShapeMismatch(f"column {col} outside Tot_{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +161,127 @@ class TwistedDiagnostics:
     failure_generator: int | None = None
 
 
-def validate(t: TwistedComplex) -> TwistedDiagnostics:
-    """Check D.D = 0 on the totalization, reporting the first failure.
+@dataclass(frozen=True)
+class _Totalization:
+    """Tot of one twisted complex, built once by _assemble.
 
-    Shapes and ring agreement are enforced at construction time, so
-    the only thing to audit here is the Maurer-Cartan identity. The
-    scan runs over total degrees from the bottom up and columns left
+    Per total degree n the basis lists pieces in ascending index order,
+    piece i contributing its internal degree n - i at column
+    offsets[(n, i)]. differentials holds the nonzero total differentials
+    D_n: Tot_n -> Tot_{n-1}. The Maurer-Cartan verdict and the chain
+    complex are computed on first use and kept.
+    """
+
+    ring: CoefficientRing
+    order: tuple[int, ...]
+    min_degree: int
+    max_degree: int
+    ranks: Mapping[int, int]
+    offsets: Mapping[tuple[int, int], int]
+    differentials: Mapping[int, IntegerMatrix]
+
+    def d(self, n: int) -> IntegerMatrix:
+        got = self.differentials.get(n)
+        if got is not None:
+            return got
+        return IntegerMatrix.zero(self.ranks.get(n - 1, 0),
+                                  self.ranks.get(n, 0))
+
+    def prefix_dim(self, n: int, p: int) -> int:
+        """Dimension of the pieces of index <= p in Tot_n (a prefix)."""
+        k = bisect_right(self.order, p)
+        if k == len(self.order):
+            return self.ranks.get(n, 0)
+        return self.offsets.get((n, self.order[k]), 0)
+
+    def split(self, p: int) -> tuple[GradedChainComplex, GradedChainComplex]:
+        """Tot of the pieces of index <= p and Tot of the others: the
+        subcomplex on the prefix of every basis, and its quotient."""
+        pre = {n: self.prefix_dim(n, p) for n in self.ranks}
+        sub: dict[int, dict[tuple[int, int], int]] = {}
+        quot: dict[int, dict[tuple[int, int], int]] = {}
+        for n, d in self.differentials.items():
+            for (r, c), v in d.entries.items():
+                # structure maps lower the index: the prefix is closed
+                if c < pre[n]:
+                    sub.setdefault(n, {})[(r, c)] = v
+                elif r >= pre[n - 1]:
+                    quot.setdefault(n, {})[(r - pre[n - 1], c - pre[n])] = v
+        rest = {n: r - pre[n] for n, r in self.ranks.items()}
+        return (
+            complex_from_ranks(self.ring, pre, {
+                n: IntegerMatrix(pre[n - 1], pre[n], e)
+                for n, e in sub.items()}),
+            complex_from_ranks(self.ring, rest, {
+                n: IntegerMatrix(rest[n - 1], rest[n], e)
+                for n, e in quot.items()}))
+
+    def locate(self, n: int, col: int) -> tuple[int, int]:
+        """Map a Tot_n column index back to (piece index, local index)."""
+        for i in reversed(self.order):
+            off = self.offsets[(n, i)]
+            if col >= off:
+                return i, col - off
+        raise ShapeMismatch(f"column {col} outside Tot_{n}")
+
+    @cached_property
+    def diagnostics(self) -> TwistedDiagnostics:
+        return _maurer_cartan(self)
+
+    @cached_property
+    def complex(self) -> GradedChainComplex:
+        return complex_from_ranks(self.ring, self.ranks, self.differentials)
+
+
+def _assemble(t: TwistedComplex) -> _Totalization:
+    """Lay out Tot and add up its differentials from the internal
+    differentials and the structure maps that exist."""
+    order = tuple(t.indices())
+    lo = min((i + t.piece(i).min_degree for i in order), default=0)
+    hi = max((i + t.piece(i).max_degree for i in order), default=0)
+    ranks: dict[int, int] = {}
+    offsets: dict[tuple[int, int], int] = {}
+    for n in range(lo, hi + 1):
+        at = 0
+        for i in order:
+            offsets[(n, i)] = at
+            at += t.piece(i).dim(n - i)
+        ranks[n] = at
+    # (row offset, column offset, block) per total degree of the source
+    placed: dict[int, list[tuple[int, int, IntegerMatrix]]] = {}
+    for i in order:
+        for m, d in t.piece(i).differential.items():
+            if not d.is_zero():
+                placed.setdefault(m + i, []).append(
+                    (offsets[(m + i - 1, i)], offsets[(m + i, i)], d))
+    for (i, j), blocks in t.structure_maps.items():
+        for m, blk in blocks.items():
+            if not blk.is_zero():
+                placed.setdefault(m + i, []).append(
+                    (offsets[(m + i - 1, j)], offsets[(m + i, i)], blk))
+    diffs = {}
+    for n, blocks in placed.items():
+        d = place_blocks(ranks[n - 1], ranks[n], blocks)
+        if not d.is_zero():
+            diffs[n] = d
+    return _Totalization(t.ring, order, lo, hi, ranks, offsets, diffs)
+
+
+def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
+    """Check D.D = 0, reporting the first failure.
+
+    The scan runs over total degrees from the bottom up and columns left
     to right, so the reported generator is deterministic.
     """
-    lay = _layout(t)
-    if not lay.order:
-        return TwistedDiagnostics(True)
-    p = t.ring.p
-    for n in range(lay.min_degree, lay.max_degree + 1):
-        sq = _total_differential(t, lay, n, ) @ \
-            _total_differential(t, lay, n + 1)
+    p = tot.ring.p
+    for n in range(tot.min_degree, tot.max_degree + 1):
+        if n not in tot.differentials or n + 1 not in tot.differentials:
+            continue
+        sq = tot.differentials[n] @ tot.differentials[n + 1]
         bad_cols = sorted({c for (r, c), v in sq.entries.items()
                            if (v % p if p else v) != 0})
         if bad_cols:
-            piece, local = _locate_generator(t, lay, n + 1, bad_cols[0])
+            piece, local = tot.locate(n + 1, bad_cols[0])
             return TwistedDiagnostics(
                 valid=False,
                 issues=(f"D.D is nonzero on generator {local} of piece "
@@ -242,26 +293,29 @@ def validate(t: TwistedComplex) -> TwistedDiagnostics:
     return TwistedDiagnostics(True)
 
 
+def validate(t: TwistedComplex) -> TwistedDiagnostics:
+    """Check D.D = 0 on the totalization, reporting the first failure.
+
+    Shapes and ring agreement are enforced at construction time, so
+    the only thing to audit here is the Maurer-Cartan identity. The
+    verdict is computed once, together with Tot, and shared with
+    totalize.
+    """
+    return t._tot.diagnostics
+
+
 def totalize(t: TwistedComplex) -> GradedChainComplex:
     """Collapse a twisted complex to a single chain complex.
 
     Tot_n = direct sum of (D_i)_{n-i} over the index set, ordered by
     ascending index; the differential adds every structure map to the
-    internal differentials.
+    internal differentials. Every call on the same twisted complex
+    returns the same chain complex.
     """
-    diag = validate(t)
-    if not diag.valid:
-        raise InvariantViolation(diag.issues[0])
-    lay = _layout(t)
-    if not lay.order:
-        return GradedChainComplex(t.ring, 0, 0, {}, {})
-    ranks = {n: r for n, r in lay.ranks.items() if r > 0}
-    diffs = {}
-    for n in range(lay.min_degree, lay.max_degree + 1):
-        d = _total_differential(t, lay, n)
-        if not d.is_zero():
-            diffs[n] = d
-    return complex_from_ranks(t.ring, ranks, diffs)
+    tot = t._tot
+    if not tot.diagnostics.valid:
+        raise InvariantViolation(tot.diagnostics.issues[0])
+    return tot.complex
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +434,8 @@ class _FieldFrame:
         self._reps: dict[int, np.ndarray] = {}
         self._bnd: dict[int, np.ndarray] = {}
         for n in c.degrees():
-            d_out = np.array(c.d(n).to_rows(), dtype=np.int64).reshape(
-                c.dim(n - 1), c.dim(n))
-            d_in = np.array(c.d(n + 1).to_rows(), dtype=np.int64).reshape(
-                c.dim(n), c.dim(n + 1))
+            d_out = fp_array(c.d(n), self.p)
+            d_in = fp_array(c.d(n + 1), self.p)
             self._reps[n] = _fplinalg.homology_basis(d_out, d_in, self.p)
             self._bnd[n] = _fplinalg.column_space(d_in, self.p)
 
@@ -400,8 +452,7 @@ class _FieldFrame:
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
         if n not in self._reps:
             return IntegerMatrix.zero(0, cycles.cols)
-        v = np.array(cycles.to_rows(), dtype=np.int64).reshape(
-            cycles.rows, cycles.cols)
+        v = fp_array(cycles, self.p)
         out = np.zeros((self.rank(n), cycles.cols), dtype=np.int64)
         for j in range(cycles.cols):
             got = _fplinalg.class_coordinates(
@@ -426,8 +477,7 @@ def _induced_map(frame_src, frame_dst, n_src: int, n_dst: int,
 
 def _map_rank(m: IntegerMatrix, ring: CoefficientRing) -> int:
     if ring.is_field:
-        arr = np.array(m.to_rows(), dtype=np.int64).reshape(m.rows, m.cols)
-        return _fplinalg.rank(arr, ring.p)
+        return _fplinalg.rank(fp_array(m, ring.p), ring.p)
     return integer_rank(m)
 
 
@@ -470,7 +520,8 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     Structure maps strictly decrease the index, so the low-index pieces
     are closed under the total differential and the high-index pieces
     inherit a quotient twisted structure. The audit certifies the long
-    exact sequence relating the three homologies.
+    exact sequence relating the three homologies; it reads the sub and
+    quotient totalizations off Tot(t) instead of assembling them again.
     """
     sub = twisted_from_parts(
         t.ring,
@@ -480,21 +531,14 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
         t.ring,
         {i: c for i, c in t.pieces.items() if i > p},
         {(i, j): b for (i, j), b in t.structure_maps.items() if j > p})
-    audit = _les_audit(t, sub, quot, p)
-    return QuotientSequence(sub, quot, audit)
+    return QuotientSequence(sub, quot, _les_audit(t, p))
 
 
-def _les_audit(t: TwistedComplex, sub: TwistedComplex, quot: TwistedComplex,
-               p: int) -> ExactnessAudit:
+def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
     tot_c = totalize(t)
-    sub_c = totalize(sub)
-    quot_c = totalize(quot)
-    lay = _layout(t)
+    lay = t._tot
+    sub_c, quot_c = lay.split(p)
     ring = t.ring
-
-    # sub pieces occupy a prefix of every total-degree basis
-    def sub_dim(n: int) -> int:
-        return sum(t.piece(i).dim(n - i) for i in lay.order if i <= p)
 
     fr_sub = _frame(sub_c)
     fr_tot = _frame(tot_c)
@@ -504,18 +548,12 @@ def _les_audit(t: TwistedComplex, sub: TwistedComplex, quot: TwistedComplex,
     hi = max(tot_c.max_degree, sub_c.max_degree, quot_c.max_degree)
 
     def inclusion(n: int) -> IntegerMatrix:
-        s = sub_dim(n)
+        s = lay.prefix_dim(n, p)
         total = lay.ranks.get(n, 0)
         return IntegerMatrix(total, s, {(i, i): 1 for i in range(s)})
 
-    def projection(n: int) -> IntegerMatrix:
-        s = sub_dim(n)
-        total = lay.ranks.get(n, 0)
-        return IntegerMatrix(total - s, total,
-                             {(i, s + i): 1 for i in range(total - s)})
-
-    def section(n: int) -> IntegerMatrix:
-        s = sub_dim(n)
+    def section(n: int) -> IntegerMatrix:  # its transpose is the projection
+        s = lay.prefix_dim(n, p)
         total = lay.ranks.get(n, 0)
         return IntegerMatrix(total, total - s,
                              {(s + i, i): 1 for i in range(total - s)})
@@ -523,7 +561,7 @@ def _les_audit(t: TwistedComplex, sub: TwistedComplex, quot: TwistedComplex,
     def restrict_to_sub(n: int, m: IntegerMatrix) -> IntegerMatrix:
         # entries in the quotient rows vanish over the ring (mod p over
         # a field) because the lifted classes are quotient cycles
-        s = sub_dim(n)
+        s = lay.prefix_dim(n, p)
         pr = ring.p
         ent = {}
         for (i, j), v in m.entries.items():
@@ -544,12 +582,12 @@ def _les_audit(t: TwistedComplex, sub: TwistedComplex, quot: TwistedComplex,
         if fr_sub.rank(n) or fr_tot.rank(n):
             i_star[n] = _induced_map(fr_sub, fr_tot, n, n, inclusion(n))
         if fr_tot.rank(n) or fr_quot.rank(n):
-            p_star[n] = _induced_map(fr_tot, fr_quot, n, n, projection(n))
+            p_star[n] = _induced_map(fr_tot, fr_quot, n, n,
+                                     section(n).transpose())
         # connecting map H_n(quot) -> H_{n-1}(sub): lift, apply D, restrict
         if fr_quot.rank(n):
             lifted = section(n) @ fr_quot.reps(n)
-            d_tot = _total_differential(t, lay, n)
-            boundary = restrict_to_sub(n - 1, d_tot @ lifted)
+            boundary = restrict_to_sub(n - 1, lay.d(n) @ lifted)
             d_star[n] = fr_sub.coords(n - 1, boundary)
 
     failures: list[str] = []
@@ -643,40 +681,36 @@ class TwistedMorphism:
         return self.source.ring
 
 
+def _graded_total_matrix(blocks: Mapping[tuple[int, int], GradedMap],
+                         src: _Totalization, dst: _Totalization, n: int,
+                         lift: int) -> IntegerMatrix:
+    """Blocks (i, j) placed as a map Tot(src)_n -> Tot(dst)_{n + lift}."""
+    placed = []
+    for (i, j), fam in blocks.items():
+        blk = fam.get(n - i)
+        if blk is not None and not blk.is_zero():
+            placed.append((dst.offsets[(n + lift, j)], src.offsets[(n, i)],
+                           blk))
+    return place_blocks(dst.ranks.get(n + lift, 0), src.ranks.get(n, 0),
+                        placed)
+
+
 def morphism_total_matrix(m: TwistedMorphism, n: int) -> IntegerMatrix:
     """The assembled degree-0 map Tot(source)_n -> Tot(target)_n."""
-    src_lay = _layout(m.source)
-    dst_lay = _layout(m.target)
-    rows = dst_lay.ranks.get(n, 0)
-    cols = src_lay.ranks.get(n, 0)
-    entries: dict[tuple[int, int], int] = {}
-    for (i, j), fam in m.blocks.items():
-        mm = n - i
-        blk = fam.get(mm)
-        if blk is None or blk.is_zero():
-            continue
-        coff = src_lay.offsets[(n, i)]
-        roff = dst_lay.offsets[(n, j)]
-        for (r, c), v in blk.entries.items():
-            entries[(roff + r, coff + c)] = \
-                entries.get((roff + r, coff + c), 0) + v
-    entries = {k: v for k, v in entries.items() if v}
-    return IntegerMatrix(rows, cols, entries)
+    return _graded_total_matrix(m.blocks, m.source._tot, m.target._tot, n, 0)
 
 
 def _check_chain_map(m: TwistedMorphism) -> None:
-    src_lay = _layout(m.source)
-    dst_lay = _layout(m.target)
+    src_lay = m.source._tot
+    dst_lay = m.target._tot
     if not src_lay.order:
         return
     lo = src_lay.min_degree
     hi = src_lay.max_degree
     ring = m.source.ring
     for n in range(lo, hi + 1):
-        lhs = morphism_total_matrix(m, n - 1) @ \
-            _total_differential(m.source, src_lay, n)
-        rhs = _total_differential(m.target, dst_lay, n) @ \
-            morphism_total_matrix(m, n)
+        lhs = morphism_total_matrix(m, n - 1) @ src_lay.d(n)
+        rhs = dst_lay.d(n) @ morphism_total_matrix(m, n)
         if not _is_zero_map(lhs - rhs, ring):
             raise ChainMapViolation(
                 f"morphism fails M.D = D.M out of total degree {n}")
@@ -690,12 +724,6 @@ def identity_morphism(t: TwistedComplex) -> TwistedMorphism:
                for m in c.degrees() if c.dim(m)}
         blocks[(i, i)] = fam
     return TwistedMorphism(t, t, blocks)
-
-
-def _negate_complex(c: GradedChainComplex) -> GradedChainComplex:
-    return GradedChainComplex(
-        c.ring, c.min_degree, c.max_degree, dict(c.rank),
-        {n: -d for n, d in c.differential.items()})
 
 
 def cone(m: TwistedMorphism) -> TwistedComplex:
@@ -719,50 +747,34 @@ def cone(m: TwistedMorphism) -> TwistedComplex:
             parts.append(m.target.pieces[idx])
         if idx in src_at:
             parts.append(
-                _negate_complex(shift_complex(m.source.pieces[src_at[idx]],
-                                              -a)))
-        pieces[idx] = parts[0] if len(parts) == 1 else _cone_sum(parts)
+                negate_complex(shift_complex(m.source.pieces[src_at[idx]],
+                                             -a)))
+        pieces[idx] = parts[0] if len(parts) == 1 else direct_sum(parts)
 
-    def part_dims(idx: int, mdeg: int) -> tuple[int, int]:
-        td = m.target.pieces[idx].dim(mdeg) if idx in m.target.pieces else 0
-        sd = m.source.pieces[src_at[idx]].dim(mdeg + a) if idx in src_at else 0
-        return td, sd
+    def target_dim(idx: int, mdeg: int) -> int:
+        return m.target.pieces[idx].dim(mdeg) if idx in m.target.pieces \
+            else 0
 
-    maps: dict[tuple[int, int], dict[int, IntegerMatrix]] = {}
-
-    def add_block(ci: int, cj: int, mdeg: int, blk: IntegerMatrix,
-                  row_part: int, col_part: int) -> None:
-        if blk.is_zero():
-            return
-        rt, rs = part_dims(cj, mdeg + ci - cj - 1)
-        ct, cs = part_dims(ci, mdeg)
-        roff = 0 if row_part == 0 else rt
-        coff = 0 if col_part == 0 else ct
-        fam = maps.setdefault((ci, cj), {})
-        cur = fam.get(mdeg, IntegerMatrix.zero(rt + rs, ct + cs))
-        shifted = IntegerMatrix(
-            rt + rs, ct + cs,
-            {(roff + r, coff + c): v for (r, c), v in blk.entries.items()})
-        fam[mdeg] = cur + shifted
-
+    # (ci, cj, mdeg) -> blocks at their offsets: target part first,
+    # source part second in every piece
+    placed: dict[tuple[int, int, int], list] = {}
     for (i, j), fam in m.target.structure_maps.items():
         for mdeg, blk in fam.items():
-            add_block(i, j, mdeg, blk, 0, 0)
+            placed.setdefault((i, j, mdeg), []).append((0, 0, blk))
     for (i, j), fam in m.source.structure_maps.items():
+        ci, cj = i + a + 1, j + a + 1
         for mdeg, blk in fam.items():
-            add_block(i + a + 1, j + a + 1, mdeg - a, -blk, 1, 1)
+            placed.setdefault((ci, cj, mdeg - a), []).append(
+                (target_dim(cj, mdeg - a + ci - cj - 1),
+                 target_dim(ci, mdeg - a), -blk))
     for (i, j), fam in m.blocks.items():
+        ci = i + a + 1
         for mdeg, blk in fam.items():
-            add_block(i + a + 1, j, mdeg - a, blk, 0, 1)
+            placed.setdefault((ci, j, mdeg - a), []).append(
+                (0, target_dim(ci, mdeg - a), blk))
 
-    return twisted_from_parts(ring, pieces, maps)
-
-
-def _cone_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
-    """Direct sum preserving the given part order in every degree."""
-    from .homalg import direct_sum
-
-    return direct_sum(parts)
+    return twisted_from_parts(
+        ring, pieces, place_piece_blocks(placed, pieces, pieces, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -809,11 +821,6 @@ def _homotopy_total_matrix(w: HomotopySquareWitness, n: int) -> IntegerMatrix:
     """Assembled degree +1 map Tot(t1)_n -> Tot(t4)_{n+1}."""
     src = w.c12.source
     dst = w.c24.target
-    src_lay = _layout(src)
-    dst_lay = _layout(dst)
-    rows = dst_lay.ranks.get(n + 1, 0)
-    cols = src_lay.ranks.get(n, 0)
-    entries: dict[tuple[int, int], int] = {}
     for (i, j), fam in w.diagonal_blocks.items():
         mdeg = n - i
         blk = fam.get(mdeg)
@@ -824,13 +831,7 @@ def _homotopy_total_matrix(w: HomotopySquareWitness, n: int) -> IntegerMatrix:
             raise ShapeMismatch(
                 f"homotopy block ({i},{j}) at degree {mdeg} is "
                 f"{blk.rows}x{blk.cols}, expected {want[0]}x{want[1]}")
-        coff = src_lay.offsets[(n, i)]
-        roff = dst_lay.offsets[(n + 1, j)]
-        for (r, c), v in blk.entries.items():
-            entries[(roff + r, coff + c)] = \
-                entries.get((roff + r, coff + c), 0) + v
-    entries = {k: v for k, v in entries.items() if v}
-    return IntegerMatrix(rows, cols, entries)
+    return _graded_total_matrix(w.diagonal_blocks, src._tot, dst._tot, n, 1)
 
 
 def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
@@ -840,18 +841,14 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
     field; on failure the first offending generator of Tot(t1) is
     reported by total degree, piece, and position.
     """
-    src = w.c12.source
-    dst = w.c24.target
-    ring = src.ring
-    src_lay = _layout(src)
-    dst_lay = _layout(dst)
+    ring = w.c12.source.ring
+    src_lay = w.c12.source._tot
+    dst_lay = w.c24.target._tot
     if not src_lay.order:
         return HomotopyVerdict(True)
     for n in range(src_lay.min_degree, src_lay.max_degree + 1):
-        lhs = _total_differential(dst, dst_lay, n + 1) @ \
-            _homotopy_total_matrix(w, n) + \
-            _homotopy_total_matrix(w, n - 1) @ \
-            _total_differential(src, src_lay, n)
+        lhs = dst_lay.d(n + 1) @ _homotopy_total_matrix(w, n) + \
+            _homotopy_total_matrix(w, n - 1) @ src_lay.d(n)
         rhs = morphism_total_matrix(w.c24, n) @ \
             morphism_total_matrix(w.c12, n) - \
             morphism_total_matrix(w.c34, n) @ \
@@ -861,7 +858,7 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
         bad = sorted({c for (r, c), v in diff.entries.items()
                       if (v % p if p else v) != 0})
         if bad:
-            piece, local = _locate_generator(src, src_lay, n, bad[0])
+            piece, local = src_lay.locate(n, bad[0])
             return HomotopyVerdict(False, n, piece, local)
     return HomotopyVerdict(True)
 
@@ -910,26 +907,19 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
         raise InvariantViolation("max_page must be at least 1")
     pr = t.ring.p
     tot = totalize(t)
-    lay = _layout(t)
+    lay = t._tot
     order = list(lay.order)
     if not order:
         return SpectralSequenceResult(t.ring, (), {}, 1)
 
     width = order[-1] - order[0]
 
-    dmat: dict[int, np.ndarray] = {}
-    for n in range(lay.min_degree, lay.max_degree + 2):
-        d = _total_differential(t, lay, n)
-        dmat[n] = np.array(d.to_rows(), dtype=np.int64).reshape(
-            d.rows, d.cols) % pr
-
-    def fdim(pidx: int, n: int) -> int:
-        # dimension of F^p Tot_n (pieces of index <= pidx form a prefix)
-        return sum(t.piece(i).dim(n - i) for i in order if i <= pidx)
+    dmat = {n: fp_array(lay.d(n), pr)
+            for n in range(lay.min_degree, lay.max_degree + 2)}
 
     def cycle_space(pidx: int, r: int, n: int) -> np.ndarray:
         """Basis of Z_r = {x in F^p Tot_n : D x in F^{p-r}}, embedded."""
-        dim_f = fdim(pidx, n)
+        dim_f = lay.prefix_dim(n, pidx)
         total = lay.ranks.get(n, 0)
         if dim_f == 0:
             return np.zeros((total, 0), dtype=np.int64)
@@ -937,7 +927,7 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
         if d is None or d.shape[0] == 0:
             inner = np.eye(dim_f, dtype=np.int64)
         else:
-            keep = fdim(pidx - r, n - 1)
+            keep = lay.prefix_dim(n - 1, pidx - r)
             cond = d[keep:, :dim_f]
             inner = _fplinalg.null_space(cond, pr)
         out = np.zeros((total, inner.shape[1]), dtype=np.int64)
@@ -1041,16 +1031,8 @@ def _check_page_turn(prev: SpectralSequencePage,
         old = prev.dims.get((pidx, q), 0)
         out = prev.differentials.get((pidx, q))
         inc = prev.differentials.get((pidx + r, q - r + 1))
-        rank_out = 0
-        if out is not None:
-            rank_out = _fplinalg.rank(
-                np.array(out.to_rows(), dtype=np.int64).reshape(
-                    out.rows, out.cols), pr)
-        rank_in = 0
-        if inc is not None:
-            rank_in = _fplinalg.rank(
-                np.array(inc.to_rows(), dtype=np.int64).reshape(
-                    inc.rows, inc.cols), pr)
+        rank_out = 0 if out is None else _fplinalg.rank(fp_array(out, pr), pr)
+        rank_in = 0 if inc is None else _fplinalg.rank(fp_array(inc, pr), pr)
         expect = old - rank_out - rank_in
         if expect != new_dim:
             raise InvariantViolation(

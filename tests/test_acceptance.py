@@ -168,7 +168,7 @@ def test_criterion_03_morse_bott_inequalities():
         for ring in (ZZ, F2):
             for name, f in standard_fixtures(ring):
                 rep = mb_inequality(f)
-                assert rep.holds, (name, ring.name)
+                assert rep.holds, (name, str(ring))
             assert mb_inequality(torus_flat(ring)).is_equality()
             rep = mb_inequality(sphere_z2(ring))
             assert rep.witness == LaurentPoly({1: 1})
@@ -188,7 +188,7 @@ def test_criterion_04_quotient_sequences_are_exact():
                 t = realize(f)
                 for p in sorted({o.index for o in f.objects}):
                     qs = quotient_sequence(t, p)
-                    assert qs.audit.exact, (name, ring.name, p)
+                    assert qs.audit.exact, (name, str(ring), p)
                     subset = [o.name for o in f.objects if o.index <= p]
                     sub, quot = include_and_quotient(f, subset)
                     assert realize(sub) == qs.sub, (name, p)
@@ -203,7 +203,7 @@ def test_criterion_05_shift_invariance():
                 base = category_homology(f)
                 for a in range(-5, 6):
                     assert category_homology(shift_category(f, a)) == base, \
-                        (name, ring.name, a)
+                        (name, str(ring), a)
 
 
 def identity_bimodule(f):
@@ -223,7 +223,7 @@ def test_criterion_06_bimodules_and_homotopy_squares():
             for name, f in standard_fixtures(ring):
                 m = bimodule_to_map(identity_bimodule(f))
                 assert homology(totalize(cone(m))).is_trivial(), \
-                    (name, ring.name)
+                    (name, str(ring))
         b = continuation_s2()
         m = bimodule_to_map(b)
         assert homology(totalize(cone(m))).is_trivial()

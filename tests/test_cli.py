@@ -223,6 +223,42 @@ def test_bad_ring_exits_3(capsys):
     assert code == 3
 
 
+def _one_circle_file(tmp_path, ring: str, entry: int):
+    doc = {"format_version": "1", "ring": ring, "correspondences": [],
+           "objects": [{"name": "x", "index": 0, "framing_rank": 0,
+                        "chain": {"ranks": [1, 1], "differentials": [
+                            {"degree": 1, "shape": [1, 1],
+                             "data": [entry]}]}}]}
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_huge_entry_over_fp_reduces_before_numpy(tmp_path, capsys):
+    # 3**50 does not fit in an int64 but is 0 mod 3: a circle over F_3
+    path = _one_circle_file(tmp_path, "Fp:3", 3 ** 50)
+    code, out, err = run_cli(["homology", path], capsys)
+    assert code == 0, err
+    assert out == ("ring: Fp:3\ndegree  free  torsion\n"
+                   "     0     1  -\n     1     1  -\n")
+
+
+def test_prime_too_large_for_int64_elimination_exits_3(tmp_path, capsys):
+    # 1099511627791 is prime, but p*p overflows int64 elimination
+    path = _one_circle_file(tmp_path, "Z", 0)
+    code, _, err = run_cli(
+        ["homology", path, "--ring", "Fp:1099511627791"], capsys)
+    assert code == 3
+    assert "p <= 3037000499" in err
+    code, _, err = run_cli(["ss", path, "--field", "3037000507"], capsys)
+    assert code == 3
+    # the largest accepted prime still works
+    code, out, _ = run_cli(["homology", path, "--ring", "Fp:3037000493"],
+                           capsys)
+    assert code == 0
+    assert "     1     1  -" in out
+
+
 def test_ss_bad_field_exits_3(capsys):
     code, _, _ = run_cli(
         ["ss", fixture_path("rp2"), "--field", "4"], capsys)

@@ -37,7 +37,6 @@ from mbflow.twisted import (
     validate,
     verify_homotopy_square,
 )
-from mbflow.twisted import _layout, _total_differential
 
 F3 = CoefficientRing.prime_field(3)
 
@@ -174,11 +173,10 @@ def test_shift_preserves_total_complex_exactly():
         s, w = shift(t, a)
         assert sorted(s.pieces) == [i + a for i in sorted(t.pieces)]
         assert w.piece_map == {i: i + a for i in t.pieces}
-        lay_t, lay_s = _layout(t), _layout(s)
+        lay_t, lay_s = t._tot, s._tot
         assert lay_t.ranks == lay_s.ranks
         for n in range(lay_t.min_degree, lay_t.max_degree + 2):
-            assert _total_differential(t, lay_t, n) == \
-                _total_differential(s, lay_s, n)
+            assert lay_t.d(n) == lay_s.d(n)
 
 
 def test_shift_homology_unchanged():
