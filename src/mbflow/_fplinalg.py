@@ -46,9 +46,12 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if pick != row:
             r[[row, pick]] = r[[pick, row]]
         r[row] = (r[row] * _inv_mod(int(r[row, col]), p)) % p
-        for i in range(rows):
-            if i != row and r[i, col]:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+        # clear the column in every other row at once; each product is
+        # below p*p, so nothing overflows
+        hit = np.nonzero(r[:, col])[0]
+        hit = hit[hit != row]
+        if hit.size:
+            r[hit] = (r[hit] - np.outer(r[hit, col], r[row])) % p
         pivots.append(col)
         row += 1
     return r, pivots

@@ -41,6 +41,7 @@ from .homalg import (
     GradedChainComplex,
     HomologySummary,
     IntegerMatrix,
+    UnitReduction,
     complex_from_ranks,
     direct_sum,
     fp_array,
@@ -358,19 +359,24 @@ def shift(t: TwistedComplex, a: int) -> tuple[TwistedComplex, ShiftWitness]:
 class _IntegralFrame:
     """Free-part homology basis with a cycle-coordinate map, over Z.
 
-    In each degree, Smith form of the outgoing differential gives an
-    integral kernel basis (trailing columns of v); boundaries rewritten
-    in kernel coordinates have their own Smith form, whose transform
-    splits the kernel into torsion and free directions. Coordinates of
-    any cycle in the free directions follow by exact matrix algebra,
-    no solving.
+    The frame is built on the unit-pair reduction C' of the complex
+    (homalg.UnitReduction), so Smith forms with transforms run on the
+    leftover differentials only. In each degree, the Smith form of the
+    outgoing d'_n gives an integral kernel basis (trailing columns of
+    v); boundaries rewritten in kernel coordinates have their own Smith
+    form, whose transform splits the kernel into torsion and free
+    directions. Representatives are lifted back to C by g: C' -> C;
+    coordinates of a cycle x of C, checked explicitly to satisfy
+    d x = 0, are those of f(x) in C', by exact matrix algebra, no
+    solving.
     """
 
     def __init__(self, c: GradedChainComplex) -> None:
         self.complex = c
+        self._red = red = UnitReduction(c)
         self._data: dict[int, tuple] = {}
         for n in c.degrees():
-            a, b = c.d(n), c.d(n + 1)
+            a, b = red.d(n), red.d(n + 1)
             dec_a = smith_normal_form(a, with_transforms=True)
             r_a = dec_a.rank
             k = a.cols - r_a
@@ -385,11 +391,11 @@ class _IntegralFrame:
                 a.cols, k,
                 {(i, j - r_a): v for (i, j), v in dec_a.v.entries.items()
                  if j >= r_a})
-            reps = kernel @ IntegerMatrix(
+            reps = red.lift(n, kernel @ IntegerMatrix(
                 k, k - dec_m.rank,
                 {(i, j - dec_m.rank): v
                  for (i, j), v in dec_m.uinv.entries.items()
-                 if j >= dec_m.rank})
+                 if j >= dec_m.rank}))
             self._data[n] = (dec_a, dec_m, r_a, reps)
 
     def rank(self, n: int) -> int:
@@ -408,12 +414,14 @@ class _IntegralFrame:
             if not cycles.is_zero():
                 raise InvariantViolation("nonzero cycle outside degree range")
             return IntegerMatrix.zero(0, cycles.cols)
+        if not (self.complex.d(n) @ cycles).is_zero():
+            raise InvariantViolation(f"vector in degree {n} is not a cycle")
         dec_a, dec_m, r_a, reps = self._data[n]
-        x = dec_a.vinv @ cycles
+        x = dec_a.vinv @ self._red.project(n, cycles)
         if any(i < r_a for (i, _) in x.entries):
             raise InvariantViolation(
-                f"vector in degree {n} is not a cycle")
-        k = self.complex.dim(n) - r_a
+                f"vector in degree {n} is not a cycle of the reduction")
+        k = self._red.dim(n) - r_a
         xk = IntegerMatrix(k, cycles.cols,
                            {(i - r_a, j): v for (i, j), v in x.entries.items()})
         y = dec_m.u @ xk

@@ -46,6 +46,129 @@ def _integer_kernel_basis(m: IntegerMatrix) -> list[list[int]]:
     return cols
 
 
+def grid_surface(n: int, klein: bool = False) -> GradedChainComplex:
+    """The n x n triangulated torus, or Klein bottle, over Z.
+
+    A Delta-complex on the grid: n*n vertices (x, y), horizontal,
+    vertical and diagonal edges from (x, y) to (x+1, y), (x, y+1) and
+    (x+1, y+1), and two triangles per square, 6 n^2 cells in all. Both
+    directions wrap around; for the Klein bottle the seam y = n is glued
+    to y = 0 with x reversed, so a horizontal edge crossing it enters
+    with sign -1.
+    """
+    nn = n * n
+
+    def vertex(x: int, y: int) -> int:
+        if y == n:
+            x, y = (-x if klein else x), 0
+        return y * n + x % n
+
+    def edge(kind: int, x: int, y: int) -> tuple[int, int]:
+        # kind 0, 1, 2: horizontal, vertical, diagonal
+        sign = 1
+        if y == n:  # only horizontal edges are named on the seam
+            x, y = ((n - 1 - x, 0) if klein else (x, 0))
+            sign = -1 if klein else 1
+        return kind * nn + y * n + x % n, sign
+
+    d1: dict[tuple[int, int], int] = {}
+    d2: dict[tuple[int, int], int] = {}
+
+    def add(m, key, v):
+        s = m.get(key, 0) + v
+        if s:
+            m[key] = s
+        else:
+            m.pop(key, None)
+
+    for y in range(n):
+        for x in range(n):
+            for kind, (dx, dy) in enumerate(((1, 0), (0, 1), (1, 1))):
+                e, _ = edge(kind, x, y)
+                add(d1, (vertex(x + dx, y + dy), e), 1)
+                add(d1, (vertex(x, y), e), -1)
+            low, up = y * n + x, nn + y * n + x
+            # [v0, v1, v2] has boundary [v1 v2] - [v0 v2] + [v0 v1]
+            for f, faces in ((low, ((1, x + 1, y), (2, x, y), (0, x, y))),
+                             (up, ((0, x, y + 1), (2, x, y), (1, x, y)))):
+                for coeff, (kind, ex, ey) in zip((1, -1, 1), faces):
+                    e, sign = edge(kind, ex, ey)
+                    add(d2, (e, f), coeff * sign)
+    return complex_from_ranks(
+        CoefficientRing.integers(), {0: nn, 1: 3 * nn, 2: 2 * nn},
+        {1: IntegerMatrix(nn, 3 * nn, d1),
+         2: IntegerMatrix(3 * nn, 2 * nn, d2)})
+
+
+def invariant_factors(orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors (> 1, in divisibility order) of the direct sum
+    of the cyclic groups Z/k, k in orders, by merging prime powers."""
+    powers: dict[int, list[int]] = {}
+    for k in orders:
+        k, p = abs(k), 2
+        while k > 1:
+            q = 1
+            while k % p == 0:
+                k, q = k // p, q * p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    width = max((len(v) for v in powers.values()), default=0)
+    out = [1] * width
+    for v in powers.values():
+        for i, q in enumerate(sorted(v, reverse=True)):
+            out[width - 1 - i] *= q
+    return tuple(out)
+
+
+def random_integral_complex(rng: random.Random, top: int = 3,
+                            max_parts: int = 7, scramble: int = 14):
+    """A complex over Z in degrees 0..top with known homology.
+
+    It is a direct sum of free cells Z and of arrows Z --k--> Z with k
+    in {+-1, 2, 3, -4, 6} (acyclic for a unit, Z/|k| below otherwise),
+    hidden by random unimodular changes of basis: column i += c column j
+    of d_n together with row j -= c row i of d_{n+1}, which leaves d.d
+    and the homology alone but spreads units and non-units over the
+    matrices. Returns (complex, free ranks, torsion factors) by degree.
+    """
+    dims = [0] * (top + 1)
+    free: dict[int, int] = {}
+    orders: dict[int, list[int]] = {}
+    arrows = []  # (degree of the source, source cell, target cell, k)
+    for _ in range(rng.randint(1, max_parts)):
+        n = rng.randrange(top + 1)
+        if n < top and rng.random() < 0.6:
+            k = rng.choice((1, -1, 2, 3, -4, 6))
+            arrows.append((n + 1, dims[n + 1], dims[n], k))
+            dims[n + 1] += 1
+            dims[n] += 1
+            if abs(k) > 1:
+                orders.setdefault(n, []).append(k)
+        else:
+            free[n] = free.get(n, 0) + 1
+            dims[n] += 1
+    d = {n: [[0] * dims[n] for _ in range(dims[n - 1])]
+         for n in range(1, top + 1)}
+    for n, src, dst, k in arrows:
+        d[n][dst][src] = k
+    for _ in range(scramble):
+        n = rng.randrange(top + 1)
+        if dims[n] < 2:
+            continue
+        i, j = rng.sample(range(dims[n]), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in d.get(n, ()):
+            row[i] += c * row[j]
+        if n + 1 in d:
+            d[n + 1][j] = [a - c * b for a, b in zip(d[n + 1][j],
+                                                     d[n + 1][i])]
+    c = complex_from_ranks(
+        CoefficientRing.integers(), dict(enumerate(dims)),
+        {n: IntegerMatrix.from_rows(m, dims[n]) for n, m in d.items()})
+    return c, free, {n: invariant_factors(v) for n, v in orders.items()}
+
+
 def random_twisted(rng: random.Random, ring: CoefficientRing,
                    max_generators: int = 12,
                    max_pieces: int = 4) -> TwistedComplex:

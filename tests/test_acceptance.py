@@ -9,7 +9,8 @@ lines as they happen; without -s pytest shows them only on failure).
 Criteria with a stated runtime budget fail when the budget is exceeded.
 All expected values come from sources independent of the code under
 test: textbook cellular homology, convolution cell counts, a Pascal
-recurrence, and brute-force minor enumeration.
+recurrence, brute-force minor enumeration, and the closed-form
+homology of triangulated surfaces.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from support import random_twisted
+from support import grid_surface, random_twisted
 
 from mbflow.examples import (
     continuation_s2,
@@ -397,3 +398,18 @@ def test_criterion_11_kernel_correctness():
         vals = np.array([p.evaluate(-1) for p in grid])
         same_euler = np.equal.outer(vals, vals)
         assert not (rel & ~same_euler).any(), "preceq preserves P(-1)"
+
+
+def test_criterion_12_triangulated_surfaces():
+    torus = ({0: 1, 1: 2, 2: 1}, {})
+    klein = ({0: 1, 1: 1}, {1: (2,)})
+    for n in (8, 12):
+        for k, want in ((False, torus), (True, klein)):
+            h = homology(grid_surface(n, klein=k))
+            assert (dict(h.free), dict(h.torsion_factors)) == want, (n, k)
+    c = grid_surface(12)
+    assert c.total_dim() == 864
+    with criterion(12, "integer homology of the 12 x 12 triangulated "
+                       "torus (864 cells) is Z, Z^2, Z", budget=3.0):
+        h = homology(c)
+        assert (dict(h.free), dict(h.torsion_factors)) == torus

@@ -259,6 +259,27 @@ def test_prime_too_large_for_int64_elimination_exits_3(tmp_path, capsys):
     assert "     1     1  -" in out
 
 
+def test_wide_object_without_differentials_stays_small(tmp_path, capsys):
+    # 2000 cells in one degree and no differential: no Smith form may
+    # allocate 2000 x 2000 transforms
+    import tracemalloc
+
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": "x", "index": 0, "framing_rank": 0,
+                        "chain": {"ranks": [2000], "differentials": []}}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["homology", str(path)], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert out == "ring: Z\ndegree  free  torsion\n     0  2000  -\n"
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_ss_bad_field_exits_3(capsys):
     code, _, _ = run_cli(
         ["ss", fixture_path("rp2"), "--field", "4"], capsys)

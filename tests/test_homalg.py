@@ -1,7 +1,14 @@
 """Unit tests for the exact linear-algebra and polynomial kernel."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from support import random_integral_complex
+
+from mbflow import _fplinalg
 
 from mbflow.errors import (
     InvariantViolation,
@@ -15,6 +22,7 @@ from mbflow.homalg import (
     GradedChainComplex,
     IntegerMatrix,
     LaurentPoly,
+    UnitReduction,
     block_matrix,
     complex_from_ranks,
     dim_t,
@@ -155,6 +163,42 @@ def test_snf_deterministic():
     assert first.u == second.u and first.v == second.v
 
 
+def _rref_row_by_row(a, p):
+    """The elimination of _fplinalg.rref, one row at a time."""
+    r = np.asarray(a, dtype=np.int64) % p
+    rows, cols = r.shape
+    pivots, row = [], 0
+    for col in range(cols):
+        if row == rows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pick = row + int(nz[0])
+        r[[row, pick]] = r[[pick, row]]
+        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
+        for i in range(rows):
+            if i != row and r[i, col]:
+                r[i] = (r[i] - r[i, col] * r[row]) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, 7, 2147483647)))
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_row_by_row_reference(seed, p):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    a = np.array([[rng.choice((0, 0, 1, -1, rng.randrange(p)))
+                   for _ in range(cols)] for _ in range(rows)],
+                 dtype=np.int64)
+    got, pivots = _fplinalg.rref(a, p)
+    want, want_pivots = _rref_row_by_row(a, p)
+    assert pivots == want_pivots
+    assert (got == want).all()
+
+
 # ---------------------------------------------------------------------------
 # chain complexes and homology
 
@@ -270,6 +314,65 @@ def test_rank_nullity_on_diagonal_complexes(a, b, c):
     h = homology(cx)
     assert h.free_rank(1) == a
     assert h.free_rank(0) == c
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_integer_homology_agrees_with_fp_by_universal_coefficients(seed):
+    # scrambled sums of Z and Z --k--> Z: non-unit entries, torsion and a
+    # leftover for the dense Smith form
+    c, free, torsion = random_integral_complex(random.Random(seed))
+    h = homology(c)
+    assert dict(h.free) == free
+    assert dict(h.torsion_factors) == torsion
+    for p in (2, 3):
+        hp = homology(c.with_ring(CoefficientRing.prime_field(p)))
+        for n in c.degrees():
+            # dim H_n(C; F_p) = free_n + p-torsion of H_n and of H_{n-1}
+            want = h.free_rank(n) + \
+                sum(1 for x in h.torsion(n) if x % p == 0) + \
+                sum(1 for x in h.torsion(n - 1) if x % p == 0)
+            assert hp.free_rank(n) == want, (n, p)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_unit_reduction_maps_are_inverse_chain_maps(seed):
+    c, _, _ = random_integral_complex(random.Random(seed))
+    red = UnitReduction(c)
+    for n in c.degrees():
+        ident = IntegerMatrix.identity(red.dim(n))
+        g = red.lift(n, ident)
+        f = red.project(n, IntegerMatrix.identity(c.dim(n)))
+        assert red.project(n, g) == ident          # f g = 1
+        assert c.d(n) @ g == red.lift(n - 1, red.d(n))          # d g = g d'
+        assert red.d(n) @ f == red.project(n - 1, c.d(n))       # d' f = f d
+        # rank d_n = pairs cancelled in d_n + rank of what is left
+        assert red.cancelled(n) + smith_normal_form(red.d(n))[1] == \
+            integer_rank(c.d(n))
+        assert red.dim(n) == c.dim(n) - red.cancelled(n) - \
+            red.cancelled(n + 1)
+
+
+def test_unit_reduction_cancels_in_markowitz_order():
+    # d_1 = [[1, 1, 1], [1, 0, 0]]: (0, 1), (0, 2) and (1, 0) cost
+    # nothing, (0, 0) costs (3 - 1) * (2 - 1); the free pivots go first,
+    # (0, 1) before (0, 2) by column, then (1, 0), so edge 2 survives
+    c = complex_from_ranks(ZZ, {0: 2, 1: 3}, {1: mat([[1, 1, 1], [1, 0, 0]])})
+    red = UnitReduction(c)
+    assert red.cancelled(1) == 2
+    assert red.cells == {0: [], 1: [2]}
+    assert red.d(1) == IntegerMatrix.zero(0, 1)
+    # a 2 is no unit: it is left for the Smith form, and becomes torsion
+    red = UnitReduction(rp2_cw())
+    assert red.cancelled(2) == 0 and red.d(2) == mat([[2]])
+
+
+def test_integer_rank_cross_check_sees_a_corrupted_reduction(monkeypatch):
+    # the rank mod a large prime must match what the reduction reports
+    monkeypatch.setattr(UnitReduction, "cancelled", lambda self, n: 0)
+    with pytest.raises(InvariantViolation):
+        homology(circle_cw())
 
 
 # ---------------------------------------------------------------------------

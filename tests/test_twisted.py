@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from support import circle_complex, mat, point_complex, random_twisted
+from support import (
+    circle_complex,
+    mat,
+    point_complex,
+    random_integral_complex,
+    random_twisted,
+)
 
 from mbflow.errors import (
     ChainMapViolation,
@@ -25,6 +31,7 @@ from mbflow.twisted import (
     HomotopySquareWitness,
     TwistedComplex,
     TwistedMorphism,
+    _IntegralFrame,
     cone,
     identity_morphism,
     morphism_total_matrix,
@@ -250,6 +257,46 @@ def test_quotient_sequence_random_integral():
         assert validate(t).valid
         qs = quotient_sequence(t, rng.randrange(0, 4))
         assert qs.audit.exact, qs.audit.failures
+
+
+def _check_integral_frame(c):
+    fr = _IntegralFrame(c)
+    h = homology(c)
+    for n in c.degrees():
+        reps = fr.reps(n)
+        k = reps.cols
+        assert k == fr.rank(n) == h.free_rank(n)
+        assert (c.d(n) @ reps).is_zero()
+        assert fr.coords(n, reps) == IntegerMatrix.identity(k)
+        # coordinates are linear and blind to boundaries
+        bnd = c.d(n + 1)
+        mix = IntegerMatrix(k, 2, {(i, j): (i + 1) * (1 - 2 * j)
+                                   for i in range(k) for j in range(2)})
+        glue = IntegerMatrix(bnd.cols, 2, {(i, 1): -2
+                                           for i in range(bnd.cols)})
+        assert fr.coords(n, reps @ mix + bnd @ glue) == mix
+        d = c.d(n)
+        if not d.is_zero():
+            j = min(j for (_, j) in d.entries)
+            with pytest.raises(InvariantViolation):
+                fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
+
+
+def test_integral_frame_on_reduced_complex():
+    rng = random.Random(3)
+    for _ in range(40):
+        _check_integral_frame(random_integral_complex(rng)[0])
+    for _ in range(15):
+        _check_integral_frame(totalize(random_twisted(rng, ZZ, 14)))
+
+
+def test_quotient_sequence_random_integral_every_cut():
+    rng = random.Random(19)
+    for _ in range(10):
+        t = random_twisted(rng, ZZ, max_generators=14, max_pieces=5)
+        for cut in range(-1, 5):
+            qs = quotient_sequence(t, cut)
+            assert qs.audit.exact, (cut, qs.audit.failures)
 
 
 # ---------------------------------------------------------------------------
