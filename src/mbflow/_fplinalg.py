@@ -6,8 +6,16 @@ package: a map C_n -> C_{n-1} is a (dim C_{n-1}) x (dim C_n) matrix
 acting on column vectors.
 
 p must be prime and small enough that p*p fits in an int64; every
-routine reduces after each elimination step, so intermediate values
-stay below p*p.
+routine reduces each scalar mod p before it multiplies a vector and
+reduces again after each elimination step, so intermediate values stay
+below p*p in absolute value.
+
+rref, rank, solve and null_space are Gaussian elimination by rows.
+reduce_columns is the standard left-to-right column reduction of
+persistent homology: its pairing of lowest rows with columns gives the
+index-filtration spectral sequence, and its zero columns give cycle
+bases for the homology frames of the long exact sequence (both in
+twisted).
 """
 
 from __future__ import annotations
@@ -81,15 +89,6 @@ def null_space(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def column_space(a: np.ndarray, p: int) -> np.ndarray:
-    """An independent subset of the columns of a, spanning its image."""
-    a = asmod(a, p)
-    if a.size == 0:
-        return a.reshape(a.shape[0], 0)
-    _, pivots = rref(a, p)  # pivot columns of a are independent and span
-    return a[:, pivots]
-
-
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution x of a x = b mod p, or None if inconsistent.
 
@@ -115,43 +114,44 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return x[:, 0] if vec else x
 
 
-def in_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
-    return solve(basis, v, p) is not None
+def reduce_columns(a: np.ndarray, p: int,
+                   ) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Left-to-right column reduction over F_p.
 
-
-def homology_basis(d_out: np.ndarray, d_in: np.ndarray, p: int) -> np.ndarray:
-    """Cycle representatives of H = ker(d_out)/im(d_in) over F_p.
-
-    d_out: the differential leaving this degree; d_in: the one entering.
-    Returns a (dim, k) matrix whose columns are cycles projecting to a
-    basis of the quotient.
+    Returns (R, V, low) with R = a V mod p and V unit upper triangular:
+    each column j of a in turn has earlier columns of R subtracted while
+    its lowest nonzero row is already the lowest row of an earlier
+    column. low maps every nonzero column of R to its lowest nonzero
+    row, and no two columns share one. The columns j of V whose R
+    column is zero are a basis of the kernel of a, with top nonzero
+    entry 1 in row j.
     """
-    cycles = null_space(d_out, p)
-    bnd = column_space(d_in, p)
-    if cycles.shape[1] == 0:
-        return cycles
-    # Greedily keep cycle columns independent modulo the boundaries.
-    kept: list[np.ndarray] = []
-    cur = bnd
-    for j in range(cycles.shape[1]):
-        cand = cycles[:, j]
-        if not in_span(cur, cand, p):
-            kept.append(cand)
-            cur = np.concatenate([cur, cand.reshape(-1, 1)], axis=1)
-    if not kept:
-        return np.zeros((cycles.shape[0], 0), dtype=np.int64)
-    return np.stack(kept, axis=1)
-
-
-def class_coordinates(reps: np.ndarray, bnd: np.ndarray, v: np.ndarray,
-                      p: int) -> np.ndarray | None:
-    """Coordinates of the homology class of cycle v in the basis `reps`.
-
-    Solves [bnd | reps] * y = v and returns the reps part of y, or None
-    if v is not in the span (i.e. not a cycle of this degree).
-    """
-    stacked = np.concatenate([bnd, reps], axis=1)
-    y = solve(stacked, v, p)
-    if y is None:
-        return None
-    return y[bnd.shape[1]:]
+    rows, cols = np.shape(a)
+    # column j of R and of V is row j here, so each update is contiguous
+    rt = np.ascontiguousarray(asmod(a, p).T)
+    vt = np.eye(cols, dtype=np.int64)
+    low: dict[int, int] = {}
+    owner: dict[int, tuple[int, int]] = {}  # row -> (column, 1 / pivot)
+    for j in range(cols):
+        col, top = rt[j], rows
+        while True:
+            nz = col[:top].nonzero()[0]
+            if nz.size == 0:
+                break
+            i = int(nz[-1])
+            got = owner.get(i)
+            if got is None:
+                owner[i] = (j, _inv_mod(int(col[i]), p))
+                low[j] = i
+                break
+            k, inv = got
+            # the scalar is reduced first, so each product is below p*p
+            f = int(col[i]) * inv % p
+            seg = col[:i + 1]
+            seg -= f * rt[k, :i + 1]
+            seg %= p
+            seg = vt[j, :k + 1]
+            seg -= f * vt[k, :k + 1]
+            seg %= p
+            top = i
+    return rt.T, vt.T, low

@@ -22,8 +22,8 @@ sequence of the index filtration over a prime field.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -167,10 +167,12 @@ class _Totalization:
     """Tot of one twisted complex, built once by _assemble.
 
     Per total degree n the basis lists pieces in ascending index order,
-    piece i contributing its internal degree n - i at column
-    offsets[(n, i)]. differentials holds the nonzero total differentials
-    D_n: Tot_n -> Tot_{n-1}. The Maurer-Cartan verdict and the chain
-    complex are computed on first use and kept.
+    piece i contributing its internal degree n - i. parts[n] holds only
+    the pieces that are nonzero in degree n: their indices, ascending,
+    and the column offsets where they start. differentials holds the
+    nonzero total differentials D_n: Tot_n -> Tot_{n-1}. The
+    Maurer-Cartan verdict and the chain complex are computed on first
+    use and kept.
     """
 
     ring: CoefficientRing
@@ -178,7 +180,7 @@ class _Totalization:
     min_degree: int
     max_degree: int
     ranks: Mapping[int, int]
-    offsets: Mapping[tuple[int, int], int]
+    parts: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
     differentials: Mapping[int, IntegerMatrix]
 
     def d(self, n: int) -> IntegerMatrix:
@@ -188,12 +190,23 @@ class _Totalization:
         return IntegerMatrix.zero(self.ranks.get(n - 1, 0),
                                   self.ranks.get(n, 0))
 
+    def offset(self, n: int, i: int) -> int:
+        """Dimension of the pieces of index < i in Tot_n: the column
+        where piece i starts (defined for every n and i)."""
+        indices, starts = self.parts.get(n, ((), ()))
+        k = bisect_left(indices, i)
+        return starts[k] if k < len(starts) else self.ranks.get(n, 0)
+
     def prefix_dim(self, n: int, p: int) -> int:
         """Dimension of the pieces of index <= p in Tot_n (a prefix)."""
-        k = bisect_right(self.order, p)
-        if k == len(self.order):
-            return self.ranks.get(n, 0)
-        return self.offsets.get((n, self.order[k]), 0)
+        return self.offset(n, p + 1)
+
+    def filtration(self, n: int) -> list[int]:
+        """The piece index of every column of Tot_n, in column order."""
+        indices, starts = self.parts.get(n, ((), ()))
+        ends = starts[1:] + (self.ranks.get(n, 0),)
+        return [i for i, a, b in zip(indices, starts, ends)
+                for _ in range(b - a)]
 
     def split(self, p: int) -> tuple[GradedChainComplex, GradedChainComplex]:
         """Tot of the pieces of index <= p and Tot of the others: the
@@ -219,11 +232,11 @@ class _Totalization:
 
     def locate(self, n: int, col: int) -> tuple[int, int]:
         """Map a Tot_n column index back to (piece index, local index)."""
-        for i in reversed(self.order):
-            off = self.offsets[(n, i)]
-            if col >= off:
-                return i, col - off
-        raise ShapeMismatch(f"column {col} outside Tot_{n}")
+        indices, starts = self.parts.get(n, ((), ()))
+        k = bisect_right(starts, col) - 1
+        if k < 0 or col >= self.ranks.get(n, 0):
+            raise ShapeMismatch(f"column {col} outside Tot_{n}")
+        return indices[k], col - starts[k]
 
     @cached_property
     def diagnostics(self) -> TwistedDiagnostics:
@@ -240,32 +253,36 @@ def _assemble(t: TwistedComplex) -> _Totalization:
     order = tuple(t.indices())
     lo = min((i + t.piece(i).min_degree for i in order), default=0)
     hi = max((i + t.piece(i).max_degree for i in order), default=0)
-    ranks: dict[int, int] = {}
-    offsets: dict[tuple[int, int], int] = {}
-    for n in range(lo, hi + 1):
-        at = 0
-        for i in order:
-            offsets[(n, i)] = at
-            at += t.piece(i).dim(n - i)
-        ranks[n] = at
+    ranks = dict.fromkeys(range(lo, hi + 1), 0)
+    parts: dict[int, tuple[list[int], list[int]]] = {}
+    for i in order:  # ascending, so each degree lists its pieces in order
+        for m, r in t.piece(i).rank.items():
+            if r:
+                indices, starts = parts.setdefault(m + i, ([], []))
+                indices.append(i)
+                starts.append(ranks[m + i])
+                ranks[m + i] += r
+    lay = _Totalization(t.ring, order, lo, hi, ranks,
+                        {n: (tuple(a), tuple(b))
+                         for n, (a, b) in parts.items()}, {})
     # (row offset, column offset, block) per total degree of the source
     placed: dict[int, list[tuple[int, int, IntegerMatrix]]] = {}
     for i in order:
         for m, d in t.piece(i).differential.items():
             if not d.is_zero():
                 placed.setdefault(m + i, []).append(
-                    (offsets[(m + i - 1, i)], offsets[(m + i, i)], d))
+                    (lay.offset(m + i - 1, i), lay.offset(m + i, i), d))
     for (i, j), blocks in t.structure_maps.items():
         for m, blk in blocks.items():
             if not blk.is_zero():
                 placed.setdefault(m + i, []).append(
-                    (offsets[(m + i - 1, j)], offsets[(m + i, i)], blk))
+                    (lay.offset(m + i - 1, j), lay.offset(m + i, i), blk))
     diffs = {}
     for n, blocks in placed.items():
         d = place_blocks(ranks[n - 1], ranks[n], blocks)
         if not d.is_zero():
             diffs[n] = d
-    return _Totalization(t.ring, order, lo, hi, ranks, offsets, diffs)
+    return replace(lay, differentials=diffs)
 
 
 def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
@@ -432,20 +449,45 @@ class _IntegralFrame:
 
 
 class _FieldFrame:
-    """Homology basis with cycle coordinates over F_p, numpy-backed."""
+    """Homology basis with cycle coordinates over F_p, numpy-backed.
+
+    Built from the column reductions R = d V of d_n and d_{n+1}
+    (_fplinalg.reduce_columns). The cycles of degree n have a basis
+    with distinct top nonzero indices: the columns V_j with R_n column
+    j zero (top index j) and the nonzero columns of R_{n+1} (top index
+    their low), which are boundaries. The representatives are the V_j
+    whose j is not a low of R_{n+1}. coords back-substitutes each cycle
+    from its top nonzero index against that basis and reads off the
+    representatives' coefficients; a vector whose top index belongs to
+    no basis vector is not a cycle.
+    """
 
     def __init__(self, c: GradedChainComplex) -> None:
         if not c.ring.is_field:
             raise UnsupportedRing("field frame over Z")
         self.complex = c
-        self.p = c.ring.p
+        self.p = p = c.ring.p
         self._reps: dict[int, np.ndarray] = {}
-        self._bnd: dict[int, np.ndarray] = {}
+        # per degree: top index -> (basis vector, 1 / its top entry,
+        # representative position or None for a boundary)
+        self._pivots: dict[int, dict[int, tuple[np.ndarray, int,
+                                                 int | None]]] = {}
+        _, v, low_out = _fplinalg.reduce_columns(
+            fp_array(c.d(c.min_degree), p), p)
         for n in c.degrees():
-            d_out = fp_array(c.d(n), self.p)
-            d_in = fp_array(c.d(n + 1), self.p)
-            self._reps[n] = _fplinalg.homology_basis(d_out, d_in, self.p)
-            self._bnd[n] = _fplinalg.column_space(d_in, self.p)
+            r_in, v_in, low_in = _fplinalg.reduce_columns(
+                fp_array(c.d(n + 1), p), p)
+            bounded = set(low_in.values())
+            keys = [j for j in range(c.dim(n))
+                    if j not in low_out and j not in bounded]
+            # copies, so the full R and V of each degree are not kept
+            reps, bnd = v[:, keys], r_in[:, list(low_in)]
+            self._reps[n] = reps
+            pivots = {j: (reps[:, k], 1, k) for k, j in enumerate(keys)}
+            for k, i in enumerate(low_in.values()):
+                pivots[i] = (bnd[:, k], pow(int(bnd[i, k]), -1, p), None)
+            self._pivots[n] = pivots
+            v, low_out = v_in, low_in
 
     def rank(self, n: int) -> int:
         r = self._reps.get(n)
@@ -460,14 +502,25 @@ class _FieldFrame:
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
         if n not in self._reps:
             return IntegerMatrix.zero(0, cycles.cols)
-        v = fp_array(cycles, self.p)
+        p = self.p
+        pivots = self._pivots[n]
+        x = fp_array(cycles, p)
         out = np.zeros((self.rank(n), cycles.cols), dtype=np.int64)
-        for j in range(cycles.cols):
-            got = _fplinalg.class_coordinates(
-                self._reps[n], self._bnd[n], v[:, j], self.p)
+        top = x.shape[0]
+        while True:
+            live = np.flatnonzero(x[:top].any(axis=1))
+            if live.size == 0:
+                break
+            i = int(live[-1])
+            got = pivots.get(i)
             if got is None:
                 raise InvariantViolation(f"vector in degree {n} is not a cycle")
-            out[:, j] = got
+            vec, inv, k = got
+            f = x[i] * inv % p
+            x[:i + 1] = (x[:i + 1] - np.outer(vec[:i + 1], f)) % p
+            if k is not None:
+                out[k] = f
+            top = i
         return IntegerMatrix.from_rows(out.tolist(), cycles.cols)
 
 
@@ -697,8 +750,7 @@ def _graded_total_matrix(blocks: Mapping[tuple[int, int], GradedMap],
     for (i, j), fam in blocks.items():
         blk = fam.get(n - i)
         if blk is not None and not blk.is_zero():
-            placed.append((dst.offsets[(n + lift, j)], src.offsets[(n, i)],
-                           blk))
+            placed.append((dst.offset(n + lift, j), src.offset(n, i), blk))
     return place_blocks(dst.ranks.get(n + lift, 0), src.ranks.get(n, 0),
                         placed)
 
@@ -877,6 +929,10 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
 
 @dataclass(frozen=True)
 class SpectralSequencePage:
+    """Page r: dims[p, q] = dim E^r_{p,q} for the nonzero spots, and
+    differentials[p, q], the nonzero d_r out of (p, q) as a 0/1 matrix
+    in the persistence basis (see spectral_sequence)."""
+
     number: int
     dims: Mapping[tuple[int, int], int]
     differentials: Mapping[tuple[int, int], IntegerMatrix]
@@ -887,9 +943,9 @@ class SpectralSequenceResult:
     """Pages of the index-filtration spectral sequence over F_p.
 
     dims on page r map (p, q) to dim E^r_{p,q}; differentials[p, q] is
-    d_r: E^r_{p,q} -> E^r_{p-r, q+r-1} in the chosen bases. limit maps
-    each total degree n to the list of surviving column dimensions; its
-    sum equals dim H_n of the totalization (audited).
+    d_r: E^r_{p,q} -> E^r_{p-r, q+r-1} in the persistence basis. limit
+    maps each total degree n to the sum of the E-infinity dimensions
+    over its spots; it equals dim H_n of the totalization (audited).
     """
 
     ring: CoefficientRing
@@ -902,10 +958,19 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
                       ) -> SpectralSequenceResult:
     """Run the spectral sequence of the filtration by piece index.
 
-    F^p Tot is spanned by the pieces of index <= p. Pages are computed
-    by the subspace formula E_r = Z_r / (Z_{r-1}' + D Z_{r-1}''), each
-    page's homology is cross-checked against the next, and the E-infinity
-    column dimensions are audited against the homology of the
+    F^p Tot is spanned by the pieces of index <= p, and every basis of
+    Tot_n already lists its cells in ascending filtration. One column
+    reduction of each D_n (_fplinalg.reduce_columns) pairs a cell
+    sigma at filtration a with the cell tau at filtration b whose
+    reduced column has its lowest entry at sigma. Both cells live on
+    the pages r <= b - a, where they span spots (a, .) and (b, .), and
+    d_{b-a} carries tau to sigma; unpaired cells survive to E-infinity.
+    A page's generators at a spot are its surviving cells in cell
+    order (the persistence basis), and d_r is the 0/1 matrix of the
+    pairs at gap r. Each page's dimensions are cross-checked against
+    the homology of the previous page, pages stop at the filtration
+    width + 1, where only unpaired cells remain, and the E-infinity
+    total dimensions are audited against the homology of the
     totalization.
     """
     if not t.ring.is_field:
@@ -916,111 +981,62 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     pr = t.ring.p
     tot = totalize(t)
     lay = t._tot
-    order = list(lay.order)
+    order = lay.order
     if not order:
         return SpectralSequenceResult(t.ring, (), {}, 1)
 
-    width = order[-1] - order[0]
+    filt = {n: lay.filtration(n)
+            for n in range(lay.min_degree, lay.max_degree + 1)}
+    gap: dict[tuple[int, int], int] = {}  # paired cell (n, column) -> b - a
+    # per pair: (gap, source spot, tau, target spot, sigma)
+    arrows: list[tuple[int, tuple[int, int], int, tuple[int, int], int]] = []
+    for n, d in lay.differentials.items():
+        _, _, low = _fplinalg.reduce_columns(fp_array(d, pr), pr)
+        for tau, sigma in low.items():
+            b, a = filt[n][tau], filt[n - 1][sigma]
+            gap[(n, tau)] = gap[(n - 1, sigma)] = b - a
+            arrows.append((b - a, (b, n - b), tau, (a, n - 1 - a), sigma))
 
-    dmat = {n: fp_array(lay.d(n), pr)
-            for n in range(lay.min_degree, lay.max_degree + 2)}
-
-    def cycle_space(pidx: int, r: int, n: int) -> np.ndarray:
-        """Basis of Z_r = {x in F^p Tot_n : D x in F^{p-r}}, embedded."""
-        dim_f = lay.prefix_dim(n, pidx)
-        total = lay.ranks.get(n, 0)
-        if dim_f == 0:
-            return np.zeros((total, 0), dtype=np.int64)
-        d = dmat.get(n)
-        if d is None or d.shape[0] == 0:
-            inner = np.eye(dim_f, dtype=np.int64)
-        else:
-            keep = lay.prefix_dim(n - 1, pidx - r)
-            cond = d[keep:, :dim_f]
-            inner = _fplinalg.null_space(cond, pr)
-        out = np.zeros((total, inner.shape[1]), dtype=np.int64)
-        out[:dim_f, :] = inner
-        return out
-
-    def page_space(pidx: int, q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """(representatives, boundary-span) for E_r at (p, q)."""
-        n = pidx + q
-        z = cycle_space(pidx, r, n)
-        below = cycle_space(pidx - 1, r - 1, n)
-        up = cycle_space(pidx + r - 1, r - 1, n + 1)
-        d = dmat.get(n + 1)
-        if d is None or d.size == 0:
-            dz = np.zeros((lay.ranks.get(n, 0), up.shape[1]), dtype=np.int64)
-        else:
-            dz = (d @ up) % pr
-        span = np.concatenate([below, dz], axis=1)
-        # representatives: columns of z independent modulo span
-        reps = []
-        cur = span
-        for jcol in range(z.shape[1]):
-            v = z[:, jcol]
-            if not _fplinalg.in_span(cur, v, pr):
-                reps.append(v)
-                cur = np.concatenate([cur, v.reshape(-1, 1)], axis=1)
-        reps_m = np.stack(reps, axis=1) if reps else \
-            np.zeros((z.shape[0], 0), dtype=np.int64)
-        return reps_m, span
-
-    qlo = min(c.min_degree for c in t.pieces.values())
-    qhi = max(c.max_degree for c in t.pieces.values())
-    spots = [(pidx, q) for pidx in order for q in range(qlo, qhi + 1)
-             if t.piece(pidx).dim(q) > 0]
+    def generators(r: int) -> dict[tuple[int, int], dict[int, int]]:
+        """Cells alive on page r per spot: column -> position."""
+        gens: dict[tuple[int, int], dict[int, int]] = {}
+        for n, cells in filt.items():
+            for col, pidx in enumerate(cells):
+                if gap.get((n, col), r) >= r:
+                    spot = gens.setdefault((pidx, n - pidx), {})
+                    spot[col] = len(spot)
+        return gens
 
     pages: list[SpectralSequencePage] = []
-    stable_after = width + 1
-    last = min(max_page, stable_after)
-    for r in range(1, last + 1):
-        basis = {(pidx, q): page_space(pidx, q, r) for (pidx, q) in spots}
-        dims = {(pidx, q): reps.shape[1]
-                for (pidx, q), (reps, _) in basis.items()
-                if reps.shape[1] > 0}
-        diffs: dict[tuple[int, int], IntegerMatrix] = {}
-        for (pidx, q), (reps, _) in basis.items():
-            tgt = (pidx - r, q + r - 1)
-            if reps.shape[1] == 0 or tgt not in basis:
-                continue
-            treps, tspan = basis[tgt]
-            n = pidx + q
-            d = dmat[n]
-            cols = np.zeros((treps.shape[1], reps.shape[1]), dtype=np.int64)
-            for jcol in range(reps.shape[1]):
-                img = (d @ reps[:, jcol]) % pr if d.size \
-                    else np.zeros(treps.shape[0], dtype=np.int64)
-                coords = _fplinalg.class_coordinates(treps, tspan, img, pr)
-                if coords is None:
-                    raise InvariantViolation(
-                        f"page {r} differential left its target at "
-                        f"({pidx},{q})")
-                cols[:, jcol] = coords
-            if np.any(cols % pr):
-                diffs[(pidx, q)] = IntegerMatrix.from_rows(
-                    (cols % pr).tolist(), reps.shape[1])
+    stable_after = order[-1] - order[0] + 1
+    for r in range(1, min(max_page, stable_after) + 1):
+        gens = generators(r)
+        dims = {spot: len(cells) for spot, cells in gens.items()}
+        entries: dict[tuple, dict[tuple[int, int], int]] = {}
+        for g, src, tau, dst, sigma in arrows:
+            if g == r:
+                entries.setdefault((src, dst), {})[
+                    (gens[dst][sigma], gens[src][tau])] = 1
+        diffs = {src: IntegerMatrix(dims[dst], dims[src], e)
+                 for (src, dst), e in entries.items()}
         if pages:
             _check_page_turn(pages[-1], dims, pr)
         pages.append(SpectralSequencePage(r, dims, diffs))
 
-    # E-infinity: any page index beyond the filtration width freezes
-    # every space, because both cycle conditions become vacuous
-    inf_dims = {(pidx, q): page_space(pidx, q, stable_after)[0].shape[1]
-                for (pidx, q) in spots}
-    nonzero_inf = {k: v for k, v in inf_dims.items() if v}
+    # E-infinity: past the filtration width every pair has died
+    inf_dims = {spot: len(cells)
+                for spot, cells in generators(stable_after).items()}
     # collapse = the first computed page already equal to E-infinity;
     # dimensions only ever shrink, so equality certifies that every
     # later differential vanishes
     collapsed_at = None
     for page in pages:
-        if dict(page.dims) == nonzero_inf:
+        if dict(page.dims) == inf_dims:
             collapsed_at = page.number
             break
     limit: dict[int, int] = {}
     for (pidx, q), dim in inf_dims.items():
-        if dim:
-            limit[pidx + q] = limit.get(pidx + q, 0) + dim
+        limit[pidx + q] = limit.get(pidx + q, 0) + dim
     h = homology(tot)
     for n in set(limit) | set(h.free):
         if limit.get(n, 0) != h.free_rank(n):

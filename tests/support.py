@@ -20,9 +20,10 @@ from mbflow.homalg import (
     GradedChainComplex,
     IntegerMatrix,
     complex_from_ranks,
+    fp_array,
     smith_normal_form,
 )
-from mbflow.twisted import TwistedComplex, twisted_from_parts
+from mbflow.twisted import TwistedComplex, totalize, twisted_from_parts
 
 
 def mat(rows, cols=None):
@@ -293,3 +294,96 @@ def random_twisted(rng: random.Random, ring: CoefficientRing,
         structure[(i, j)] = out
 
     return twisted_from_parts(ring, full_pieces, structure)
+
+
+def subspace_spectral_sequence(t: TwistedComplex, max_page: int):
+    """Reference for twisted.spectral_sequence by the subspace formula.
+
+    Each page is computed from scratch at every spot (p, q) as
+    E_r = Z_r / (Z_{r-1}' + D Z_{r-1}''), with Z_r = {x in F^p Tot_n :
+    D x in F^{p-r}}, and d_r as coordinates of D on representatives.
+    Filtration prefixes are summed from the pieces; matrix products run
+    in Python ints and are reduced mod p afterwards. Returns (pages,
+    limit, collapsed_at), where pages[r - 1] = (dims, ranks): the
+    nonzero dim E^r_{p,q} and the rank of each nonzero d_r out of (p, q).
+    """
+    pr = t.ring.p
+    tot = totalize(t)
+    order = sorted(t.pieces)
+    if not order:
+        return [], {}, 1
+    width = order[-1] - order[0]
+
+    def mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a.astype(object) @ b.astype(object) % pr).astype(np.int64)
+
+    def prefix(n: int, f: int) -> int:
+        return sum(t.pieces[i].dim(n - i) for i in order if i <= f)
+
+    def cycle_space(f: int, r: int, n: int) -> np.ndarray:
+        """Basis of Z_r = {x in F^f Tot_n : D x in F^{f-r}}, embedded."""
+        dim_f = prefix(n, f)
+        if dim_f == 0:
+            return np.zeros((tot.dim(n), 0), dtype=np.int64)
+        d = fp_array(tot.d(n), pr)
+        if d.shape[0] == 0:
+            inner = np.eye(dim_f, dtype=np.int64)
+        else:
+            inner = _fplinalg.null_space(d[prefix(n - 1, f - r):, :dim_f],
+                                         pr)
+        out = np.zeros((tot.dim(n), inner.shape[1]), dtype=np.int64)
+        out[:dim_f, :] = inner
+        return out
+
+    def page_space(f: int, q: int, r: int):
+        """(representatives, boundary span) of E_r at (f, q)."""
+        n = f + q
+        z = cycle_space(f, r, n)
+        below = cycle_space(f - 1, r - 1, n)
+        dz = mulmod(fp_array(tot.d(n + 1), pr),
+                    cycle_space(f + r - 1, r - 1, n + 1))
+        span = np.concatenate([below, dz], axis=1)
+        reps: list[np.ndarray] = []
+        for j in range(z.shape[1]):
+            cur = np.concatenate([span] + [v.reshape(-1, 1) for v in reps],
+                                 axis=1)
+            if _fplinalg.solve(cur, z[:, j], pr) is None:
+                reps.append(z[:, j])
+        reps_m = np.stack(reps, axis=1) if reps else \
+            np.zeros((z.shape[0], 0), dtype=np.int64)
+        return reps_m, span
+
+    qlo = min(c.min_degree for c in t.pieces.values())
+    qhi = max(c.max_degree for c in t.pieces.values())
+    spots = [(f, q) for f in order for q in range(qlo, qhi + 1)
+             if t.pieces[f].dim(q) > 0]
+    pages = []
+    for r in range(1, min(max_page, width + 1) + 1):
+        basis = {spot: page_space(*spot, r) for spot in spots}
+        dims = {spot: reps.shape[1] for spot, (reps, _) in basis.items()
+                if reps.shape[1]}
+        ranks = {}
+        for (f, q), (reps, _) in basis.items():
+            tgt = (f - r, q + r - 1)
+            if reps.shape[1] == 0 or tgt not in basis:
+                continue
+            treps, tspan = basis[tgt]
+            images = mulmod(fp_array(tot.d(f + q), pr), reps)
+            cols = np.zeros((treps.shape[1], reps.shape[1]), dtype=np.int64)
+            for j in range(reps.shape[1]):
+                y = _fplinalg.solve(np.concatenate([tspan, treps], axis=1),
+                                    images[:, j], pr)
+                assert y is not None, ("d_r left its target", r, (f, q))
+                cols[:, j] = y[tspan.shape[1]:]
+            rank = _fplinalg.rank(cols, pr)
+            if rank:
+                ranks[(f, q)] = rank
+        pages.append((dims, ranks))
+    inf = {spot: page_space(*spot, width + 1)[0].shape[1] for spot in spots}
+    inf = {spot: d for spot, d in inf.items() if d}
+    collapsed_at = next((r for r, (dims, _) in enumerate(pages, 1)
+                         if dims == inf), None)
+    limit: dict[int, int] = {}
+    for (f, q), d in inf.items():
+        limit[f + q] = limit.get(f + q, 0) + d
+    return pages, limit, collapsed_at

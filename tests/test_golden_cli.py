@@ -27,6 +27,7 @@ PER_FIXTURE = (
     ["check-ineq"],
     ["dual"],
     ["ss", "--field", "2"],
+    ["ss", "--field", "3"],
 )
 
 

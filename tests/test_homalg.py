@@ -28,6 +28,7 @@ from mbflow.homalg import (
     dim_t,
     direct_sum,
     dual_complex,
+    fp_array,
     homology,
     integer_rank,
     preceq,
@@ -197,6 +198,34 @@ def test_rref_matches_row_by_row_reference(seed, p):
     want, want_pivots = _rref_row_by_row(a, p)
     assert pivots == want_pivots
     assert (got == want).all()
+
+
+LARGEST_PRIME = 3037000493  # the largest prime CoefficientRing accepts
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, LARGEST_PRIME)))
+@settings(max_examples=100, deadline=None)
+def test_reduce_columns_exact(seed, p):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    # dense with a random rank deficit, so columns really reduce to zero
+    k = rng.randint(1, min(rows, cols))
+    left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+    a = IntegerMatrix.from_rows(left, k) @ IntegerMatrix.from_rows(right, cols)
+    r, v, low = _fplinalg.reduce_columns(fp_array(a, p), p)
+    # R = a V mod p, with the products in Python ints
+    av = a @ IntegerMatrix.from_rows(v.tolist(), cols)
+    assert all((av[i, j] - int(r[i, j])) % p == 0
+               for i in range(rows) for j in range(cols))
+    assert ((0 <= r) & (r < p)).all() and ((0 <= v) & (v < p)).all()
+    assert (np.triu(v) == v).all() and (np.diag(v) == 1).all()
+    # low: the lowest nonzero row of every nonzero column, all distinct
+    for j in range(cols):
+        nz = np.flatnonzero(r[:, j])
+        assert low.get(j) == (int(nz[-1]) if nz.size else None)
+    assert len(set(low.values())) == len(low)
+    assert len(low) == _fplinalg.rank(fp_array(a, p), p)
 
 
 # ---------------------------------------------------------------------------

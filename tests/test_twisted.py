@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
 from support import (
     circle_complex,
     mat,
     point_complex,
     random_integral_complex,
     random_twisted,
+    subspace_spectral_sequence,
 )
 
 from mbflow.errors import (
@@ -18,12 +20,14 @@ from mbflow.errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
+from mbflow import _fplinalg
 from mbflow.homalg import (
     F2,
     ZZ,
     CoefficientRing,
     IntegerMatrix,
     complex_from_ranks,
+    fp_array,
     homology,
     shift_complex,
 )
@@ -31,6 +35,7 @@ from mbflow.twisted import (
     HomotopySquareWitness,
     TwistedComplex,
     TwistedMorphism,
+    _FieldFrame,
     _IntegralFrame,
     cone,
     identity_morphism,
@@ -46,6 +51,7 @@ from mbflow.twisted import (
 )
 
 F3 = CoefficientRing.prime_field(3)
+F5 = CoefficientRing.prime_field(5)
 
 
 def segment(ring=ZZ):
@@ -186,6 +192,27 @@ def test_shift_preserves_total_complex_exactly():
             assert lay_t.d(n) == lay_s.d(n)
 
 
+def test_sparse_layout_matches_dense_offsets():
+    rng = random.Random(11)
+    for _ in range(30):
+        t = random_twisted(rng, ZZ, max_generators=14, max_pieces=5)
+        lay = t._tot
+        for n in range(lay.min_degree - 1, lay.max_degree + 2):
+            at, cols = 0, []
+            for i in range(-2, 7):  # beyond the pieces on both sides
+                assert lay.offset(n, i) == at, (n, i)
+                assert lay.prefix_dim(n, i - 1) == at
+                dim = t.pieces[i].dim(n - i) if i in t.pieces else 0
+                cols += [(i, k) for k in range(dim)]
+                at += dim
+            assert at == lay.ranks.get(n, 0)
+            assert [lay.locate(n, c) for c in range(at)] == cols
+            assert lay.filtration(n) == [i for i, _ in cols]
+            for bad in (-1, at):
+                with pytest.raises(ShapeMismatch):
+                    lay.locate(n, bad)
+
+
 def test_shift_homology_unchanged():
     t = flat_torus()
     s, _ = shift(t, -2)
@@ -280,6 +307,39 @@ def _check_integral_frame(c):
             j = min(j for (_, j) in d.entries)
             with pytest.raises(InvariantViolation):
                 fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
+
+
+def _check_field_frame(c):
+    p = c.ring.p
+    fr = _FieldFrame(c)
+    h = homology(c)
+    for n in c.degrees():
+        reps = fr.reps(n)
+        k = reps.cols
+        assert k == fr.rank(n) == h.free_rank(n)
+        assert (c.d(n) @ reps).is_zero_mod(p)
+        assert fr.coords(n, reps) == IntegerMatrix.identity(k)
+        # coordinates are linear mod p and blind to boundaries
+        bnd = c.d(n + 1)
+        mix = IntegerMatrix(k, 2, {(i, j): (i + 1) * (1 - 2 * j) % p
+                                   for i in range(k) for j in range(2)
+                                   if (i + 1) % p})
+        glue = IntegerMatrix(bnd.cols, 2, {(i, 1): -2
+                                           for i in range(bnd.cols)})
+        got = fr.coords(n, reps @ mix + bnd @ glue)
+        assert (got - mix).is_zero_mod(p)
+        d = c.d(n)
+        if not d.is_zero_mod(p):
+            j = min(j for (_, j), v in d.entries.items() if v % p)
+            with pytest.raises(InvariantViolation):
+                fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
+
+
+def test_field_frame_from_column_reductions():
+    rng = random.Random(5)
+    for ring in (F2, F3, F5):
+        for _ in range(15):
+            _check_field_frame(totalize(random_twisted(rng, ring, 14, 5)))
 
 
 def test_integral_frame_on_reduced_complex():
@@ -529,3 +589,41 @@ def test_spectral_sequence_convergence_random():
 def test_spectral_sequence_max_page_cap():
     ss = spectral_sequence(flat_torus(F2), 1)
     assert len(ss.pages) == 1
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((F2, F3, F5)))
+@settings(max_examples=60, deadline=None)
+def test_spectral_sequence_matches_subspace_reference(seed, ring):
+    t = random_twisted(random.Random(seed), ring, max_generators=14,
+                       max_pieces=5)
+    ss = spectral_sequence(t, 6)
+    pages, limit, collapsed_at = subspace_spectral_sequence(t, 6)
+    assert len(ss.pages) == len(pages)
+    for page, (dims, ranks) in zip(ss.pages, pages):
+        assert dict(page.dims) == dims, page.number
+        assert {spot: _fplinalg.rank(fp_array(m, ring.p), ring.p)
+                for spot, m in page.differentials.items()} == ranks
+    assert ss.collapsed_at == collapsed_at
+    assert dict(ss.limit) == limit
+
+
+def test_spectral_sequence_at_the_largest_prime():
+    # two pieces, six cells: the page-1 differential sends the cycle
+    # (1, 1, -1) of piece 1 to -2; products of two residues near p
+    # overflow int64 once they are summed
+    fp = CoefficientRing.prime_field(3037000493)
+    t = twisted_from_parts(
+        fp,
+        {1: complex_from_ranks(fp, {0: 2, 1: 3},
+                               {1: mat([[1, 0, 1], [0, 1, 1]])}),
+         0: complex_from_ranks(fp, {1: 1})},
+        {(1, 0): {1: mat([[-1, -1, 0]])}})
+    ss = spectral_sequence(t, 4)
+    assert [dict(page.dims) for page in ss.pages] == [
+        {(1, 1): 1, (0, 1): 1}, {}]
+    assert ss.pages[0].differentials[(1, 1)].to_rows() == [[1]]
+    assert ss.collapsed_at == 2
+    assert not ss.limit
+    pages, limit, collapsed_at = subspace_spectral_sequence(t, 4)
+    assert pages == [({(1, 1): 1, (0, 1): 1}, {(1, 1): 1}), ({}, {})]
+    assert (limit, collapsed_at) == ({}, 2)
