@@ -15,6 +15,7 @@ is not a terminal, so piped output is byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -185,7 +186,8 @@ def _parse_matrix(obj: Any, path: str, rows: int, cols: int,
             f"{path}.data: {len(data)} entries for a {rows}x{cols} matrix")
     entries = {}
     for i, v in enumerate(data):
-        _parse_int(v, f"{path}.data[{i}]")
+        if type(v) is not int:  # also bool; the path is built only here
+            _parse_int(v, f"{path}.data[{i}]")
         if v:
             entries[(i // cols, i % cols)] = v
     return IntegerMatrix(rows, cols, entries)
@@ -539,7 +541,9 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="mbflow",
         description="Chain-level flow categories: homology, quotients, "

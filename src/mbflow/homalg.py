@@ -23,6 +23,7 @@ acting on column vectors.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -537,8 +538,12 @@ class GradedChainComplex:
                 raise ShapeMismatch(
                     f"differential out of degree {n} is {d.rows}x{d.cols}, "
                     f"expected {want[0]}x{want[1]}")
-        for n in range(self.min_degree, self.max_degree + 1):
-            sq = self.d(n) @ self.d(n + 1)
+        # a missing differential is zero, and so is its product with any
+        # other; ascending n reports the lowest failure
+        for n in sorted(self.differential):
+            if n + 1 not in self.differential:
+                continue
+            sq = self.differential[n] @ self.differential[n + 1]
             ok = sq.is_zero_mod(self.ring.p) if self.ring.is_field \
                 else sq.is_zero()
             if not ok:
@@ -671,10 +676,22 @@ class UnitReduction:
     homotopy equivalent through project (f: C -> C') and lift
     (g: C' -> C), with f g = 1; both are replayed from the recorded
     pivot rows and columns.
+
+    An optional cut names a subcomplex S: cut[n] is the number of cells
+    at the front of C_n that span S_n (missing degrees count 0), such
+    as the pieces of index <= p of a totalization
+    (_Totalization.prefix_dim). A unit at a row of S and a column of the
+    quotient Q = C/S is then never a pivot; every other unit keeps its
+    place in the order. Every pivot lies in S or in Q, and as d maps S
+    into S, the Schur complements keep each d_n block upper triangular:
+    the diagonal blocks of d' reduce S and Q by their own pivots (a
+    filtration-compatible Morse matching, Mischaikow and Nanda 2013).
+    split returns them as two reductions.
     """
 
-    def __init__(self, c: GradedChainComplex) -> None:
-        self.complex = c
+    def __init__(self, c: GradedChainComplex,
+                 cut: Mapping[int, int] | None = None) -> None:
+        cut = dict(cut or {})
         # d_n by rows and by columns: rows[n][r][c] == cols[n][c][r]
         rows: dict[int, dict[int, dict[int, int]]] = {}
         cols: dict[int, dict[int, dict[int, int]]] = {}
@@ -685,26 +702,33 @@ class UnitReduction:
                 cn.setdefault(j, {})[i] = v
         heap = [((len(row) - 1) * (len(cols[n][j]) - 1), n, i, j)
                 for n, rn in rows.items() for i, row in rn.items()
-                for j, v in row.items() if v in (1, -1)]
+                for j, v in row.items() if v in (1, -1)
+                and (i >= cut.get(n - 1, 0) or j < cut.get(n, 0))]
         heapq.heapify(heap)
 
         def push(n: int, at: int, line: dict[int, int], across,
                  is_row: bool) -> None:
-            # queue the unit entries of row (or column) `at` of d_n
+            # queue the unit entries of row (or column) `at` of d_n that
+            # may pivot: those at a row of S pivot in a column of S only
+            lo, hi = 0, sys.maxsize
+            if is_row and at < cut.get(n - 1, 0):
+                hi = cut.get(n, 0)
+            elif not is_row and at >= cut.get(n, 0):
+                lo = cut.get(n - 1, 0)
             for k, v in line.items():
-                if v in (1, -1):
+                if v in (1, -1) and lo <= k < hi:
                     cost = (len(line) - 1) * (len(across[k]) - 1)
                     heapq.heappush(heap, (cost, n, at, k) if is_row
                                    else (cost, n, k, at))
 
-        self._cancelled: dict[int, int] = {}
+        cancelled: dict[int, int] = {}
         gone: dict[int, set[int]] = {}
         # per degree, in pivot order: (r, u, column of r's pivot) for the
         # cells of that degree cancelled as rows, which f folds away, and
         # (c, u, row of c's pivot) for those cancelled as columns, which
         # g fills back in
-        self._fold: dict[int, list] = {}
-        self._fill: dict[int, list] = {}
+        fold: dict[int, list] = {}
+        fill: dict[int, list] = {}
         while heap:
             cost, n, r, cc = heapq.heappop(heap)
             rn, cn = rows[n], cols[n]
@@ -750,25 +774,94 @@ class UnitReduction:
                         push(m, k, line, lines[m], is_row)
                     else:
                         del across[m][k]
-            self._cancelled[n] = self._cancelled.get(n, 0) + 1
+            cancelled[n] = cancelled.get(n, 0) + 1
             gone.setdefault(n, set()).add(cc)
             gone.setdefault(n - 1, set()).add(r)
-            self._fold.setdefault(n - 1, []).append((r, u, gamma))
-            self._fill.setdefault(n, []).append((cc, u, beta))
+            fold.setdefault(n - 1, []).append((r, u, gamma))
+            fill.setdefault(n, []).append((cc, u, beta))
 
-        self.cells = {n: [i for i in range(c.dim(n))
-                          if i not in gone.get(n, ())]
-                      for n in c.degrees()}
+        cells = {n: [i for i in range(c.dim(n)) if i not in gone.get(n, ())]
+                 for n in c.degrees()}
+        self._set(c, cells, {n: {(i, j): v for i, row in rn.items()
+                                 for j, v in row.items()}
+                             for n, rn in rows.items()},
+                  cancelled, fold, fill, cut)
+
+    def _set(self, c: GradedChainComplex, cells: dict[int, list[int]],
+             rest: Mapping[int, dict[tuple[int, int], int]],
+             cancelled: dict[int, int], fold: dict[int, list],
+             fill: dict[int, list], cut: dict[int, int] | None = None,
+             ) -> None:
+        """Keep a reduction of c: the surviving cells per degree, the
+        entries of each d'_n at their cells of C, the pairs cancelled
+        per differential, the pivot records of f and g, and the cut."""
+        self.complex = c
+        self.cells = cells
         self._index = {n: {i: k for k, i in enumerate(kept)}
-                       for n, kept in self.cells.items()}
+                       for n, kept in cells.items()}
         self._d: dict[int, IntegerMatrix] = {}
-        for n, rn in rows.items():
+        for n, entries in rest.items():
             ri, ci = self._index.get(n - 1, {}), self._index.get(n, {})
-            entries = {(ri[i], ci[j]): v
-                       for i, row in rn.items() for j, v in row.items()}
             if entries:
-                self._d[n] = IntegerMatrix(self.dim(n - 1), self.dim(n),
-                                           entries)
+                self._d[n] = IntegerMatrix(
+                    self.dim(n - 1), self.dim(n),
+                    {(ri[i], ci[j]): v for (i, j), v in entries.items()})
+        self._cancelled = cancelled
+        self._fold = fold
+        self._fill = fill
+        self._cut = cut or {}
+
+    def split(self, sub: GradedChainComplex, quot: GradedChainComplex,
+              ) -> tuple["UnitReduction", "UnitReduction"]:
+        """The reductions of S and of Q = C/S that a reduction with a cut
+        holds: sub and quot are the complexes on the first cut[n] cells
+        of each C_n and on the others (_Totalization.split).
+
+        Each half keeps the surviving cells on its side (those of Q
+        renumbered from 0), its diagonal block of d', the pairs it
+        cancelled, and its pivot records restricted to its side: the
+        fill of a pivot in S drops the columns of Q from its row, the
+        fold of a pivot in Q drops the rows of S from its column.
+        """
+        whole, cut = self.complex, self._cut
+        for n in set(whole.rank) | set(sub.rank) | set(quot.rank):
+            s = cut.get(n, 0)
+            if (sub.dim(n), quot.dim(n)) != (s, whole.dim(n) - s):
+                raise ShapeMismatch(
+                    f"degree {n} splits as {s} + {whole.dim(n) - s} cells, "
+                    f"not {sub.dim(n)} + {quot.dim(n)}")
+
+        def half(c: GradedChainComplex, side) -> "UnitReduction":
+            # side(n) = (lo, hi): this side's cells of C_n are lo..hi-1,
+            # renumbered from lo
+            def restrict(n: int, recs: list) -> list:
+                lo, hi = side(n)
+                return [(x - lo, u, {k - lo: v for k, v in vec.items()
+                                     if lo <= k < hi})
+                        for x, u, vec in recs if lo <= x < hi]
+
+            cells = {}
+            for n in c.degrees():
+                lo, hi = side(n)
+                cells[n] = [i - lo for i in self.cells.get(n, ())
+                            if lo <= i < hi]
+            rest = {}
+            for n, m in self._d.items():
+                (r0, r1), (c0, c1) = side(n - 1), side(n)
+                rows, cols = self.cells[n - 1], self.cells[n]
+                rest[n] = {(rows[i] - r0, cols[j] - c0): v
+                           for (i, j), v in m.entries.items()
+                           if r0 <= rows[i] < r1 and c0 <= cols[j] < c1}
+            fill = {n: restrict(n, recs) for n, recs in self._fill.items()}
+            red = UnitReduction.__new__(UnitReduction)
+            red._set(c, cells, rest,
+                     {n: len(recs) for n, recs in fill.items() if recs},
+                     {n: restrict(n, recs) for n, recs in self._fold.items()},
+                     fill)
+            return red
+
+        return (half(sub, lambda n: (0, cut.get(n, 0))),
+                half(quot, lambda n: (cut.get(n, 0), whole.dim(n))))
 
     def dim(self, n: int) -> int:
         return len(self.cells.get(n, ()))

@@ -376,21 +376,23 @@ def shift(t: TwistedComplex, a: int) -> tuple[TwistedComplex, ShiftWitness]:
 class _IntegralFrame:
     """Free-part homology basis with a cycle-coordinate map, over Z.
 
-    The frame is built on the unit-pair reduction C' of the complex
-    (homalg.UnitReduction), so Smith forms with transforms run on the
-    leftover differentials only. In each degree, the Smith form of the
-    outgoing d'_n gives an integral kernel basis (trailing columns of
-    v); boundaries rewritten in kernel coordinates have their own Smith
-    form, whose transform splits the kernel into torsion and free
-    directions. Representatives are lifted back to C by g: C' -> C;
-    coordinates of a cycle x of C, checked explicitly to satisfy
-    d x = 0, are those of f(x) in C', by exact matrix algebra, no
-    solving.
+    The frame is built on a unit-pair reduction C' of the complex
+    (homalg.UnitReduction): red when given, such as one half of a
+    reduction with a cut, else a fresh reduction of c. Smith forms with
+    transforms run on the leftover differentials only. In each degree,
+    the Smith form of the outgoing d'_n gives an integral kernel basis
+    (trailing columns of v); boundaries rewritten in kernel coordinates
+    have their own Smith form, whose transform splits the kernel into
+    torsion and free directions. Representatives are lifted back to C by
+    g: C' -> C; coordinates of a cycle x of C, checked explicitly to
+    satisfy d x = 0 in c itself, are those of f(x) in C', by exact
+    matrix algebra, no solving.
     """
 
-    def __init__(self, c: GradedChainComplex) -> None:
+    def __init__(self, c: GradedChainComplex,
+                 red: UnitReduction | None = None) -> None:
         self.complex = c
-        self._red = red = UnitReduction(c)
+        self._red = red = UnitReduction(c) if red is None else red
         self._data: dict[int, tuple] = {}
         for n in c.degrees():
             a, b = red.d(n), red.d(n + 1)
@@ -524,10 +526,6 @@ class _FieldFrame:
         return IntegerMatrix.from_rows(out.tolist(), cycles.cols)
 
 
-def _frame(c: GradedChainComplex):
-    return _FieldFrame(c) if c.ring.is_field else _IntegralFrame(c)
-
-
 def _induced_map(frame_src, frame_dst, n_src: int, n_dst: int,
                  chain_map: IntegerMatrix) -> IntegerMatrix:
     """Matrix of the induced map on homology free parts."""
@@ -557,9 +555,11 @@ class ExactnessAudit:
     Over a field the three-term exactness is verified degreewise as an
     equality of subspaces (composite vanishes and ranks add up to the
     middle dimension). Over Z the same rank bookkeeping is verified on
-    homology free parts, which is exactness after tensoring with Q;
-    the connecting map is computed either way from the snake lemma on
-    representatives.
+    homology free parts, which is exactness after tensoring with Q; the
+    three integral frames come from one unit-pair reduction of the total
+    complex whose pivots never cross the cut. The connecting map is
+    computed either way from the snake lemma on representatives, and
+    connecting_rank[n] is the rank of H_n(quotient) -> H_{n-1}(sub).
     """
 
     exact: bool
@@ -583,6 +583,9 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     inherit a quotient twisted structure. The audit certifies the long
     exact sequence relating the three homologies; it reads the sub and
     quotient totalizations off Tot(t) instead of assembling them again.
+    Over Z it reduces Tot(t) once, with the cut at p
+    (homalg.UnitReduction), and frames the sub and the quotient on the
+    two halves of that reduction (UnitReduction.split).
     """
     sub = twisted_from_parts(
         t.ring,
@@ -601,9 +604,17 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
     sub_c, quot_c = lay.split(p)
     ring = t.ring
 
-    fr_sub = _frame(sub_c)
-    fr_tot = _frame(tot_c)
-    fr_quot = _frame(quot_c)
+    if ring.is_field:
+        fr_sub, fr_tot, fr_quot = (_FieldFrame(c)
+                                   for c in (sub_c, tot_c, quot_c))
+    else:
+        # pivots that never cross the cut reduce the sub and the quotient too
+        red = UnitReduction(tot_c, {n: lay.prefix_dim(n, p)
+                                    for n in lay.ranks})
+        red_sub, red_quot = red.split(sub_c, quot_c)
+        fr_sub = _IntegralFrame(sub_c, red_sub)
+        fr_tot = _IntegralFrame(tot_c, red)
+        fr_quot = _IntegralFrame(quot_c, red_quot)
 
     lo = min(tot_c.min_degree, sub_c.min_degree, quot_c.min_degree)
     hi = max(tot_c.max_degree, sub_c.max_degree, quot_c.max_degree)

@@ -259,6 +259,23 @@ def test_prime_too_large_for_int64_elimination_exits_3(tmp_path, capsys):
     assert "     1     1  -" in out
 
 
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_non_integer_matrix_entry_exits_2_with_its_path(tmp_path, capsys,
+                                                         bad):
+    # JSON true is a bool, not an integer, and is refused like 1.5
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": "x", "index": 0, "framing_rank": 0,
+                        "chain": {"ranks": [1, 2], "differentials": [
+                            {"degree": 1, "shape": [1, 2],
+                             "data": [1, bad]}]}}]}
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["homology", str(path)], capsys)
+    assert code == 2
+    assert "objects[0].chain.differentials[0].data[1]: expected an integer" \
+        in err
+
+
 def test_wide_object_without_differentials_stays_small(tmp_path, capsys):
     # 2000 cells in one degree and no differential: no Smith form may
     # allocate 2000 x 2000 transforms

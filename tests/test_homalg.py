@@ -364,6 +364,24 @@ def test_integer_homology_agrees_with_fp_by_universal_coefficients(seed):
             assert hp.free_rank(n) == want, (n, p)
 
 
+def test_chain_complex_check_multiplies_stored_pairs_only(monkeypatch):
+    calls = []
+    product = IntegerMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+    monkeypatch.setattr(IntegerMatrix, "__matmul__", counted)
+    # six degrees and one differential: no pair to multiply
+    GradedChainComplex(ZZ, 0, 5, {n: 1 for n in range(6)}, {1: mat([[1]])})
+    assert calls == []
+    # every stored pair is still checked, and the lowest failure reported
+    with pytest.raises(InvariantViolation, match="out of degree 2 "):
+        GradedChainComplex(ZZ, 0, 3, {n: 1 for n in range(4)},
+                           {n: mat([[1]]) for n in (1, 2, 3)})
+    assert len(calls) == 1
+
+
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=100, deadline=None)
 def test_unit_reduction_maps_are_inverse_chain_maps(seed):

@@ -11,7 +11,7 @@ import random
 import pytest
 from support import random_twisted
 
-from mbflow import flowcat, twisted
+from mbflow import flowcat, homalg, twisted
 from mbflow.cli import fixture_bytes, main, parse_category
 from mbflow.flowcat import realize
 from mbflow.homalg import ZZ, CoefficientRing
@@ -88,6 +88,35 @@ def test_quotient_sequence_builds_each_totalization_once(counts):
     # the sub and quotient totalizations are cut out of Tot(t)
     assert counts["assemble"].per_object() == [1]
     assert counts["dd"].per_object() == [1]
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    made = []
+    orig = homalg.UnitReduction.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        orig(self, *args, **kwargs)
+    monkeypatch.setattr(homalg.UnitReduction, "__init__", counted)
+    return made
+
+
+def test_integral_quotient_sequence_reduces_once(reductions):
+    # one reduction of Tot with the cut; the sub and quotient frames use
+    # its two halves
+    t = realize(parse_category(fixture_bytes("borel_free_circle_3")))
+    reductions.clear()
+    qs = quotient_sequence(t, 1)
+    assert qs.audit.exact
+    assert len(reductions) == 1
+
+
+def test_field_quotient_sequence_reduces_nothing(reductions):
+    t = random_twisted(random.Random(7), F3)
+    qs = quotient_sequence(t, 1)
+    assert qs.audit.exact
+    assert reductions == []
 
 
 @pytest.mark.parametrize("ring", [ZZ, F3])

@@ -26,9 +26,11 @@ from mbflow.homalg import (
     ZZ,
     CoefficientRing,
     IntegerMatrix,
+    UnitReduction,
     complex_from_ranks,
     fp_array,
     homology,
+    integer_rank,
     shift_complex,
 )
 from mbflow.twisted import (
@@ -357,6 +359,64 @@ def test_quotient_sequence_random_integral_every_cut():
         for cut in range(-1, 5):
             qs = quotient_sequence(t, cut)
             assert qs.audit.exact, (cut, qs.audit.failures)
+
+
+def _check_unit_reduction(c, red):
+    """The identities a unit-pair reduction red of c must satisfy."""
+    for n in c.degrees():
+        ident = IntegerMatrix.identity(red.dim(n))
+        g = red.lift(n, ident)
+        f = red.project(n, IntegerMatrix.identity(c.dim(n)))
+        assert red.project(n, g) == ident                       # f g = 1
+        assert c.d(n) @ g == red.lift(n - 1, red.d(n))          # d g = g d'
+        assert red.d(n) @ f == red.project(n - 1, c.d(n))       # d' f = f d
+        assert red.cancelled(n) + integer_rank(red.d(n)) == \
+            integer_rank(c.d(n))
+        assert red.dim(n) == c.dim(n) - red.cancelled(n) - \
+            red.cancelled(n + 1)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed):
+    t = random_twisted(random.Random(seed), ZZ, max_generators=14,
+                       max_pieces=5)
+    tot, lay = totalize(t), t._tot
+    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        red = UnitReduction(tot, {n: lay.prefix_dim(n, p)
+                                  for n in lay.ranks})
+        _check_unit_reduction(tot, red)
+        sub, quot = lay.split(p)
+        red_sub, red_quot = red.split(sub, quot)
+        _check_unit_reduction(sub, red_sub)
+        _check_unit_reduction(quot, red_quot)
+        # every pivot and every surviving cell lies on one side of the cut
+        for n in tot.degrees():
+            assert red.cancelled(n) == \
+                red_sub.cancelled(n) + red_quot.cancelled(n)
+            assert red.dim(n) == red_sub.dim(n) + red_quot.dim(n)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_integral_connecting_ranks_match_homology_over_q(seed):
+    # exactness over Q: dim H_n(tot) = (dim H_n(sub) - rk d_{n+1})
+    # + (dim H_n(quot) - rk d_n) for the connecting maps
+    # d_n: H_n(quot) -> H_{n-1}(sub); the dimensions come from homology,
+    # whose reductions have no cut
+    t = random_twisted(random.Random(seed), ZZ, max_generators=14,
+                       max_pieces=5)
+    h_tot, lay = homology(totalize(t)), t._tot
+    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        qs = quotient_sequence(t, p)
+        assert qs.audit.exact, qs.audit.failures
+        h_sub = homology(totalize(qs.sub))
+        h_quot = homology(totalize(qs.quotient))
+        rk = qs.audit.connecting_rank
+        for n in range(lay.min_degree - 1, lay.max_degree + 2):
+            assert h_tot.free_rank(n) == \
+                h_sub.free_rank(n) - rk.get(n + 1, 0) + \
+                h_quot.free_rank(n) - rk.get(n, 0), (p, n)
 
 
 # ---------------------------------------------------------------------------
