@@ -43,8 +43,8 @@ from .twisted import (
     TwistedComplex,
     TwistedMorphism,
     cone,
+    index_split,
     place_piece_blocks,
-    quotient_sequence,
     totalize,
     twisted_from_parts,
     validate as validate_twisted,
@@ -383,8 +383,8 @@ def _assert_split_commutes(f: FlowCategoryData, sub: FlowCategoryData,
     quot_idx = {o.index for o in quot.objects}
     if sub_idx and quot_idx and max(sub_idx) < min(quot_idx):
         cut = max(sub_idx)
-        qs = quotient_sequence(realize(f), cut)
-        if qs.sub != realize(sub) or qs.quotient != realize(quot):
+        t_sub, t_quot = index_split(realize(f), cut)
+        if t_sub != realize(sub) or t_quot != realize(quot):
             raise InvariantViolation(
                 "index-cut split disagrees with the twisted quotient")
 

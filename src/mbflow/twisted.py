@@ -172,7 +172,9 @@ class _Totalization:
     and the column offsets where they start. differentials holds the
     nonzero total differentials D_n: Tot_n -> Tot_{n-1}. The
     Maurer-Cartan verdict and the chain complex are computed on first
-    use and kept.
+    use and kept; the verdict is the outcome of building the complex,
+    whose own check squares each D_n D_{n+1} once, so Tot is squared
+    once however many layers read it.
     """
 
     ring: CoefficientRing
@@ -288,9 +290,18 @@ def _assemble(t: TwistedComplex) -> _Totalization:
 def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
     """Check D.D = 0, reporting the first failure.
 
-    The scan runs over total degrees from the bottom up and columns left
-    to right, so the reported generator is deterministic.
+    The check is the construction of tot.complex, which squares each
+    stored pair D_n D_{n+1} once and is kept for totalize. Only when it
+    fails does a scan locate the failure: over total degrees from the
+    bottom up and columns left to right, so the reported generator is
+    deterministic.
     """
+    try:
+        tot.complex
+    except InvariantViolation:
+        pass
+    else:
+        return TwistedDiagnostics(True)
     p = tot.ring.p
     for n in range(tot.min_degree, tot.max_degree + 1):
         if n not in tot.differentials or n + 1 not in tot.differentials:
@@ -587,6 +598,15 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     (homalg.UnitReduction), and frames the sub and the quotient on the
     two halves of that reduction (UnitReduction.split).
     """
+    sub, quot = index_split(t, p)
+    return QuotientSequence(sub, quot, _les_audit(t, p))
+
+
+def index_split(t: TwistedComplex, p: int,
+                ) -> tuple[TwistedComplex, TwistedComplex]:
+    """The pieces of index <= p with the structure maps among them, and
+    the other pieces with the structure maps among those: the twisted
+    subcomplex and quotient of quotient_sequence, without its audit."""
     sub = twisted_from_parts(
         t.ring,
         {i: c for i, c in t.pieces.items() if i <= p},
@@ -595,7 +615,7 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
         t.ring,
         {i: c for i, c in t.pieces.items() if i > p},
         {(i, j): b for (i, j), b in t.structure_maps.items() if j > p})
-    return QuotientSequence(sub, quot, _les_audit(t, p))
+    return sub, quot
 
 
 def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:

@@ -9,13 +9,16 @@ lines as they happen; without -s pytest shows them only on failure).
 Criteria with a stated runtime budget fail when the budget is exceeded.
 All expected values come from sources independent of the code under
 test: textbook cellular homology, convolution cell counts, a Pascal
-recurrence, brute-force minor enumeration, and the closed-form
-homology of triangulated surfaces.
+recurrence, brute-force minor enumeration, the closed-form
+homology of triangulated surfaces, and the benchmark's mbflow-free
+generator and rank oracle (perfbench/gen.py, perfbench/oracle.py).
 """
 
 import itertools
+import json
 import math
 import random
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -24,6 +27,7 @@ import numpy as np
 
 from support import grid_surface, random_twisted
 
+from mbflow.cli import parse_category
 from mbflow.examples import (
     continuation_s2,
     cp_circle_model,
@@ -413,3 +417,30 @@ def test_criterion_12_triangulated_surfaces():
                        "torus (864 cells) is Z, Z^2, Z", budget=3.0):
         h = homology(c)
         assert (dict(h.free), dict(h.torsion_factors)) == torus
+
+
+def test_criterion_13_borel_model_of_the_rotated_torus():
+    # the benchmark's Borel model of the 10 x 10 torus rotated along its
+    # loop: each level link sends every vertex to minus the loop, a dense
+    # unit block that the reduction must not re-queue entry by entry
+    from pathlib import Path
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    try:
+        import gen
+        import oracle
+    finally:
+        sys.path.pop(0)
+    cat = gen.borel_surface(10, 2)
+    want = {1: 1, 6: 1}
+    ranks = oracle.Tot(cat)
+    # equal ranks over Q, F_2 and F_3: free of 2- and 3-torsion
+    assert ranks.betti(0) == ranks.betti(2) == ranks.betti(3) == want
+    data = json.dumps(gen.to_json(cat)).encode()
+    with criterion(13, "integer homology of the Borel model of the "
+                       "rotated 10 x 10 torus (1,806 cells) is Z in "
+                       "degrees 1 and 6", budget=1.5):
+        c = totalize(realize(parse_category(data)))
+        assert c.total_dim() == 1806
+        h = homology(c)
+        assert (dict(h.free), dict(h.torsion_factors)) == (want, {})

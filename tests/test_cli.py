@@ -276,14 +276,12 @@ def test_non_integer_matrix_entry_exits_2_with_its_path(tmp_path, capsys,
         in err
 
 
-def test_wide_object_without_differentials_stays_small(tmp_path, capsys):
-    # 2000 cells in one degree and no differential: no Smith form may
-    # allocate 2000 x 2000 transforms
+def _assert_wide_homology_stays_small(tmp_path, capsys, cells: int):
     import tracemalloc
 
     doc = {"format_version": "1", "ring": "Z", "correspondences": [],
            "objects": [{"name": "x", "index": 0, "framing_rank": 0,
-                        "chain": {"ranks": [2000], "differentials": []}}]}
+                        "chain": {"ranks": [cells], "differentials": []}}]}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc))
     tracemalloc.start()
@@ -293,8 +291,21 @@ def test_wide_object_without_differentials_stays_small(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 0, err
-    assert out == "ring: Z\ndegree  free  torsion\n     0  2000  -\n"
+    assert out == f"ring: Z\ndegree  free  torsion\n     0  {cells:4d}  -\n"
     assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_wide_object_without_differentials_stays_small(tmp_path, capsys):
+    # 2000 cells in one degree and no differential: no Smith form may
+    # allocate 2000 x 2000 transforms
+    _assert_wide_homology_stays_small(tmp_path, capsys, 2000)
+
+
+def test_million_cells_without_differentials_keep_no_cell_index(tmp_path,
+                                                                capsys):
+    # the reduction keeps nothing per cell for a degree it cancelled
+    # nothing in
+    _assert_wide_homology_stays_small(tmp_path, capsys, 10 ** 6)
 
 
 def test_ss_bad_field_exits_3(capsys):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_integral_complex
+from support import (
+    EntryQueueReduction,
+    grid_surface,
+    random_integral_complex,
+    random_twisted,
+)
 
 from mbflow import _fplinalg
 
@@ -35,6 +40,7 @@ from mbflow.homalg import (
     shift_complex,
     smith_normal_form,
 )
+from mbflow.twisted import totalize
 
 
 def mat(rows):
@@ -155,6 +161,21 @@ def test_snf_matches_minor_gcds(rows):
         assert _minor_gcds(rows, rank + 1) == 0
     assert all(diag[i] > 0 for i in range(rank))
     assert all(diag[i + 1] % diag[i] == 0 for i in range(rank - 1))
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_integer_rank_counts_the_invariant_factors(seed):
+    # a product through k columns has rank <= k: deficient, often zero
+    rng = random.Random(seed)
+    rows, cols, k = (rng.randint(0, 7) for _ in range(3))
+    left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.choice((0, 0, 1, -2, 5)) for _ in range(cols)]
+             for _ in range(k)]
+    m = IntegerMatrix.from_rows(left, k) @ IntegerMatrix.from_rows(right, cols)
+    diag, _ = smith_normal_form(m)
+    assert integer_rank(m) == len(diag)
+    assert integer_rank(IntegerMatrix.zero(rows, cols)) == 0
 
 
 def test_snf_deterministic():
@@ -413,6 +434,54 @@ def test_unit_reduction_cancels_in_markowitz_order():
     # a 2 is no unit: it is left for the Smith form, and becomes torsion
     red = UnitReduction(rp2_cw())
     assert red.cancelled(2) == 0 and red.d(2) == mat([[2]])
+
+
+def _assert_queues_agree(c, cut=None):
+    got, want = UnitReduction(c, cut), EntryQueueReduction(c, cut)
+    for n in c.degrees():
+        assert list(got.cells[n]) == want.cells[n], n
+    for n in range(c.min_degree, c.max_degree + 2):
+        assert got.d(n) == want.d(n), n
+        assert got.cancelled(n) == want.cancelled(n), n
+    # the records list the pivots of each degree in the order they ran
+    assert got._fold == want._fold
+    assert got._fill == want._fill
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from(((7, 14), (24, 60))))
+@settings(max_examples=150, deadline=None)
+def test_line_queue_pivots_as_the_entry_queue(seed, size):
+    rng = random.Random(seed)
+    parts, scramble = size
+    c, _, _ = random_integral_complex(rng, max_parts=parts, scramble=scramble)
+    _assert_queues_agree(c)
+    t = random_twisted(rng, ZZ)
+    tot, lay = totalize(t), t._tot
+    _assert_queues_agree(tot)
+    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        _assert_queues_agree(tot, {n: lay.prefix_dim(n, p) for n in lay.ranks})
+
+
+def test_line_queue_pivots_as_the_entry_queue_on_fixed_complexes():
+    for n in (5, 8):
+        for klein in (False, True):
+            _assert_queues_agree(grid_surface(n, klein))
+    # here a record goes stale through the other line of its entry: unless
+    # the pop queues its own line again, a unit of that line is left with
+    # no record and the pivots run out of order
+    _assert_queues_agree(complex_from_ranks(ZZ, {0: 4, 1: 7}, {1: mat([
+        [-1, -1, 1, 1, -1, -1, -1],
+        [0, -1, 1, -1, -1, 0, 1],
+        [0, -1, 0, 1, 0, -1, 0],
+        [1, -1, 0, 1, 0, 0, -1]])}))
+
+
+def test_uncancelled_degree_keeps_no_cell_index():
+    c = complex_from_ranks(ZZ, {0: 10 ** 6})
+    red = UnitReduction(c)
+    assert red.cells == {0: range(10 ** 6)}
+    x = IntegerMatrix(10 ** 6, 1, {(999_999, 0): 3})
+    assert red.project(0, x) == x and red.lift(0, x) == x
 
 
 def test_integer_rank_cross_check_sees_a_corrupted_reduction(monkeypatch):
