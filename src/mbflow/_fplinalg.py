@@ -12,10 +12,13 @@ below p*p in absolute value.
 
 rref, rank, solve and null_space are Gaussian elimination by rows.
 reduce_columns is the standard left-to-right column reduction of
-persistent homology: its pairing of lowest rows with columns gives the
-index-filtration spectral sequence, and its zero columns give cycle
-bases for the homology frames of the long exact sequence (both in
-twisted).
+persistent homology. It reduces every prefix of the columns on its
+own, so one reduction of each total differential in filtration order
+serves a whole twisted complex (twisted): its pairing of lowest rows
+with columns gives the index-filtration spectral sequence, and its
+zero columns and reduced columns give the cycles and boundaries of the
+homology frames of the sub, the total complex and the quotient of the
+long exact sequence at every cut.
 """
 
 from __future__ import annotations

@@ -366,7 +366,9 @@ def include_and_quotient(f: FlowCategoryData, subset: Sequence[str],
         tuple(c for c in f.correspondences if c.source not in wanted
               and c.target not in wanted),
     )
-    _assert_split_commutes(f, sub, quot)
+    # the self-check realizes fresh copies, so the categories returned
+    # keep no realization, Tot or verdict of its making
+    _assert_split_commutes(f, replace(sub), replace(quot))
     return sub, quot
 
 

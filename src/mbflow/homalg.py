@@ -724,7 +724,10 @@ class UnitReduction:
     into S, the Schur complements keep each d_n block upper triangular:
     the diagonal blocks of d' reduce S and Q by their own pivots (a
     filtration-compatible Morse matching, Mischaikow and Nanda 2013).
-    split returns them as two reductions.
+    S keeps the first surviving cells of each C'_n, a pivot of S writes
+    no cell of Q and one of Q reads none of S: f and g on chains of S,
+    and on chains of Q followed by the projection to Q, are those of
+    S's and Q's own reductions (windows, twisted._IntegralFrame).
     """
 
     def __init__(self, c: GradedChainComplex,
@@ -842,17 +845,16 @@ class UnitReduction:
         self._set(c, cells, {n: {(i, j): v for i, row in rn.items()
                                  for j, v in row.items()}
                              for n, rn in rows.items()},
-                  cancelled, fold, fill, cut)
+                  cancelled, fold, fill)
 
     def _set(self, c: GradedChainComplex,
              cells: dict[int, list[int] | range],
              rest: Mapping[int, dict[tuple[int, int], int]],
              cancelled: dict[int, int], fold: dict[int, list],
-             fill: dict[int, list], cut: dict[int, int] | None = None,
-             ) -> None:
+             fill: dict[int, list]) -> None:
         """Keep a reduction of c: the surviving cells per degree, the
         entries of each d'_n at their cells of C, the pairs cancelled
-        per differential, the pivot records of f and g, and the cut.
+        per differential and the pivot records of f and g.
         Cells kept as range(dim) are all of C_n: the range itself maps
         each cell to its position."""
         self.complex = c
@@ -870,60 +872,6 @@ class UnitReduction:
         self._cancelled = cancelled
         self._fold = fold
         self._fill = fill
-        self._cut = cut or {}
-
-    def split(self, sub: GradedChainComplex, quot: GradedChainComplex,
-              ) -> tuple["UnitReduction", "UnitReduction"]:
-        """The reductions of S and of Q = C/S that a reduction with a cut
-        holds: sub and quot are the complexes on the first cut[n] cells
-        of each C_n and on the others (_Totalization.split).
-
-        Each half keeps the surviving cells on its side (those of Q
-        renumbered from 0), its diagonal block of d', the pairs it
-        cancelled, and its pivot records restricted to its side: the
-        fill of a pivot in S drops the columns of Q from its row, the
-        fold of a pivot in Q drops the rows of S from its column.
-        """
-        whole, cut = self.complex, self._cut
-        for n in set(whole.rank) | set(sub.rank) | set(quot.rank):
-            s = cut.get(n, 0)
-            if (sub.dim(n), quot.dim(n)) != (s, whole.dim(n) - s):
-                raise ShapeMismatch(
-                    f"degree {n} splits as {s} + {whole.dim(n) - s} cells, "
-                    f"not {sub.dim(n)} + {quot.dim(n)}")
-
-        def half(c: GradedChainComplex, side) -> "UnitReduction":
-            # side(n) = (lo, hi): this side's cells of C_n are lo..hi-1,
-            # renumbered from lo
-            def restrict(n: int, recs: list) -> list:
-                lo, hi = side(n)
-                return [(x - lo, u, {k - lo: v for k, v in vec.items()
-                                     if lo <= k < hi})
-                        for x, u, vec in recs if lo <= x < hi]
-
-            cells = {}
-            for n in c.degrees():
-                lo, hi = side(n)
-                kept = self.cells.get(n, ())
-                cells[n] = range(hi - lo) if isinstance(kept, range) else \
-                    [i - lo for i in kept if lo <= i < hi]
-            rest = {}
-            for n, m in self._d.items():
-                (r0, r1), (c0, c1) = side(n - 1), side(n)
-                rows, cols = self.cells[n - 1], self.cells[n]
-                rest[n] = {(rows[i] - r0, cols[j] - c0): v
-                           for (i, j), v in m.entries.items()
-                           if r0 <= rows[i] < r1 and c0 <= cols[j] < c1}
-            fill = {n: restrict(n, recs) for n, recs in self._fill.items()}
-            red = UnitReduction.__new__(UnitReduction)
-            red._set(c, cells, rest,
-                     {n: len(recs) for n, recs in fill.items() if recs},
-                     {n: restrict(n, recs) for n, recs in self._fold.items()},
-                     fill)
-            return red
-
-        return (half(sub, lambda n: (0, cut.get(n, 0))),
-                half(quot, lambda n: (cut.get(n, 0), whole.dim(n))))
 
     def dim(self, n: int) -> int:
         return len(self.cells.get(n, ()))
@@ -1065,10 +1013,11 @@ def _homology_field(c: GradedChainComplex) -> HomologySummary:
     p = c.ring.p
     assert p is not None
     free: dict[int, int] = {}
+    # each d_n is ranked once: out of degree n and into degree n - 1
+    rk = {n: _fplinalg.rank(fp_array(c.d(n), p), p)
+          for n in range(c.min_degree, c.max_degree + 2)}
     for n in c.degrees():
-        r_out = _fplinalg.rank(fp_array(c.d(n), p), p)
-        r_in = _fplinalg.rank(fp_array(c.d(n + 1), p), p)
-        f = c.dim(n) - r_out - r_in
+        f = c.dim(n) - rk[n] - rk[n + 1]
         if f < 0:
             raise InvariantViolation(
                 f"negative homology dimension in degree {n}")

@@ -248,6 +248,14 @@ class _Totalization:
     def complex(self) -> GradedChainComplex:
         return complex_from_ranks(self.ring, self.ranks, self.differentials)
 
+    @cached_property
+    def column_reductions(self) -> dict[int, tuple]:
+        """(R, V, low) of every nonzero D_n mod p (_fplinalg.reduce_columns):
+        the spectral sequence, and the F_p frames of quotient_sequence."""
+        p = self.ring.p
+        return {n: _fplinalg.reduce_columns(fp_array(d, p), p)
+                for n, d in self.differentials.items()}
+
 
 def _assemble(t: TwistedComplex) -> _Totalization:
     """Lay out Tot and add up its differentials from the internal
@@ -384,29 +392,48 @@ def shift(t: TwistedComplex, a: int) -> tuple[TwistedComplex, ShiftWitness]:
 # homology frames: representatives plus coordinates, over Z and F_p
 
 
+def _move_rows(m: IntegerMatrix, rows: int, lo: int, hi: int,
+               by: int) -> IntegerMatrix:
+    """Rows lo..hi-1 of m moved down by `by`, in a matrix of `rows` rows."""
+    return IntegerMatrix(rows, m.cols, {(i + by, j): v
+                                        for (i, j), v in m.entries.items()
+                                        if lo <= i < hi})
+
+
 class _IntegralFrame:
     """Free-part homology basis with a cycle-coordinate map, over Z.
 
-    The frame is built on a unit-pair reduction C' of the complex
-    (homalg.UnitReduction): red when given, such as one half of a
-    reduction with a cut, else a fresh reduction of c. Smith forms with
-    transforms run on the leftover differentials only. In each degree,
-    the Smith form of the outgoing d'_n gives an integral kernel basis
-    (trailing columns of v); boundaries rewritten in kernel coordinates
-    have their own Smith form, whose transform splits the kernel into
-    torsion and free directions. Representatives are lifted back to C by
-    g: C' -> C; coordinates of a cycle x of C, checked explicitly to
-    satisfy d x = 0 in c itself, are those of f(x) in C', by exact
-    matrix algebra, no solving.
+    The frame is built on a unit-pair reduction C' (homalg.UnitReduction)
+    of c, or of a complex whose cells of degree n from start[n] on
+    (default 0) are those of c, such as Tot reduced with a cut, of which
+    c is the sub (start 0) or the quotient (start at the cut). No pivot
+    crosses the cut, so c's cells of C' are a contiguous window: d and
+    dim give its block of d', and project and lift are red's f and g on
+    chains placed in red's complex, restricted to the window.
+
+    Smith forms with transforms run on the window's d' only: that of
+    d'_n gives a kernel basis (trailing columns of v), and that of the
+    boundaries in kernel coordinates splits the kernel into torsion and
+    free directions. Representatives are lifted to c by g; coordinates
+    of a cycle x of c, checked to satisfy d x = 0 in c itself, are those
+    of f(x) in C', by exact matrix algebra, no solving.
     """
 
     def __init__(self, c: GradedChainComplex,
-                 red: UnitReduction | None = None) -> None:
+                 red: UnitReduction | None = None,
+                 start: Mapping[int, int] | None = None) -> None:
         self.complex = c
         self._red = red = UnitReduction(c) if red is None else red
+        self._start = start = start or {}
+        # per degree: the window's cells of C' (from, to)
+        self._window = {}
+        for n in range(c.min_degree - 1, c.max_degree + 2):
+            kept, a = red.cells.get(n, ()), start.get(n, 0)
+            self._window[n] = (bisect_left(kept, a),
+                               bisect_left(kept, a + c.dim(n)))
         self._data: dict[int, tuple] = {}
         for n in c.degrees():
-            a, b = red.d(n), red.d(n + 1)
+            a, b = self.d(n), self.d(n + 1)
             dec_a = smith_normal_form(a, with_transforms=True)
             r_a = dec_a.rank
             k = a.cols - r_a
@@ -421,12 +448,38 @@ class _IntegralFrame:
                 a.cols, k,
                 {(i, j - r_a): v for (i, j), v in dec_a.v.entries.items()
                  if j >= r_a})
-            reps = red.lift(n, kernel @ IntegerMatrix(
+            reps = self.lift(n, kernel @ IntegerMatrix(
                 k, k - dec_m.rank,
                 {(i, j - dec_m.rank): v
                  for (i, j), v in dec_m.uinv.entries.items()
                  if j >= dec_m.rank}))
             self._data[n] = (dec_a, dec_m, r_a, reps)
+
+    def dim(self, n: int) -> int:
+        """Cells of the window's reduced complex in degree n."""
+        lo, hi = self._window.get(n, (0, 0))
+        return hi - lo
+
+    def d(self, n: int) -> IntegerMatrix:
+        """The window's block of the reduced differential d'_n."""
+        (r0, r1), (c0, c1) = self._window[n - 1], self._window[n]
+        return IntegerMatrix(r1 - r0, c1 - c0, {
+            (i - r0, j - c0): v for (i, j), v in self._red.d(n).entries.items()
+            if r0 <= i < r1 and c0 <= j < c1})
+
+    def project(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
+        """f on chains of c, as columns of x."""
+        (lo, hi), a = self._window[n], self._start.get(n, 0)
+        whole = self._red.complex.dim(n)
+        y = self._red.project(n, _move_rows(x, whole, 0, x.rows, a))
+        return _move_rows(y, hi - lo, lo, hi, -lo)
+
+    def lift(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
+        """g on chains of the window of C', as columns of x."""
+        (lo, _), a = self._window[n], self._start.get(n, 0)
+        dim = self.complex.dim(n)
+        y = self._red.lift(n, _move_rows(x, self._red.dim(n), 0, x.rows, lo))
+        return _move_rows(y, dim, a, a + dim, -a)
 
     def rank(self, n: int) -> int:
         if n not in self._data:
@@ -440,18 +493,18 @@ class _IntegralFrame:
 
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
         """Free-part coordinates of cycle columns; input must be cycles."""
-        if n not in self._data:
+        if n not in self._data or not cycles.cols:
             if not cycles.is_zero():
                 raise InvariantViolation("nonzero cycle outside degree range")
-            return IntegerMatrix.zero(0, cycles.cols)
+            return IntegerMatrix.zero(self.rank(n), cycles.cols)
         if not (self.complex.d(n) @ cycles).is_zero():
             raise InvariantViolation(f"vector in degree {n} is not a cycle")
         dec_a, dec_m, r_a, reps = self._data[n]
-        x = dec_a.vinv @ self._red.project(n, cycles)
+        x = dec_a.vinv @ self.project(n, cycles)
         if any(i < r_a for (i, _) in x.entries):
             raise InvariantViolation(
                 f"vector in degree {n} is not a cycle of the reduction")
-        k = self._red.dim(n) - r_a
+        k = self.dim(n) - r_a
         xk = IntegerMatrix(k, cycles.cols,
                            {(i - r_a, j): v for (i, j), v in x.entries.items()})
         y = dec_m.u @ xk
@@ -464,43 +517,57 @@ class _IntegralFrame:
 class _FieldFrame:
     """Homology basis with cycle coordinates over F_p, numpy-backed.
 
-    Built from the column reductions R = d V of d_n and d_{n+1}
-    (_fplinalg.reduce_columns). The cycles of degree n have a basis
-    with distinct top nonzero indices: the columns V_j with R_n column
-    j zero (top index j) and the nonzero columns of R_{n+1} (top index
-    their low), which are boundaries. The representatives are the V_j
-    whose j is not a low of R_{n+1}. coords back-substitutes each cycle
-    from its top nonzero index against that basis and reads off the
-    representatives' coefficients; a vector whose top index belongs to
-    no basis vector is not a cycle.
+    Built from the column reductions (R, V, low), R = d V, of c or of a
+    complex whose cells of degree n from start[n] on (default 0) are
+    those of c, such as Tot (_Totalization.column_reductions), of which
+    c is the sub (start 0) or the quotient (start at the cut). Each
+    prefix is reduced on its own, and a column whose low lies past the
+    cut is only added columns past the cut, so the window's rows carry
+    its cycles and boundaries: V_j for each j of the window whose column
+    has no low or one before the window (top nonzero entry 1 at j), and
+    the columns of R_{n+1} in the window with a low in it (top index
+    that low). The representatives are the cycles whose j is no
+    boundary's top. coords back-substitutes a cycle from its top index
+    against that basis; a top index of no basis vector is no cycle.
     """
 
-    def __init__(self, c: GradedChainComplex) -> None:
+    def __init__(self, c: GradedChainComplex,
+                 columns: Mapping[int, tuple] | None = None,
+                 start: Mapping[int, int] | None = None) -> None:
         if not c.ring.is_field:
             raise UnsupportedRing("field frame over Z")
         self.complex = c
         self.p = p = c.ring.p
+        if columns is None:
+            columns = {n: _fplinalg.reduce_columns(fp_array(d, p), p)
+                       for n, d in c.differential.items()}
+        start = start or {}
         self._reps: dict[int, np.ndarray] = {}
         # per degree: top index -> (basis vector, 1 / its top entry,
         # representative position or None for a boundary)
         self._pivots: dict[int, dict[int, tuple[np.ndarray, int,
                                                  int | None]]] = {}
-        _, v, low_out = _fplinalg.reduce_columns(
-            fp_array(c.d(c.min_degree), p), p)
         for n in c.degrees():
-            r_in, v_in, low_in = _fplinalg.reduce_columns(
-                fp_array(c.d(n + 1), p), p)
-            bounded = set(low_in.values())
-            keys = [j for j in range(c.dim(n))
-                    if j not in low_out and j not in bounded]
-            # copies, so the full R and V of each degree are not kept
-            reps, bnd = v[:, keys], r_in[:, list(low_in)]
+            a, below = start.get(n, 0), start.get(n - 1, 0)
+            b, above = a + c.dim(n), start.get(n + 1, 0)
+            # a missing d_n is zero: R = 0, V = 1
+            _, v, low_out = columns.get(n, (None, None, {}))
+            r_in, _, low_in = columns.get(n + 1, (None, None, {}))
+            bounded = {k: i for k, i in low_in.items()
+                       if above <= k < above + c.dim(n + 1) and i >= a}
+            tops = set(bounded.values())
+            keys = [j for j in range(a, b)
+                    if low_out.get(j, -1) < below and j not in tops]
+            # copies: Tot's R and V stay as they are
+            reps = np.eye(b - a, dtype=np.int64)[:, [j - a for j in keys]] \
+                if v is None else v[a:b, keys]
+            bnd = r_in[a:b, list(bounded)] if bounded else None
             self._reps[n] = reps
-            pivots = {j: (reps[:, k], 1, k) for k, j in enumerate(keys)}
-            for k, i in enumerate(low_in.values()):
-                pivots[i] = (bnd[:, k], pow(int(bnd[i, k]), -1, p), None)
+            pivots = {j - a: (reps[:, k], 1, k) for k, j in enumerate(keys)}
+            for k, i in enumerate(bounded.values()):
+                pivots[i - a] = (bnd[:, k], pow(int(bnd[i - a, k]), -1, p),
+                                 None)
             self._pivots[n] = pivots
-            v, low_out = v_in, low_in
 
     def rank(self, n: int) -> int:
         r = self._reps.get(n)
@@ -513,8 +580,8 @@ class _FieldFrame:
         return IntegerMatrix.from_rows(r.tolist(), r.shape[1])
 
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
-        if n not in self._reps:
-            return IntegerMatrix.zero(0, cycles.cols)
+        if n not in self._reps or not cycles.cols:
+            return IntegerMatrix.zero(self.rank(n), cycles.cols)
         p = self.p
         pivots = self._pivots[n]
         x = fp_array(cycles, p)
@@ -535,14 +602,6 @@ class _FieldFrame:
                 out[k] = f
             top = i
         return IntegerMatrix.from_rows(out.tolist(), cycles.cols)
-
-
-def _induced_map(frame_src, frame_dst, n_src: int, n_dst: int,
-                 chain_map: IntegerMatrix) -> IntegerMatrix:
-    """Matrix of the induced map on homology free parts."""
-    reps = frame_src.reps(n_src)
-    images = chain_map @ reps
-    return frame_dst.coords(n_dst, images)
 
 
 def _map_rank(m: IntegerMatrix, ring: CoefficientRing) -> int:
@@ -566,11 +625,13 @@ class ExactnessAudit:
     Over a field the three-term exactness is verified degreewise as an
     equality of subspaces (composite vanishes and ranks add up to the
     middle dimension). Over Z the same rank bookkeeping is verified on
-    homology free parts, which is exactness after tensoring with Q; the
-    three integral frames come from one unit-pair reduction of the total
-    complex whose pivots never cross the cut. The connecting map is
-    computed either way from the snake lemma on representatives, and
-    connecting_rank[n] is the rank of H_n(quotient) -> H_{n-1}(sub).
+    homology free parts, which is exactness after tensoring with Q. The
+    three frames are windows of one reduction of the total complex: its
+    column reductions over F_p, and over Z its unit-pair reduction whose
+    pivots never cross the cut. Each induced map is ranked once. The
+    connecting map is computed either way from the snake lemma on
+    representatives, and connecting_rank[n] is the rank of
+    H_n(quotient) -> H_{n-1}(sub).
     """
 
     exact: bool
@@ -594,9 +655,11 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     inherit a quotient twisted structure. The audit certifies the long
     exact sequence relating the three homologies; it reads the sub and
     quotient totalizations off Tot(t) instead of assembling them again.
-    Over Z it reduces Tot(t) once, with the cut at p
-    (homalg.UnitReduction), and frames the sub and the quotient on the
-    two halves of that reduction (UnitReduction.split).
+    The sub, Tot and the quotient are framed as windows of one
+    reduction of Tot(t): over Z its unit reduction with the cut at p
+    (homalg.UnitReduction), over F_p the column reductions kept on Tot
+    (_Totalization.column_reductions), which every cut and the spectral
+    sequence share.
     """
     sub, quot = index_split(t, p)
     return QuotientSequence(sub, quot, _les_audit(t, p))
@@ -619,104 +682,77 @@ def index_split(t: TwistedComplex, p: int,
 
 
 def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
-    tot_c = totalize(t)
-    lay = t._tot
+    tot_c, lay, ring = totalize(t), t._tot, t.ring
     sub_c, quot_c = lay.split(p)
-    ring = t.ring
+    cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
 
+    # the sub and the quotient are windows of one reduction of Tot: its
+    # column reductions over F_p, its unit reduction with the cut over Z
     if ring.is_field:
-        fr_sub, fr_tot, fr_quot = (_FieldFrame(c)
-                                   for c in (sub_c, tot_c, quot_c))
+        frame, whole = _FieldFrame, lay.column_reductions
     else:
-        # pivots that never cross the cut reduce the sub and the quotient too
-        red = UnitReduction(tot_c, {n: lay.prefix_dim(n, p)
-                                    for n in lay.ranks})
-        red_sub, red_quot = red.split(sub_c, quot_c)
-        fr_sub = _IntegralFrame(sub_c, red_sub)
-        fr_tot = _IntegralFrame(tot_c, red)
-        fr_quot = _IntegralFrame(quot_c, red_quot)
+        frame, whole = _IntegralFrame, UnitReduction(tot_c, cut)
+    fr_sub, fr_tot = frame(sub_c, whole), frame(tot_c, whole)
+    fr_quot = frame(quot_c, whole, cut)
 
     lo = min(tot_c.min_degree, sub_c.min_degree, quot_c.min_degree)
     hi = max(tot_c.max_degree, sub_c.max_degree, quot_c.max_degree)
 
-    def inclusion(n: int) -> IntegerMatrix:
-        s = lay.prefix_dim(n, p)
-        total = lay.ranks.get(n, 0)
-        return IntegerMatrix(total, s, {(i, i): 1 for i in range(s)})
-
-    def section(n: int) -> IntegerMatrix:  # its transpose is the projection
-        s = lay.prefix_dim(n, p)
-        total = lay.ranks.get(n, 0)
-        return IntegerMatrix(total, total - s,
-                             {(s + i, i): 1 for i in range(total - s)})
-
     def restrict_to_sub(n: int, m: IntegerMatrix) -> IntegerMatrix:
         # entries in the quotient rows vanish over the ring (mod p over
         # a field) because the lifted classes are quotient cycles
-        s = lay.prefix_dim(n, p)
-        pr = ring.p
-        ent = {}
-        for (i, j), v in m.entries.items():
-            if pr is not None:
-                v %= pr
-            if not v:
-                continue
-            if i >= s:
-                raise InvariantViolation(
-                    "connecting lift left the subcomplex")
-            ent[(i, j)] = v
+        s = cut.get(n, 0)
+        ent = {k: v % ring.p if ring.is_field else v
+               for k, v in m.entries.items()}
+        ent = {k: v for k, v in ent.items() if v}
+        if any(i >= s for i, _ in ent):
+            raise InvariantViolation("connecting lift left the subcomplex")
         return IntegerMatrix(s, m.cols, ent)
 
-    i_star: dict[int, IntegerMatrix] = {}
-    p_star: dict[int, IntegerMatrix] = {}
-    d_star: dict[int, IntegerMatrix] = {}
-    for n in range(lo, hi + 1):
-        if fr_sub.rank(n) or fr_tot.rank(n):
-            i_star[n] = _induced_map(fr_sub, fr_tot, n, n, inclusion(n))
-        if fr_tot.rank(n) or fr_quot.rank(n):
-            p_star[n] = _induced_map(fr_tot, fr_quot, n, n,
-                                     section(n).transpose())
-        # connecting map H_n(quot) -> H_{n-1}(sub): lift, apply D, restrict
-        if fr_quot.rank(n):
-            lifted = section(n) @ fr_quot.reps(n)
-            boundary = restrict_to_sub(n - 1, lay.d(n) @ lifted)
-            d_star[n] = fr_sub.coords(n - 1, boundary)
+    # the inclusion and the projection move rows across the cut; the
+    # connecting map H_n(quot) -> H_{n-1}(sub) lifts, applies D and
+    # restricts; a map between zero homologies is an empty matrix
+    i_star, p_star, d_star = {}, {}, {}
+    for n in range(lo, hi + 2):
+        s, total = cut.get(n, 0), lay.ranks.get(n, 0)
+        i_star[n] = fr_tot.coords(
+            n, _move_rows(fr_sub.reps(n), total, 0, s, 0))
+        p_star[n] = fr_quot.coords(
+            n, _move_rows(fr_tot.reps(n), total - s, s, total, -s))
+        lifted = _move_rows(fr_quot.reps(n), total, 0, total - s, s)
+        d_star[n] = fr_sub.coords(
+            n - 1, restrict_to_sub(n - 1, lay.d(n) @ lifted))
+    # each induced map is ranked once
+    rk_i, rk_p, rk_d = ({n: _map_rank(m, ring) for n, m in table.items()}
+                        for table in (i_star, p_star, d_star))
 
     failures: list[str] = []
     positions = 0
-
-    def maps_or_zero(table, n, rows, cols):
-        got = table.get(n)
-        return got if got is not None else IntegerMatrix.zero(rows, cols)
-
     for n in range(lo, hi + 1):
         hs, ht, hq = fr_sub.rank(n), fr_tot.rank(n), fr_quot.rank(n)
-        hs1 = fr_sub.rank(n - 1)
-        f = maps_or_zero(i_star, n, ht, hs)
-        g = maps_or_zero(p_star, n, hq, ht)
-        dn = maps_or_zero(d_star, n, hs1, hq)
-        dn1 = maps_or_zero(d_star, n + 1, hs, fr_quot.rank(n + 1))
+        f, g, dn, dn1 = i_star[n], p_star[n], d_star[n], d_star[n + 1]
+        rf, rg, rdn, rdn1 = rk_i[n], rk_p[n], rk_d[n], rk_d[n + 1]
         # exactness at H_n(tot)
         positions += 1
         if not _is_zero_map(g @ f, ring):
             failures.append(f"pi.iota nonzero on H_{n}")
-        if _map_rank(f, ring) + _map_rank(g, ring) != ht:
+        if rf + rg != ht:
             failures.append(f"rank defect at H_{n}(total)")
         # exactness at H_n(quot)
         positions += 1
         if not _is_zero_map(dn @ g, ring):
             failures.append(f"connecting.pi nonzero on H_{n}")
-        if _map_rank(g, ring) + _map_rank(dn, ring) != hq:
+        if rg + rdn != hq:
             failures.append(f"rank defect at H_{n}(quotient)")
         # exactness at H_n(sub)
         positions += 1
         if not _is_zero_map(f @ dn1, ring):
             failures.append(f"iota.connecting nonzero into H_{n}")
-        if _map_rank(dn1, ring) + _map_rank(f, ring) != hs:
+        if rdn1 + rf != hs:
             failures.append(f"rank defect at H_{n}(sub)")
 
-    connecting = {n: _map_rank(m, ring) for n, m in d_star.items()
-                  if not _is_zero_map(m, ring)}
+    # a map is zero exactly when its rank is
+    connecting = {n: r for n, r in rk_d.items() if r}
     return ExactnessAudit(not failures, positions, tuple(failures), connecting)
 
 
@@ -772,6 +808,10 @@ class TwistedMorphism:
     def ring(self) -> CoefficientRing:
         return self.source.ring
 
+    @cached_property
+    def _cone(self) -> TwistedComplex:
+        return _mapping_cone(self)
+
 
 def _graded_total_matrix(blocks: Mapping[tuple[int, int], GradedMap],
                          src: _Totalization, dst: _Totalization, n: int,
@@ -825,8 +865,13 @@ def cone(m: TwistedMorphism) -> TwistedComplex:
     generators one total degree up. All source differentials and
     structure maps are negated and the morphism blocks become structure
     maps; the chain-map identity makes the Maurer-Cartan terms cancel
-    in pairs.
+    in pairs. The cone is built once per morphism and kept on it, so
+    every call returns the same value.
     """
+    return m._cone
+
+
+def _mapping_cone(m: TwistedMorphism) -> TwistedComplex:
     a = m.shift
     ring = m.source.ring
     src_at = {i + a + 1: i for i in m.source.pieces}
@@ -1002,7 +1047,8 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     the homology of the previous page, pages stop at the filtration
     width + 1, where only unpaired cells remain, and the E-infinity
     total dimensions are audited against the homology of the
-    totalization.
+    totalization. The column reductions are kept on Tot, where the F_p
+    frames of quotient_sequence read them (_Totalization.column_reductions).
     """
     if not t.ring.is_field:
         raise UnsupportedRing(
@@ -1021,8 +1067,7 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     gap: dict[tuple[int, int], int] = {}  # paired cell (n, column) -> b - a
     # per pair: (gap, source spot, tau, target spot, sigma)
     arrows: list[tuple[int, tuple[int, int], int, tuple[int, int], int]] = []
-    for n, d in lay.differentials.items():
-        _, _, low = _fplinalg.reduce_columns(fp_array(d, pr), pr)
+    for n, (_, _, low) in lay.column_reductions.items():
         for tau, sigma in low.items():
             b, a = filt[n][tau], filt[n - 1][sigma]
             gap[(n, tau)] = gap[(n - 1, sigma)] = b - a

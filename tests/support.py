@@ -496,5 +496,5 @@ class EntryQueueReduction(UnitReduction):
         self._set(c, cells, {n: {(i, j): v for i, row in rn.items()
                                  for j, v in row.items()}
                              for n, rn in rows.items()},
-                  cancelled, fold, fill, cut)
+                  cancelled, fold, fill)
 

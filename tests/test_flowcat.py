@@ -271,6 +271,17 @@ def test_split_matches_twisted_quotient_on_index_cut():
     assert qs.audit.exact
 
 
+def test_split_returns_categories_without_self_check_caches():
+    # the split's self-check runs on copies: the categories returned hold
+    # no realization, Tot or verdict until they are used
+    sub, quot = include_and_quotient(equator_sphere(), ["eq"])
+    for c in (sub, quot):
+        assert "_realized" not in vars(c)
+        assert "_diagnostics" not in vars(c)
+    assert realize(sub) == quotient_sequence(realize(equator_sphere()),
+                                             0).sub
+
+
 def test_split_on_mixed_index_subset():
     # {eq, n} splits the index-2 piece; only dimension additivity holds
     sub, quot = include_and_quotient(equator_sphere(), ["eq", "n"])

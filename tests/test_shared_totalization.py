@@ -8,14 +8,20 @@ import contextlib
 import io
 import random
 
+import numpy as np
 import pytest
 from support import random_twisted
 
-from mbflow import flowcat, homalg, twisted
+from mbflow import _fplinalg, flowcat, homalg, twisted
 from mbflow.cli import fixture_bytes, main, parse_category
 from mbflow.flowcat import realize
 from mbflow.homalg import ZZ, CoefficientRing
-from mbflow.twisted import quotient_sequence, totalize, validate
+from mbflow.twisted import (
+    quotient_sequence,
+    spectral_sequence,
+    totalize,
+    validate,
+)
 
 F3 = CoefficientRing.prime_field(3)
 
@@ -117,6 +123,40 @@ def test_field_quotient_sequence_reduces_nothing(reductions):
     qs = quotient_sequence(t, 1)
     assert qs.audit.exact
     assert reductions == []
+
+
+def test_field_audits_and_spectral_sequence_reduce_tot_once(monkeypatch):
+    # the spectral sequence and the audits at every cut read one column
+    # reduction of each nonzero D_n, kept on Tot
+    reduced = []
+    orig = _fplinalg.reduce_columns
+
+    def counted(a, p):
+        reduced.append(np.shape(a))
+        return orig(a, p)
+    monkeypatch.setattr(_fplinalg, "reduce_columns", counted)
+    t = random_twisted(random.Random(6), F3, max_generators=14,
+                       max_pieces=5)
+    lay = t._tot
+    assert len(t.pieces) == 5 and len(t.structure_maps) == 3
+    assert spectral_sequence(t, 4).pages
+    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        assert quotient_sequence(t, p).audit.exact
+    assert reduced == [(d.rows, d.cols) for d in lay.differentials.values()]
+
+
+def test_cone_command_builds_the_cone_once(monkeypatch):
+    built = []
+    orig = twisted._mapping_cone
+
+    def counted(m):
+        built.append(m)
+        return orig(m)
+    monkeypatch.setattr(twisted, "_mapping_cone", counted)
+    argv = ["cone"] + [fixture_path(name) for name in
+                       ("s2_two_point", "sphere_z2", "continuation_s2")]
+    assert run(argv) == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("ring", [ZZ, F3])

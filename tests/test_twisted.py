@@ -1,6 +1,7 @@
 """Unit tests for twisted complexes and their operations."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -311,9 +312,9 @@ def _check_integral_frame(c):
                 fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
 
 
-def _check_field_frame(c):
+def _check_field_frame(c, fr=None):
     p = c.ring.p
-    fr = _FieldFrame(c)
+    fr = _FieldFrame(c) if fr is None else fr
     h = homology(c)
     for n in c.degrees():
         reps = fr.reps(n)
@@ -338,10 +339,20 @@ def _check_field_frame(c):
 
 
 def test_field_frame_from_column_reductions():
+    # a complex's own reductions, and the sub and quotient windows of
+    # Tot's reductions at every cut
     rng = random.Random(5)
     for ring in (F2, F3, F5):
         for _ in range(15):
-            _check_field_frame(totalize(random_twisted(rng, ring, 14, 5)))
+            t = random_twisted(rng, ring, 14, 5)
+            _check_field_frame(totalize(t))
+            lay = t._tot
+            whole = lay.column_reductions
+            for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+                sub, quot = lay.split(p)
+                cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
+                _check_field_frame(sub, _FieldFrame(sub, whole))
+                _check_field_frame(quot, _FieldFrame(quot, whole, cut))
 
 
 def test_integral_frame_on_reduced_complex():
@@ -361,40 +372,55 @@ def test_quotient_sequence_random_integral_every_cut():
             assert qs.audit.exact, (cut, qs.audit.failures)
 
 
-def _check_unit_reduction(c, red):
-    """The identities a unit-pair reduction red of c must satisfy."""
+def _check_window_reduction(c, fr, cancelled):
+    """The identities of the reduction of c that the frame fr reads off
+    a larger reduction; cancelled[n] counts its pivots in d_n."""
     for n in c.degrees():
-        ident = IntegerMatrix.identity(red.dim(n))
-        g = red.lift(n, ident)
-        f = red.project(n, IntegerMatrix.identity(c.dim(n)))
-        assert red.project(n, g) == ident                       # f g = 1
-        assert c.d(n) @ g == red.lift(n - 1, red.d(n))          # d g = g d'
-        assert red.d(n) @ f == red.project(n - 1, c.d(n))       # d' f = f d
-        assert red.cancelled(n) + integer_rank(red.d(n)) == \
-            integer_rank(c.d(n))
-        assert red.dim(n) == c.dim(n) - red.cancelled(n) - \
-            red.cancelled(n + 1)
+        ident = IntegerMatrix.identity(fr.dim(n))
+        g = fr.lift(n, ident)
+        f = fr.project(n, IntegerMatrix.identity(c.dim(n)))
+        assert fr.project(n, g) == ident                        # f g = 1
+        assert c.d(n) @ g == fr.lift(n - 1, fr.d(n))            # d g = g d'
+        assert fr.d(n) @ f == fr.project(n - 1, c.d(n))         # d' f = f d
+        assert cancelled[n] + integer_rank(fr.d(n)) == integer_rank(c.d(n))
+        assert fr.dim(n) == c.dim(n) - cancelled[n] - cancelled[n + 1]
 
 
 @given(st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)
 def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed):
+    # one reduction of Tot with the cut; Tot, the sub and the quotient
+    # are its windows: all cells, those before the cut, the others
     t = random_twisted(random.Random(seed), ZZ, max_generators=14,
                        max_pieces=5)
     tot, lay = totalize(t), t._tot
+    full = dict(lay.ranks)
     for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-        red = UnitReduction(tot, {n: lay.prefix_dim(n, p)
-                                  for n in lay.ranks})
-        _check_unit_reduction(tot, red)
+        cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
+        red = UnitReduction(tot, cut)
         sub, quot = lay.split(p)
-        red_sub, red_quot = red.split(sub, quot)
-        _check_unit_reduction(sub, red_sub)
-        _check_unit_reduction(quot, red_quot)
-        # every pivot and every surviving cell lies on one side of the cut
+        # every pivot lies on one side of the cut
         for n in tot.degrees():
-            assert red.cancelled(n) == \
-                red_sub.cancelled(n) + red_quot.cancelled(n)
-            assert red.dim(n) == red_sub.dim(n) + red_quot.dim(n)
+            for (r, _, _), (cc, _, _) in zip(red._fold.get(n - 1, ()),
+                                             red._fill.get(n, ())):
+                assert (r < cut.get(n - 1, 0)) == (cc < cut[n])
+
+        def pivots(lo, hi):
+            # pivots of each d_n whose column lies in lo[n] .. hi[n] - 1
+            return Counter(n for n, recs in red._fill.items()
+                           for cc, _, _ in recs
+                           if lo.get(n, 0) <= cc < hi.get(n, 0))
+
+        fr_tot, fr_sub = _IntegralFrame(tot, red), _IntegralFrame(sub, red)
+        fr_quot = _IntegralFrame(quot, red, cut)
+        on_sub, on_quot = pivots({}, cut), pivots(cut, full)
+        _check_window_reduction(tot, fr_tot, pivots({}, full))
+        _check_window_reduction(sub, fr_sub, on_sub)
+        _check_window_reduction(quot, fr_quot, on_quot)
+        for n in tot.degrees():
+            assert red.cancelled(n) == on_sub[n] + on_quot[n]
+            assert red.dim(n) == fr_tot.dim(n) == \
+                fr_sub.dim(n) + fr_quot.dim(n)
 
 
 @given(st.integers(0, 2 ** 32))
@@ -417,6 +443,29 @@ def test_integral_connecting_ranks_match_homology_over_q(seed):
             assert h_tot.free_rank(n) == \
                 h_sub.free_rank(n) - rk.get(n + 1, 0) + \
                 h_quot.free_rank(n) - rk.get(n, 0), (p, n)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5]))
+@settings(max_examples=60, deadline=None)
+def test_field_connecting_ranks_count_pairs_across_the_cut(seed, p):
+    # ker i_* = im of the connecting map: its rank at a cut is the number
+    # of persistence pairs (sigma in degree n - 1, tau in degree n) of
+    # Tot with filt sigma <= cut < filt tau
+    ring = CoefficientRing.prime_field(p)
+    t = random_twisted(random.Random(seed), ring, max_generators=14,
+                       max_pieces=5)
+    lay = t._tot
+    pairs = []
+    for n in range(lay.min_degree, lay.max_degree + 1):
+        _, _, low = _fplinalg.reduce_columns(fp_array(lay.d(n), p), p)
+        filt, filt_below = lay.filtration(n), lay.filtration(n - 1)
+        pairs += [(n, filt_below[sigma], filt[tau])
+                  for tau, sigma in low.items()]
+    for cut in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        audit = quotient_sequence(t, cut).audit
+        assert audit.exact, audit.failures
+        want = Counter(n for n, a, b in pairs if a <= cut < b)
+        assert dict(audit.connecting_rank) == dict(want), cut
 
 
 # ---------------------------------------------------------------------------
