@@ -13,7 +13,8 @@ form, one per degree and without transforms. Every integer rank is
 cross-checked against elimination of the original differential modulo
 a large prime. The reduction also carries the chain maps between the
 complex and its reduction, so integral induced maps (twisted's
-_IntegralFrame) need transforms of the leftover differentials only.
+_IntegralFrame) need transforms of the leftover differentials only,
+and with a cut it frames the subcomplex and quotient as windows.
 
 Matrix convention used everywhere: the differential d_n maps degree n
 to degree n-1 and is stored as a (rank(n-1) x rank(n)) integer matrix
@@ -725,9 +726,10 @@ class UnitReduction:
     the diagonal blocks of d' reduce S and Q by their own pivots (a
     filtration-compatible Morse matching, Mischaikow and Nanda 2013).
     S keeps the first surviving cells of each C'_n, a pivot of S writes
-    no cell of Q and one of Q reads none of S: f and g on chains of S,
-    and on chains of Q followed by the projection to Q, are those of
-    S's and Q's own reductions (windows, twisted._IntegralFrame).
+    no cell of Q and one of Q reads none of S: g keeps chains of S's
+    cells of C' in S and lifts Q's to C, and f cut to Q's cells of C'
+    ignores the part of a chain in S (the windows of chains of C in
+    twisted._IntegralFrame).
     """
 
     def __init__(self, c: GradedChainComplex,

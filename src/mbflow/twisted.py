@@ -210,28 +210,6 @@ class _Totalization:
         return [i for i, a, b in zip(indices, starts, ends)
                 for _ in range(b - a)]
 
-    def split(self, p: int) -> tuple[GradedChainComplex, GradedChainComplex]:
-        """Tot of the pieces of index <= p and Tot of the others: the
-        subcomplex on the prefix of every basis, and its quotient."""
-        pre = {n: self.prefix_dim(n, p) for n in self.ranks}
-        sub: dict[int, dict[tuple[int, int], int]] = {}
-        quot: dict[int, dict[tuple[int, int], int]] = {}
-        for n, d in self.differentials.items():
-            for (r, c), v in d.entries.items():
-                # structure maps lower the index: the prefix is closed
-                if c < pre[n]:
-                    sub.setdefault(n, {})[(r, c)] = v
-                elif r >= pre[n - 1]:
-                    quot.setdefault(n, {})[(r - pre[n - 1], c - pre[n])] = v
-        rest = {n: r - pre[n] for n, r in self.ranks.items()}
-        return (
-            complex_from_ranks(self.ring, pre, {
-                n: IntegerMatrix(pre[n - 1], pre[n], e)
-                for n, e in sub.items()}),
-            complex_from_ranks(self.ring, rest, {
-                n: IntegerMatrix(rest[n - 1], rest[n], e)
-                for n, e in quot.items()}))
-
     def locate(self, n: int, col: int) -> tuple[int, int]:
         """Map a Tot_n column index back to (piece index, local index)."""
         indices, starts = self.parts.get(n, ((), ()))
@@ -392,6 +370,14 @@ def shift(t: TwistedComplex, a: int) -> tuple[TwistedComplex, ShiftWitness]:
 # homology frames: representatives plus coordinates, over Z and F_p
 
 
+def _window(c: GradedChainComplex, lo: Mapping[int, int] | None,
+            hi: Mapping[int, int] | None, n: int) -> tuple[int, int]:
+    """Cells lo[n] .. hi[n] - 1 of c_n; None is the first or the last
+    cell, and a degree missing from a cut counts 0."""
+    return (0 if lo is None else lo.get(n, 0),
+            c.dim(n) if hi is None else hi.get(n, 0))
+
+
 def _move_rows(m: IntegerMatrix, rows: int, lo: int, hi: int,
                by: int) -> IntegerMatrix:
     """Rows lo..hi-1 of m moved down by `by`, in a matrix of `rows` rows."""
@@ -400,39 +386,54 @@ def _move_rows(m: IntegerMatrix, rows: int, lo: int, hi: int,
                                         if lo <= i < hi})
 
 
+def _from_array(a: np.ndarray) -> IntegerMatrix:
+    """An int64 array as an IntegerMatrix, read off its nonzeros."""
+    rows, cols = np.nonzero(a)
+    return IntegerMatrix(a.shape[0], a.shape[1], dict(zip(
+        zip(rows.tolist(), cols.tolist()), a[rows, cols].tolist())))
+
+
 class _IntegralFrame:
     """Free-part homology basis with a cycle-coordinate map, over Z.
 
     The frame is built on a unit-pair reduction C' (homalg.UnitReduction)
-    of c, or of a complex whose cells of degree n from start[n] on
-    (default 0) are those of c, such as Tot reduced with a cut, of which
-    c is the sub (start 0) or the quotient (start at the cut). No pivot
-    crosses the cut, so c's cells of C' are a contiguous window: d and
-    dim give its block of d', and project and lift are red's f and g on
-    chains placed in red's complex, restricted to the window.
+    of c and frames the cells lo[n] .. hi[n] - 1 of each c_n (_window):
+    all of c, or the sub S (hi at a cut) or the quotient Q (lo at the
+    cut) of a cut the reduction was made with (by default the frame
+    reduces c with it). No pivot crosses the cut, so the window's cells
+    of C' are a block: d and dim give its block of d', project is red's
+    f cut to it and lift is red's g on chains of it.
 
     Smith forms with transforms run on the window's d' only: that of
     d'_n gives a kernel basis (trailing columns of v), and that of the
     boundaries in kernel coordinates splits the kernel into torsion and
-    free directions. Representatives are lifted to c by g; coordinates
-    of a cycle x of c, checked to satisfy d x = 0 in c itself, are those
-    of f(x) in C', by exact matrix algebra, no solving.
+    free directions. Every chain is a chain of c: representatives are
+    lifted by g (those of Q to lifts of its cycles), and coords takes a
+    chain x with no entry at or past hi[n], checks that D_n x has none
+    from lo[n-1] on, and reads f(x) in C' by exact matrix algebra, no
+    solving. A pivot of S writes no cell of Q, so the entries of x
+    before lo[n] do not count.
     """
 
     def __init__(self, c: GradedChainComplex,
                  red: UnitReduction | None = None,
-                 start: Mapping[int, int] | None = None) -> None:
+                 lo: Mapping[int, int] | None = None,
+                 hi: Mapping[int, int] | None = None) -> None:
         self.complex = c
-        self._red = red = UnitReduction(c) if red is None else red
-        self._start = start = start or {}
-        # per degree: the window's cells of C' (from, to)
-        self._window = {}
-        for n in range(c.min_degree - 1, c.max_degree + 2):
-            kept, a = red.cells.get(n, ()), start.get(n, 0)
-            self._window[n] = (bisect_left(kept, a),
-                               bisect_left(kept, a + c.dim(n)))
+        if red is None:
+            red = UnitReduction(c, hi if lo is None else lo)
+        self._red = red
+        # per degree: the window's cells of c, and its cells of C'
+        self._cells = {n: _window(c, lo, hi, n)
+                       for n in range(c.min_degree - 1, c.max_degree + 2)}
+        self._block = {}
+        for n, (a, b) in self._cells.items():
+            kept = red.cells.get(n, ())
+            self._block[n] = (bisect_left(kept, a), bisect_left(kept, b))
         self._data: dict[int, tuple] = {}
         for n in c.degrees():
+            if self._cells[n][0] == self._cells[n][1]:
+                continue  # no cell: nothing to frame or check
             a, b = self.d(n), self.d(n + 1)
             dec_a = smith_normal_form(a, with_transforms=True)
             r_a = dec_a.rank
@@ -457,34 +458,29 @@ class _IntegralFrame:
 
     def dim(self, n: int) -> int:
         """Cells of the window's reduced complex in degree n."""
-        lo, hi = self._window.get(n, (0, 0))
+        lo, hi = self._block.get(n, (0, 0))
         return hi - lo
 
     def d(self, n: int) -> IntegerMatrix:
         """The window's block of the reduced differential d'_n."""
-        (r0, r1), (c0, c1) = self._window[n - 1], self._window[n]
+        (r0, r1), (c0, c1) = self._block[n - 1], self._block[n]
         return IntegerMatrix(r1 - r0, c1 - c0, {
             (i - r0, j - c0): v for (i, j), v in self._red.d(n).entries.items()
             if r0 <= i < r1 and c0 <= j < c1})
 
     def project(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
-        """f on chains of c, as columns of x."""
-        (lo, hi), a = self._window[n], self._start.get(n, 0)
-        whole = self._red.complex.dim(n)
-        y = self._red.project(n, _move_rows(x, whole, 0, x.rows, a))
-        return _move_rows(y, hi - lo, lo, hi, -lo)
+        """f on chains of c, as columns of x, cut to the window of C'."""
+        lo, hi = self._block[n]
+        return _move_rows(self._red.project(n, x), hi - lo, lo, hi, -lo)
 
     def lift(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
         """g on chains of the window of C', as columns of x."""
-        (lo, _), a = self._window[n], self._start.get(n, 0)
-        dim = self.complex.dim(n)
-        y = self._red.lift(n, _move_rows(x, self._red.dim(n), 0, x.rows, lo))
-        return _move_rows(y, dim, a, a + dim, -a)
+        lo, _ = self._block[n]
+        return self._red.lift(
+            n, _move_rows(x, self._red.dim(n), 0, x.rows, lo))
 
     def rank(self, n: int) -> int:
-        if n not in self._data:
-            return 0
-        return self._data[n][3].cols
+        return self.reps(n).cols
 
     def reps(self, n: int) -> IntegerMatrix:
         if n not in self._data:
@@ -493,11 +489,12 @@ class _IntegralFrame:
 
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
         """Free-part coordinates of cycle columns; input must be cycles."""
+        if any(i >= self._cells.get(n, (0, 0))[1] for i, _ in cycles.entries):
+            raise InvariantViolation(f"vector in degree {n} leaves the window")
         if n not in self._data or not cycles.cols:
-            if not cycles.is_zero():
-                raise InvariantViolation("nonzero cycle outside degree range")
             return IntegerMatrix.zero(self.rank(n), cycles.cols)
-        if not (self.complex.d(n) @ cycles).is_zero():
+        below = self._cells[n - 1][0]
+        if any(i >= below for i, _ in (self.complex.d(n) @ cycles).entries):
             raise InvariantViolation(f"vector in degree {n} is not a cycle")
         dec_a, dec_m, r_a, reps = self._data[n]
         x = dec_a.vinv @ self.project(n, cycles)
@@ -517,23 +514,29 @@ class _IntegralFrame:
 class _FieldFrame:
     """Homology basis with cycle coordinates over F_p, numpy-backed.
 
-    Built from the column reductions (R, V, low), R = d V, of c or of a
-    complex whose cells of degree n from start[n] on (default 0) are
-    those of c, such as Tot (_Totalization.column_reductions), of which
-    c is the sub (start 0) or the quotient (start at the cut). Each
-    prefix is reduced on its own, and a column whose low lies past the
-    cut is only added columns past the cut, so the window's rows carry
-    its cycles and boundaries: V_j for each j of the window whose column
-    has no low or one before the window (top nonzero entry 1 at j), and
-    the columns of R_{n+1} in the window with a low in it (top index
-    that low). The representatives are the cycles whose j is no
-    boundary's top. coords back-substitutes a cycle from its top index
-    against that basis; a top index of no basis vector is no cycle.
+    Built from the column reductions (R, V, low), R = d V, of c, such
+    as Tot's (_Totalization.column_reductions), and framing the window
+    of cells lo[n] .. hi[n] - 1 of each c_n (_window): all of c, or the
+    sub (hi at a cut) or the quotient (lo at the cut). Each prefix is
+    reduced on its own, and a column whose low lies past the cut is only
+    added columns past the cut, so the window's rows carry its cycles
+    and boundaries: V_j for each j of the window whose column has no low
+    or one before the window (top nonzero entry 1 at j), and the columns
+    of R_{n+1} in the window with a low in it (top index that low). The
+    representatives are the whole columns V_j whose j is no boundary's
+    top: chains of c, and for the quotient lifts of its cycles to c.
+
+    coords takes chains of c with no entry at or past hi[n] (mod p) and
+    ignores their entries before lo[n]. It walks the window's rows from
+    the top down, skipping zero rows, and clears each nonzero row with
+    the basis vector whose top it is; a nonzero row that is no basis
+    vector's top is no cycle.
     """
 
     def __init__(self, c: GradedChainComplex,
                  columns: Mapping[int, tuple] | None = None,
-                 start: Mapping[int, int] | None = None) -> None:
+                 lo: Mapping[int, int] | None = None,
+                 hi: Mapping[int, int] | None = None) -> None:
         if not c.ring.is_field:
             raise UnsupportedRing("field frame over Z")
         self.complex = c
@@ -541,67 +544,68 @@ class _FieldFrame:
         if columns is None:
             columns = {n: _fplinalg.reduce_columns(fp_array(d, p), p)
                        for n, d in c.differential.items()}
-        start = start or {}
-        self._reps: dict[int, np.ndarray] = {}
-        # per degree: top index -> (basis vector, 1 / its top entry,
-        # representative position or None for a boundary)
-        self._pivots: dict[int, dict[int, tuple[np.ndarray, int,
-                                                 int | None]]] = {}
+        self._lo, self._hi = lo, hi
+        self._reps: dict[int, IntegerMatrix] = {}
+        # per degree: top row in the window -> (the basis vector's nonzero
+        # rows in the window, its values there, 1 / its top entry, and
+        # its representative's position or None for a boundary)
+        self._pivots: dict[int, dict[int, tuple]] = {}
         for n in c.degrees():
-            a, below = start.get(n, 0), start.get(n - 1, 0)
-            b, above = a + c.dim(n), start.get(n + 1, 0)
+            (a, b), below = _window(c, lo, hi, n), _window(c, lo, hi, n - 1)[0]
+            above, above_end = _window(c, lo, hi, n + 1)
             # a missing d_n is zero: R = 0, V = 1
             _, v, low_out = columns.get(n, (None, None, {}))
             r_in, _, low_in = columns.get(n + 1, (None, None, {}))
             bounded = {k: i for k, i in low_in.items()
-                       if above <= k < above + c.dim(n + 1) and i >= a}
+                       if above <= k < above_end and i >= a}
             tops = set(bounded.values())
             keys = [j for j in range(a, b)
                     if low_out.get(j, -1) < below and j not in tops]
-            # copies: Tot's R and V stay as they are
-            reps = np.eye(b - a, dtype=np.int64)[:, [j - a for j in keys]] \
-                if v is None else v[a:b, keys]
-            bnd = r_in[a:b, list(bounded)] if bounded else None
-            self._reps[n] = reps
-            pivots = {j - a: (reps[:, k], 1, k) for k, j in enumerate(keys)}
-            for k, i in enumerate(bounded.values()):
-                pivots[i - a] = (bnd[:, k], pow(int(bnd[i - a, k]), -1, p),
-                                 None)
-            self._pivots[n] = pivots
+
+            def basis(col: np.ndarray, k: int | None) -> tuple:
+                # col holds rows a .. top of a basis vector
+                nz = np.flatnonzero(col)
+                return nz, col[nz], pow(int(col[-1]), -1, p), k
+            self._pivots[n] = {j - a: basis(
+                np.eye(1, j - a + 1, j - a, np.int64)[0] if v is None
+                else v[a:j + 1, j], k) for k, j in enumerate(keys)}
+            self._pivots[n].update({i - a: basis(r_in[a:i + 1, k], None)
+                                    for k, i in bounded.items()})
+            self._reps[n] = _from_array(v[:, keys]) if v is not None else \
+                IntegerMatrix(c.dim(n), len(keys),
+                              {(j, k): 1 for k, j in enumerate(keys)})
 
     def rank(self, n: int) -> int:
-        r = self._reps.get(n)
-        return 0 if r is None else r.shape[1]
+        return self.reps(n).cols
 
     def reps(self, n: int) -> IntegerMatrix:
         r = self._reps.get(n)
-        if r is None:
-            return IntegerMatrix.zero(self.complex.dim(n), 0)
-        return IntegerMatrix.from_rows(r.tolist(), r.shape[1])
+        return IntegerMatrix.zero(self.complex.dim(n), 0) if r is None else r
 
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
+        p = self.p
+        a, b = _window(self.complex, self._lo, self._hi, n)
+        if any(i >= b and v % p for (i, _), v in cycles.entries.items()):
+            raise InvariantViolation(f"vector in degree {n} leaves the window")
         if n not in self._reps or not cycles.cols:
             return IntegerMatrix.zero(self.rank(n), cycles.cols)
-        p = self.p
         pivots = self._pivots[n]
-        x = fp_array(cycles, p)
+        x = fp_array(_move_rows(cycles, b - a, a, b, -a), p)
         out = np.zeros((self.rank(n), cycles.cols), dtype=np.int64)
-        top = x.shape[0]
-        while True:
-            live = np.flatnonzero(x[:top].any(axis=1))
-            if live.size == 0:
-                break
-            i = int(live[-1])
+        # clearing row i changes only rows below it, so every row is
+        # visited once, after all that can change it
+        for i in range(b - a - 1, -1, -1):
+            if not x[i].any():
+                continue
             got = pivots.get(i)
             if got is None:
                 raise InvariantViolation(f"vector in degree {n} is not a cycle")
-            vec, inv, k = got
+            rows, vals, inv, k = got
             f = x[i] * inv % p
-            x[:i + 1] = (x[:i + 1] - np.outer(vec[:i + 1], f)) % p
+            x[rows] = (x[rows] - np.outer(vals, f)) % p
             if k is not None:
                 out[k] = f
-            top = i
-        return IntegerMatrix.from_rows(out.tolist(), cycles.cols)
+        return _from_array(out)
 
 
 def _map_rank(m: IntegerMatrix, ring: CoefficientRing) -> int:
@@ -628,10 +632,12 @@ class ExactnessAudit:
     homology free parts, which is exactness after tensoring with Q. The
     three frames are windows of one reduction of the total complex: its
     column reductions over F_p, and over Z its unit-pair reduction whose
-    pivots never cross the cut. Each induced map is ranked once. The
-    connecting map is computed either way from the snake lemma on
-    representatives, and connecting_rank[n] is the rank of
-    H_n(quotient) -> H_{n-1}(sub).
+    pivots never cross the cut. Every chain is a chain of the total
+    complex, and each induced map is ranked once. The connecting map is
+    computed either way from the snake lemma on representatives, and
+    connecting_rank[n] is the rank of H_n(quotient) -> H_{n-1}(sub).
+    positions_checked is 3 per degree of the total complex, even where
+    the sub or the quotient is empty.
     """
 
     exact: bool
@@ -653,13 +659,24 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     Structure maps strictly decrease the index, so the low-index pieces
     are closed under the total differential and the high-index pieces
     inherit a quotient twisted structure. The audit certifies the long
-    exact sequence relating the three homologies; it reads the sub and
-    quotient totalizations off Tot(t) instead of assembling them again.
-    The sub, Tot and the quotient are framed as windows of one
+    exact sequence relating the three homologies in the coordinates of
+    Tot(t): the sub is the prefix of each Tot_n, the quotient the rest,
+    and no complex is built for either. Their frames are windows of one
     reduction of Tot(t): over Z its unit reduction with the cut at p
     (homalg.UnitReduction), over F_p the column reductions kept on Tot
     (_Totalization.column_reductions), which every cut and the spectral
-    sequence share.
+    sequence share. A quotient class is represented by a lift to Tot(t),
+    and D of that lift is a cycle of the sub: the connecting map.
+
+    Cutting the height-squared function on S^2 below its poles: the
+    poles span H_2 of the quotient and both bound the equator's loop,
+    so the connecting map out of degree 2 has rank 1.
+
+    >>> from mbflow.examples import sphere_z2
+    >>> from mbflow.flowcat import realize
+    >>> audit = quotient_sequence(realize(sphere_z2()), 0).audit
+    >>> audit.exact, dict(audit.connecting_rank)
+    (True, {2: 1})
     """
     sub, quot = index_split(t, p)
     return QuotientSequence(sub, quot, _les_audit(t, p))
@@ -682,78 +699,56 @@ def index_split(t: TwistedComplex, p: int,
 
 
 def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
-    tot_c, lay, ring = totalize(t), t._tot, t.ring
-    sub_c, quot_c = lay.split(p)
+    tot, lay, ring = totalize(t), t._tot, t.ring
     cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
 
-    # the sub and the quotient are windows of one reduction of Tot: its
-    # column reductions over F_p, its unit reduction with the cut over Z
+    # the sub, Tot and the quotient are windows of one reduction of Tot
+    # (column reductions over F_p, the unit reduction with the cut over Z)
     if ring.is_field:
         frame, whole = _FieldFrame, lay.column_reductions
     else:
-        frame, whole = _IntegralFrame, UnitReduction(tot_c, cut)
-    fr_sub, fr_tot = frame(sub_c, whole), frame(tot_c, whole)
-    fr_quot = frame(quot_c, whole, cut)
+        frame, whole = _IntegralFrame, UnitReduction(tot, cut)
+    fr_sub, fr_tot = frame(tot, whole, hi=cut), frame(tot, whole)
+    fr_quot = frame(tot, whole, lo=cut)
+    lo, hi = tot.min_degree, tot.max_degree
 
-    lo = min(tot_c.min_degree, sub_c.min_degree, quot_c.min_degree)
-    hi = max(tot_c.max_degree, sub_c.max_degree, quot_c.max_degree)
-
-    def restrict_to_sub(n: int, m: IntegerMatrix) -> IntegerMatrix:
-        # entries in the quotient rows vanish over the ring (mod p over
-        # a field) because the lifted classes are quotient cycles
-        s = cut.get(n, 0)
-        ent = {k: v % ring.p if ring.is_field else v
-               for k, v in m.entries.items()}
-        ent = {k: v for k, v in ent.items() if v}
-        if any(i >= s for i, _ in ent):
-            raise InvariantViolation("connecting lift left the subcomplex")
-        return IntegerMatrix(s, m.cols, ent)
-
-    # the inclusion and the projection move rows across the cut; the
-    # connecting map H_n(quot) -> H_{n-1}(sub) lifts, applies D and
-    # restricts; a map between zero homologies is an empty matrix
+    # every chain is one of Tot: the connecting map H_n(quot) ->
+    # H_{n-1}(sub) applies D to the quotient representatives, lifts to
+    # Tot; a map between zero homologies is an empty matrix
     i_star, p_star, d_star = {}, {}, {}
     for n in range(lo, hi + 2):
-        s, total = cut.get(n, 0), lay.ranks.get(n, 0)
-        i_star[n] = fr_tot.coords(
-            n, _move_rows(fr_sub.reps(n), total, 0, s, 0))
-        p_star[n] = fr_quot.coords(
-            n, _move_rows(fr_tot.reps(n), total - s, s, total, -s))
-        lifted = _move_rows(fr_quot.reps(n), total, 0, total - s, s)
-        d_star[n] = fr_sub.coords(
-            n - 1, restrict_to_sub(n - 1, lay.d(n) @ lifted))
+        i_star[n] = fr_tot.coords(n, fr_sub.reps(n))
+        p_star[n] = fr_quot.coords(n, fr_tot.reps(n))
+        d_star[n] = fr_sub.coords(n - 1, lay.d(n) @ fr_quot.reps(n))
     # each induced map is ranked once
     rk_i, rk_p, rk_d = ({n: _map_rank(m, ring) for n, m in table.items()}
                         for table in (i_star, p_star, d_star))
 
     failures: list[str] = []
-    positions = 0
     for n in range(lo, hi + 1):
         hs, ht, hq = fr_sub.rank(n), fr_tot.rank(n), fr_quot.rank(n)
         f, g, dn, dn1 = i_star[n], p_star[n], d_star[n], d_star[n + 1]
         rf, rg, rdn, rdn1 = rk_i[n], rk_p[n], rk_d[n], rk_d[n + 1]
         # exactness at H_n(tot)
-        positions += 1
         if not _is_zero_map(g @ f, ring):
             failures.append(f"pi.iota nonzero on H_{n}")
         if rf + rg != ht:
             failures.append(f"rank defect at H_{n}(total)")
         # exactness at H_n(quot)
-        positions += 1
         if not _is_zero_map(dn @ g, ring):
             failures.append(f"connecting.pi nonzero on H_{n}")
         if rg + rdn != hq:
             failures.append(f"rank defect at H_{n}(quotient)")
         # exactness at H_n(sub)
-        positions += 1
         if not _is_zero_map(f @ dn1, ring):
             failures.append(f"iota.connecting nonzero into H_{n}")
         if rdn1 + rf != hs:
             failures.append(f"rank defect at H_{n}(sub)")
 
-    # a map is zero exactly when its rank is
+    # three positions per degree; a map is zero exactly when its rank is
     connecting = {n: r for n, r in rk_d.items() if r}
-    return ExactnessAudit(not failures, positions, tuple(failures), connecting)
+    return ExactnessAudit(not failures, 3 * len(tot.degrees()),
+                          tuple(failures), connecting)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import doctest
 
 import mbflow.examples
 import mbflow.homalg
+import mbflow.twisted
 
 
 def test_homalg_doctests():
@@ -14,5 +15,11 @@ def test_homalg_doctests():
 
 def test_examples_doctests():
     failures, tried = doctest.testmod(mbflow.examples)
+    assert tried > 0
+    assert failures == 0
+
+
+def test_twisted_doctests():
+    failures, tried = doctest.testmod(mbflow.twisted)
     assert tried > 0
     assert failures == 0

@@ -1,8 +1,8 @@
 """Each category is realized once, and each twisted complex gets one
 total-differential assembly and one D.D pass per command, however many
 layers (parsing, validation, realization, totalization, audits) read
-them. Index-cut sub and quotient totalizations are cut out of the whole
-complex's Tot, never assembled again."""
+them. The audit of an index cut works in the whole complex's Tot, and
+assembles or builds no sub or quotient complex."""
 
 import contextlib
 import io
@@ -15,8 +15,9 @@ from support import random_twisted
 from mbflow import _fplinalg, flowcat, homalg, twisted
 from mbflow.cli import fixture_bytes, main, parse_category
 from mbflow.flowcat import realize
-from mbflow.homalg import ZZ, CoefficientRing
+from mbflow.homalg import ZZ, CoefficientRing, IntegerMatrix
 from mbflow.twisted import (
+    index_split,
     quotient_sequence,
     spectral_sequence,
     totalize,
@@ -91,7 +92,7 @@ def test_quotient_sequence_builds_each_totalization_once(counts):
     qs = quotient_sequence(t, 1)
     assert qs.audit.exact
     assert counts["realize"].per_object() == [1]
-    # the sub and quotient totalizations are cut out of Tot(t)
+    # the audit reads the sub and the quotient as windows of Tot(t)
     assert counts["assemble"].per_object() == [1]
     assert counts["dd"].per_object() == [1]
 
@@ -159,15 +160,52 @@ def test_cone_command_builds_the_cone_once(monkeypatch):
     assert len(built) == 1
 
 
+def _block(m, rows, cols):
+    """The block of m on the given row and column ranges."""
+    return IntegerMatrix(len(rows), len(cols), {
+        (i - rows.start, j - cols.start): v for (i, j), v in m.entries.items()
+        if i in rows and j in cols})
+
+
 @pytest.mark.parametrize("ring", [ZZ, F3])
 def test_split_matches_totalized_sub_and_quotient(ring):
+    # the prefix and suffix blocks of Tot's D_n are the differentials of
+    # the totalized twisted sub and quotient, and D_n maps no prefix cell
+    # into the suffix
     rng = random.Random(7)
     for _ in range(25):
         t = random_twisted(rng, ring)
+        lay = t._tot
         for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-            qs = quotient_sequence(t, p)
-            assert t._tot.split(p) == (totalize(qs.sub),
-                                       totalize(qs.quotient))
+            sub, quot = (totalize(s) for s in index_split(t, p))
+            for n in range(lay.min_degree - 1, lay.max_degree + 2):
+                s0, s1 = lay.prefix_dim(n - 1, p), lay.prefix_dim(n, p)
+                r0, r1 = lay.ranks.get(n - 1, 0), lay.ranks.get(n, 0)
+                assert (sub.dim(n), quot.dim(n)) == (s1, r1 - s1)
+                d = lay.d(n)
+                assert _block(d, range(s0), range(s1)) == sub.d(n)
+                assert _block(d, range(s0, r0), range(s1, r1)) == quot.d(n)
+                assert _block(d, range(s0, r0), range(s1)).is_zero()
+
+
+@pytest.mark.parametrize("ring", [ZZ, F3])
+def test_quotient_sequence_builds_no_complex_per_cut(monkeypatch, ring):
+    # once Tot is built, the audit at every cut works in its coordinates
+    t = random_twisted(random.Random(6), ring, max_generators=14,
+                       max_pieces=5)
+    totalize(t)
+    built = []
+    orig = homalg.GradedChainComplex.__post_init__
+
+    def counted(self):
+        built.append(self)
+        orig(self)
+    monkeypatch.setattr(homalg.GradedChainComplex, "__post_init__", counted)
+    cuts = range(min(t.pieces) - 1, max(t.pieces) + 1)
+    assert len(cuts) > 3
+    for p in cuts:
+        assert quotient_sequence(t, p).audit.exact
+    assert built == []
 
 
 def test_validate_and_totalize_share_one_value(counts):

@@ -1,6 +1,7 @@
 """Unit tests for twisted complexes and their operations."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -42,6 +43,7 @@ from mbflow.twisted import (
     _IntegralFrame,
     cone,
     identity_morphism,
+    index_split,
     morphism_total_matrix,
     quotient_sequence,
     shift,
@@ -312,30 +314,70 @@ def _check_integral_frame(c):
                 fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
 
 
-def _check_field_frame(c, fr=None):
+def _window_rows(x, a, rows):
+    """Rows a .. a + rows - 1 of x, as chains of a window."""
+    return IntegerMatrix(rows, x.cols, {(i - a, j): v
+                                        for (i, j), v in x.entries.items()
+                                        if a <= i < a + rows})
+
+
+def _into(x, a, rows):
+    """Chains x of a window starting at a, as chains of `rows` cells."""
+    return IntegerMatrix(rows, x.cols, {(i + a, j): v
+                                        for (i, j), v in x.entries.items()})
+
+
+def _check_field_frame(c, fr=None, lo=None):
+    """fr frames c as the window of fr.complex from lo[n] on (c itself
+    by default)."""
     p = c.ring.p
     fr = _FieldFrame(c) if fr is None else fr
+    whole = fr.complex
     h = homology(c)
-    for n in c.degrees():
+    for n in whole.degrees():
+        a = 0 if lo is None else lo.get(n, 0)
+        b = a + c.dim(n)
         reps = fr.reps(n)
         k = reps.cols
+        assert reps.rows == whole.dim(n)
         assert k == fr.rank(n) == h.free_rank(n)
-        assert (c.d(n) @ reps).is_zero_mod(p)
+        assert all(i < b for i, _ in reps.entries)
+        assert (c.d(n) @ _window_rows(reps, a, c.dim(n))).is_zero_mod(p)
         assert fr.coords(n, reps) == IntegerMatrix.identity(k)
-        # coordinates are linear mod p and blind to boundaries
-        bnd = c.d(n + 1)
+        # coordinates are linear mod p and blind to boundaries and to
+        # the rows before the window
+        bnd = _into(c.d(n + 1), a, whole.dim(n))
         mix = IntegerMatrix(k, 2, {(i, j): (i + 1) * (1 - 2 * j) % p
                                    for i in range(k) for j in range(2)
                                    if (i + 1) % p})
         glue = IntegerMatrix(bnd.cols, 2, {(i, 1): -2
                                            for i in range(bnd.cols)})
-        got = fr.coords(n, reps @ mix + bnd @ glue)
+        front = IntegerMatrix(whole.dim(n), 2, {(i, 0): 1 for i in range(a)})
+        got = fr.coords(n, reps @ mix + bnd @ glue + front)
         assert (got - mix).is_zero_mod(p)
+        # a row can turn nonzero during the walk: a boundary less c times
+        # a representative, where c is its entry at that one's top, is
+        # zero there until the boundary is cleared
+        tops = [max(i for i, j in reps.entries if j == q) for q in range(k)]
+        pairs = [(m, q, bnd[top, m] % p) for m in range(bnd.cols)
+                 for q, top in enumerate(tops) if bnd[top, m] % p]
+        if pairs:
+            x = bnd @ IntegerMatrix(bnd.cols, len(pairs), {
+                (m, r): 1 for r, (m, _, _) in enumerate(pairs)})
+            want = IntegerMatrix(k, len(pairs), {
+                (q, r): v for r, (_, q, v) in enumerate(pairs)})
+            assert (fr.coords(n, x - reps @ want) + want).is_zero_mod(p)
         d = c.d(n)
         if not d.is_zero_mod(p):
             j = min(j for (_, j), v in d.entries.items() if v % p)
             with pytest.raises(InvariantViolation):
-                fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
+                fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(a + j, 0): 1}))
+        if b < whole.dim(n):
+            # past the window: an entry counts unless it is 0 mod p
+            with pytest.raises(InvariantViolation):
+                fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(b, 0): p + 1}))
+            assert fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(b, 0): p})) \
+                == IntegerMatrix.zero(k, 1)
 
 
 def test_field_frame_from_column_reductions():
@@ -345,14 +387,15 @@ def test_field_frame_from_column_reductions():
     for ring in (F2, F3, F5):
         for _ in range(15):
             t = random_twisted(rng, ring, 14, 5)
-            _check_field_frame(totalize(t))
+            tot = totalize(t)
+            _check_field_frame(tot)
             lay = t._tot
             whole = lay.column_reductions
             for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-                sub, quot = lay.split(p)
+                sub, quot = (totalize(s) for s in index_split(t, p))
                 cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
-                _check_field_frame(sub, _FieldFrame(sub, whole))
-                _check_field_frame(quot, _FieldFrame(quot, whole, cut))
+                _check_field_frame(sub, _FieldFrame(tot, whole, hi=cut))
+                _check_field_frame(quot, _FieldFrame(tot, whole, lo=cut), cut)
 
 
 def test_integral_frame_on_reduced_complex():
@@ -372,16 +415,35 @@ def test_quotient_sequence_random_integral_every_cut():
             assert qs.audit.exact, (cut, qs.audit.failures)
 
 
-def _check_window_reduction(c, fr, cancelled):
+def _check_window_reduction(c, fr, cancelled, lo=None):
     """The identities of the reduction of c that the frame fr reads off
-    a larger reduction; cancelled[n] counts its pivots in d_n."""
-    for n in c.degrees():
+    a larger reduction, where c is the window of fr.complex from lo[n]
+    on (all of it by default); cancelled[n] counts its pivots in d_n."""
+    whole, h = fr.complex, homology(c)
+    for n in whole.degrees():
+        a = 0 if lo is None else lo.get(n, 0)
+        below = 0 if lo is None else lo.get(n - 1, 0)
+        # the frame's classes, lifted to the whole complex
+        reps = fr.reps(n)
+        assert reps.cols == fr.rank(n) == h.free_rank(n)
+        assert fr.coords(n, reps) == IntegerMatrix.identity(reps.cols)
+        if a + c.dim(n) < whole.dim(n):
+            with pytest.raises(InvariantViolation):      # past the window
+                fr.coords(n, IntegerMatrix(whole.dim(n), 1,
+                                           {(a + c.dim(n), 0): 1}))
         ident = IntegerMatrix.identity(fr.dim(n))
         g = fr.lift(n, ident)
-        f = fr.project(n, IntegerMatrix.identity(c.dim(n)))
+        f = fr.project(n, _into(IntegerMatrix.identity(c.dim(n)), a,
+                                whole.dim(n)))
+        # g lifts to chains of the whole complex with no cell past c
+        assert g.rows == whole.dim(n)
+        assert all(i < a + c.dim(n) for i, _ in g.entries)
         assert fr.project(n, g) == ident                        # f g = 1
-        assert c.d(n) @ g == fr.lift(n - 1, fr.d(n))            # d g = g d'
-        assert fr.d(n) @ f == fr.project(n - 1, c.d(n))         # d' f = f d
+        assert c.d(n) @ _window_rows(g, a, c.dim(n)) == \
+            _window_rows(fr.lift(n - 1, fr.d(n)), below,        # d g = g d'
+                         c.dim(n - 1))
+        assert fr.d(n) @ f == fr.project(                       # d' f = f d
+            n - 1, _into(c.d(n), below, whole.dim(n - 1)))
         assert cancelled[n] + integer_rank(fr.d(n)) == integer_rank(c.d(n))
         assert fr.dim(n) == c.dim(n) - cancelled[n] - cancelled[n + 1]
 
@@ -398,7 +460,7 @@ def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed):
     for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
         cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
         red = UnitReduction(tot, cut)
-        sub, quot = lay.split(p)
+        sub, quot = (totalize(s) for s in index_split(t, p))
         # every pivot lies on one side of the cut
         for n in tot.degrees():
             for (r, _, _), (cc, _, _) in zip(red._fold.get(n - 1, ()),
@@ -411,12 +473,13 @@ def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed):
                            for cc, _, _ in recs
                            if lo.get(n, 0) <= cc < hi.get(n, 0))
 
-        fr_tot, fr_sub = _IntegralFrame(tot, red), _IntegralFrame(sub, red)
-        fr_quot = _IntegralFrame(quot, red, cut)
+        fr_tot = _IntegralFrame(tot, red)
+        fr_sub = _IntegralFrame(tot, red, hi=cut)
+        fr_quot = _IntegralFrame(tot, red, lo=cut)
         on_sub, on_quot = pivots({}, cut), pivots(cut, full)
         _check_window_reduction(tot, fr_tot, pivots({}, full))
         _check_window_reduction(sub, fr_sub, on_sub)
-        _check_window_reduction(quot, fr_quot, on_quot)
+        _check_window_reduction(quot, fr_quot, on_quot, cut)
         for n in tot.degrees():
             assert red.cancelled(n) == on_sub[n] + on_quot[n]
             assert red.dim(n) == fr_tot.dim(n) == \
@@ -466,6 +529,32 @@ def test_field_connecting_ranks_count_pairs_across_the_cut(seed, p):
         assert audit.exact, audit.failures
         want = Counter(n for n, a, b in pairs if a <= cut < b)
         assert dict(audit.connecting_rank) == dict(want), cut
+
+
+def test_audit_checks_three_positions_per_degree_of_tot():
+    # an empty sub or quotient brings in no degree of its own
+    for ring in (ZZ, F2, F3):
+        rng = random.Random(29)
+        for _ in range(20):
+            t = random_twisted(rng, ring, max_generators=14, max_pieces=5)
+            want = 3 * len(totalize(t).degrees())
+            for cut in range(min(t.pieces) - 1, max(t.pieces) + 1):
+                audit = quotient_sequence(t, cut).audit
+                assert audit.exact, audit.failures
+                assert audit.positions_checked == want, (ring, cut)
+
+
+def test_field_audit_of_a_wide_degree_with_no_differentials():
+    # 1,000 cells in one piece and 1 in the other over F_2: every cell
+    # is a class, and coordinates walk the rows of the window once
+    pieces = {0: complex_from_ranks(F2, {0: 1000}),
+              1: complex_from_ranks(F2, {0: 1})}
+    t = twisted_from_parts(F2, pieces)
+    start = time.perf_counter()
+    audit = quotient_sequence(t, 0).audit
+    assert time.perf_counter() - start < 3.0
+    assert audit.exact, audit.failures
+    assert audit.positions_checked == 6 and not audit.connecting_rank
 
 
 # ---------------------------------------------------------------------------
