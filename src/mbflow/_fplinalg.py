@@ -1,29 +1,33 @@
-"""Dense linear algebra over a prime field F_p.
+"""Linear algebra over a prime field F_p.
 
-Everything here works on numpy int64 arrays whose entries are reduced
-modulo p. Matrices follow the same convention as the rest of the
-package: a map C_n -> C_{n-1} is a (dim C_{n-1}) x (dim C_n) matrix
-acting on column vectors.
+A map C_n -> C_{n-1} is a (dim C_{n-1}) x (dim C_n) matrix acting on
+column vectors, as in the rest of the package. Its F_p work is sparse:
+a column is a dict {row: value} with values in 1 .. p - 1, read off the
+entries of an IntegerMatrix (homalg), in exact Python ints. One step,
+clear_tops, serves it all: it subtracts known columns from a column
+while its top (largest) row is the top of one of them.
 
-p must be prime and small enough that p*p fits in an int64; every
-routine reduces each scalar mod p before it multiplies a vector and
-reduces again after each elimination step, so intermediate values stay
-below p*p in absolute value.
+reduce_columns is the left-to-right column reduction of persistent
+homology, and rank the same without V. It reduces every prefix of the
+columns on its own, so one reduction of each total differential in
+filtration order serves a twisted complex (twisted): its pairs give the
+index-filtration spectral sequence, and its columns the cycles and
+boundaries of the homology frames of the long exact sequence at every
+cut, whose coordinates clear_tops reads.
 
-rref, rank, solve and null_space are Gaussian elimination by rows.
-reduce_columns is the standard left-to-right column reduction of
-persistent homology. It reduces every prefix of the columns on its
-own, so one reduction of each total differential in filtration order
-serves a whole twisted complex (twisted): its pairing of lowest rows
-with columns gives the index-filtration spectral sequence, and its
-zero columns and reduced columns give the cycles and boundaries of the
-homology frames of the sub, the total complex and the quotient of the
-long exact sequence at every cut.
+rref, solve and null_space are dense elimination by rows on numpy int64
+arrays reduced mod p, so p*p must be below 2^63; each scalar is reduced
+before it multiplies a vector. The tests use them as references.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Mapping
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .homalg import IntegerMatrix
 
 
 def asmod(a: np.ndarray, p: int) -> np.ndarray:
@@ -66,12 +70,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return r, pivots
-
-
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    return len(rref(a, p)[1])
 
 
 def null_space(a: np.ndarray, p: int) -> np.ndarray:
@@ -117,44 +115,90 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return x[:, 0] if vec else x
 
 
-def reduce_columns(a: np.ndarray, p: int,
-                   ) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Left-to-right column reduction over F_p.
+def columns(m: IntegerMatrix, p: int) -> dict[int, dict[int, int]]:
+    """The nonzero columns of m mod p, in column order: column ->
+    {row: value}."""
+    cols: dict[int, dict[int, int]] = {}
+    for (i, j), v in m.entries.items():
+        if v % p:
+            cols.setdefault(j, {})[i] = v % p
+    return dict(sorted(cols.items()))
 
-    Returns (R, V, low) with R = a V mod p and V unit upper triangular:
-    each column j of a in turn has earlier columns of R subtracted while
-    its lowest nonzero row is already the lowest row of an earlier
-    column. low maps every nonzero column of R to its lowest nonzero
-    row, and no two columns share one. The columns j of V whose R
-    column is zero are a basis of the kernel of a, with top nonzero
-    entry 1 in row j.
+
+def subtract(x: dict[int, int], y: Mapping[int, int], f: int, p: int,
+             ) -> None:
+    """x -= f y mod p in place, dropping the rows that turn 0."""
+    for i, v in y.items():
+        w = (x.get(i, 0) - f * v) % p
+        if w:
+            x[i] = w
+        else:
+            x.pop(i, None)
+
+
+def clear_tops(x: dict[int, int], tops: Mapping[int, tuple], p: int,
+               ) -> list[tuple]:
+    """Clear the column x in place while its top row is a known top:
+    tops maps a row to (a column with that top row, 1 / its entry there,
+    a tag). Each step subtracts that column's multiple and records (tag,
+    factor); x is left zero or with a top row that no column has."""
+    steps = []
+    while x:
+        i = max(x)
+        got = tops.get(i)
+        if got is None:
+            break
+        y, inv, tag = got
+        f = x[i] * inv % p
+        subtract(x, y, f, p)
+        steps.append((tag, f))
+    return steps
+
+
+def reduce_columns(d: IntegerMatrix, p: int) -> tuple[dict, dict, dict]:
+    """Left-to-right column reduction of d over F_p.
+
+    Returns (R, V, low) with R = d V mod p and V unit upper triangular:
+    each column j of d in turn has earlier columns of R subtracted while
+    its top row is the top of an earlier one. R keeps its nonzero
+    columns and V those other than e_j, as {row: value}; low maps each
+    nonzero column of R to its top row, and no two share one. The
+    columns j of V whose R column is zero are a basis of the kernel of
+    d, with top entry 1 in row j. On a triangle's boundary over F_2:
+
+    >>> from mbflow.homalg import IntegerMatrix
+    >>> d = IntegerMatrix.from_rows([[-1, 0, -1], [1, -1, 0], [0, 1, 1]])
+    >>> r, v, low = reduce_columns(d, 2)
+    >>> low, {j: sorted(col.items()) for j, col in v.items()}
+    ({0: 1, 1: 2}, {2: [(0, 1), (1, 1), (2, 1)]})
     """
-    rows, cols = np.shape(a)
-    # column j of R and of V is row j here, so each update is contiguous
-    rt = np.ascontiguousarray(asmod(a, p).T)
-    vt = np.eye(cols, dtype=np.int64)
-    low: dict[int, int] = {}
-    owner: dict[int, tuple[int, int]] = {}  # row -> (column, 1 / pivot)
-    for j in range(cols):
-        col, top = rt[j], rows
-        while True:
-            nz = col[:top].nonzero()[0]
-            if nz.size == 0:
-                break
-            i = int(nz[-1])
-            got = owner.get(i)
-            if got is None:
-                owner[i] = (j, _inv_mod(int(col[i]), p))
-                low[j] = i
-                break
-            k, inv = got
-            # the scalar is reduced first, so each product is below p*p
-            f = int(col[i]) * inv % p
-            seg = col[:i + 1]
-            seg -= f * rt[k, :i + 1]
-            seg %= p
-            seg = vt[j, :k + 1]
-            seg -= f * vt[k, :k + 1]
-            seg %= p
-            top = i
-    return rt.T, vt.T, low
+    r, v, low = {}, {}, {}
+    tops: dict[int, tuple] = {}  # top row -> (column of R, 1 / top, j)
+    for j, x in columns(d, p).items():
+        vj = {j: 1}
+        for k, f in clear_tops(x, tops, p):
+            subtract(vj, v.get(k, {k: 1}), f, p)
+        if x:
+            i = low[j] = max(x)
+            tops[i] = (x, pow(x[i], -1, p), j)
+            r[j] = x
+        if len(vj) > 1:
+            v[j] = vj
+    return r, v, low
+
+
+def rank(d: IntegerMatrix, p: int) -> int:
+    """Rank of d over F_p: the column reduction without V.
+
+    >>> from mbflow.homalg import IntegerMatrix
+    >>> d = IntegerMatrix.from_rows([[-1, 0, -1], [1, -1, 0], [0, 1, 1]])
+    >>> rank(d, 2)
+    2
+    """
+    tops: dict[int, tuple] = {}
+    for x in columns(d, p).values():
+        clear_tops(x, tops, p)
+        if x:
+            i = max(x)
+            tops[i] = (x, pow(x[i], -1, p), None)
+    return len(tops)

@@ -50,7 +50,6 @@ from .homalg import (
     IntegerMatrix,
     complex_from_ranks,
     dim_t,
-    fp_array,
     homology,
 )
 from .inequalities import equivariant_inequality, mb_inequality
@@ -493,8 +492,7 @@ def _cmd_ss(args) -> int:
         for (p, q) in sorted(page.dims):
             print(f"  E[{p},{q}] dim {page.dims[p, q]}")
         for (p, q) in sorted(page.differentials):
-            r = _fp_rank(fp_array(page.differentials[p, q], args.field),
-                         args.field)
+            r = _fp_rank(page.differentials[p, q], args.field)
             if r:
                 print(f"  d{page.number} E[{p},{q}] -> "
                       f"E[{p - page.number},{q + page.number - 1}] "

@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from . import _fplinalg
 from .errors import (
     InvariantViolation,
@@ -47,10 +45,11 @@ from .errors import (
 class CoefficientRing:
     """Either the integers or a prime field F_p.
 
-    kind is "Z" or "Fp"; p is None exactly when kind is "Z". Elimination
-    mod p runs on int64 arrays and needs p*p below 2^63, so p is capped
-    at MAX_PRIME_BOUND = 3037000499; the largest accepted prime is
-    3037000493.
+    kind is "Z" or "Fp"; p is None exactly when kind is "Z". p is capped
+    at MAX_PRIME_BOUND = 3037000499 (the largest accepted prime is
+    3037000493) so that p*p fits in an int64, which only the dense
+    routines of _fplinalg (rref and those on it) need; the sparse F_p
+    elimination that every computation runs works in Python ints.
     """
 
     kind: str
@@ -100,7 +99,7 @@ class CoefficientRing:
         return "Z" if self.kind == "Z" else f"Fp:{self.p}"
 
 
-# the largest p with p*p < 2^63 (int64 products in _fplinalg)
+# the largest p with p*p < 2^63 (int64 products in _fplinalg.rref)
 MAX_PRIME_BOUND = 3037000499
 
 # integer ranks are cross-checked by elimination modulo this prime
@@ -226,12 +225,6 @@ class IntegerMatrix:
                     acc.pop(key, None)
         return IntegerMatrix(self.rows, other.cols, acc)
 
-    def scale(self, c: int) -> "IntegerMatrix":
-        if c == 0:
-            return IntegerMatrix.zero(self.rows, self.cols)
-        return IntegerMatrix(self.rows, self.cols,
-                             {k: c * v for k, v in self.entries.items()})
-
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(self.cols, self.rows,
                              {(j, i): v for (i, j), v in self.entries.items()})
@@ -298,16 +291,6 @@ def block_matrix(blocks: list[list[IntegerMatrix | None]],
                     f"{row_sizes[bi]}x{col_sizes[bj]}")
             placed.append((roff[bi], coff[bj], blk))
     return place_blocks(roff[-1], coff[-1], placed)
-
-
-def fp_array(m: IntegerMatrix, p: int) -> np.ndarray:
-    """Dense int64 copy of m with every entry reduced mod p first, so
-    entries of any size convert."""
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    if m.entries:
-        rows, cols = zip(*m.entries)
-        out[rows, cols] = [v % p for v in m.entries.values()]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -958,9 +941,6 @@ class HomologySummary:
     def degrees(self) -> range:
         return range(self.min_degree, self.max_degree + 1)
 
-    def total_rank(self) -> int:
-        return sum(self.free.values())
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * r for n, r in self.free.items())
 
@@ -978,9 +958,10 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     invariant factors > 1 of d'_{n+1}, in divisibility order. Each rank
     is cross-checked against an independent one: the rank of the
     original d_n mod the prime CHECK_PRIME must equal cancelled(n) +
-    rk d'_n minus the number of invariant factors it divides. Over F_p
-    ranks come from Gaussian elimination mod p and every homology
-    dimension is checked to be nonnegative.
+    rk d'_n minus the number of invariant factors it divides. That rank,
+    and every rank over F_p, comes from the sparse column reduction of
+    the differential's entries (_fplinalg.rank), and over F_p every
+    homology dimension is checked to be nonnegative.
     """
     if c.ring.is_field:
         return _homology_field(c)
@@ -990,7 +971,7 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     for n in range(c.min_degree, c.max_degree + 2):
         diag, rank = snf[n] = smith_normal_form(red.d(n))
         full = c.d(n)
-        got = _fplinalg.rank(fp_array(full, q), q) if full.entries else 0
+        got = _fplinalg.rank(full, q) if full.entries else 0
         want = red.cancelled(n) + rank - sum(1 for x in diag if x % q == 0)
         if got != want:
             raise InvariantViolation(
@@ -1016,7 +997,7 @@ def _homology_field(c: GradedChainComplex) -> HomologySummary:
     assert p is not None
     free: dict[int, int] = {}
     # each d_n is ranked once: out of degree n and into degree n - 1
-    rk = {n: _fplinalg.rank(fp_array(c.d(n), p), p)
+    rk = {n: _fplinalg.rank(c.d(n), p)
           for n in range(c.min_degree, c.max_degree + 2)}
     for n in c.degrees():
         f = c.dim(n) - rk[n] - rk[n + 1]

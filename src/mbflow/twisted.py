@@ -27,8 +27,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
-import numpy as np
-
 from . import _fplinalg
 from .errors import (
     ChainMapViolation,
@@ -39,12 +37,10 @@ from .errors import (
 from .homalg import (
     CoefficientRing,
     GradedChainComplex,
-    HomologySummary,
     IntegerMatrix,
     UnitReduction,
     complex_from_ranks,
     direct_sum,
-    fp_array,
     homology,
     integer_rank,
     negate_complex,
@@ -228,10 +224,10 @@ class _Totalization:
 
     @cached_property
     def column_reductions(self) -> dict[int, tuple]:
-        """(R, V, low) of every nonzero D_n mod p (_fplinalg.reduce_columns):
-        the spectral sequence, and the F_p frames of quotient_sequence."""
-        p = self.ring.p
-        return {n: _fplinalg.reduce_columns(fp_array(d, p), p)
+        """(R, V, low) of every nonzero D_n mod p (_fplinalg.reduce_columns),
+        as sparse columns: the spectral sequence, and the F_p frames of
+        quotient_sequence."""
+        return {n: _fplinalg.reduce_columns(d, self.ring.p)
                 for n, d in self.differentials.items()}
 
 
@@ -273,6 +269,13 @@ def _assemble(t: TwistedComplex) -> _Totalization:
     return replace(lay, differentials=diffs)
 
 
+def _first_nonzero_column(m: IntegerMatrix, p: int | None) -> int | None:
+    """The first column of m with an entry that is nonzero over the ring
+    (mod p, or over Z when p is None); None if there is none."""
+    return min((c for (_, c), v in m.entries.items() if (v % p if p else v)),
+               default=None)
+
+
 def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
     """Check D.D = 0, reporting the first failure.
 
@@ -292,11 +295,10 @@ def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
     for n in range(tot.min_degree, tot.max_degree + 1):
         if n not in tot.differentials or n + 1 not in tot.differentials:
             continue
-        sq = tot.differentials[n] @ tot.differentials[n + 1]
-        bad_cols = sorted({c for (r, c), v in sq.entries.items()
-                           if (v % p if p else v) != 0})
-        if bad_cols:
-            piece, local = tot.locate(n + 1, bad_cols[0])
+        bad = _first_nonzero_column(
+            tot.differentials[n] @ tot.differentials[n + 1], p)
+        if bad is not None:
+            piece, local = tot.locate(n + 1, bad)
             return TwistedDiagnostics(
                 valid=False,
                 issues=(f"D.D is nonzero on generator {local} of piece "
@@ -384,13 +386,6 @@ def _move_rows(m: IntegerMatrix, rows: int, lo: int, hi: int,
     return IntegerMatrix(rows, m.cols, {(i + by, j): v
                                         for (i, j), v in m.entries.items()
                                         if lo <= i < hi})
-
-
-def _from_array(a: np.ndarray) -> IntegerMatrix:
-    """An int64 array as an IntegerMatrix, read off its nonzeros."""
-    rows, cols = np.nonzero(a)
-    return IntegerMatrix(a.shape[0], a.shape[1], dict(zip(
-        zip(rows.tolist(), cols.tolist()), a[rows, cols].tolist())))
 
 
 class _IntegralFrame:
@@ -512,7 +507,7 @@ class _IntegralFrame:
 
 
 class _FieldFrame:
-    """Homology basis with cycle coordinates over F_p, numpy-backed.
+    """Homology basis with cycle coordinates over F_p, on sparse columns.
 
     Built from the column reductions (R, V, low), R = d V, of c, such
     as Tot's (_Totalization.column_reductions), and framing the window
@@ -521,16 +516,17 @@ class _FieldFrame:
     reduced on its own, and a column whose low lies past the cut is only
     added columns past the cut, so the window's rows carry its cycles
     and boundaries: V_j for each j of the window whose column has no low
-    or one before the window (top nonzero entry 1 at j), and the columns
-    of R_{n+1} in the window with a low in it (top index that low). The
-    representatives are the whole columns V_j whose j is no boundary's
-    top: chains of c, and for the quotient lifts of its cycles to c.
+    or one before the window (top entry 1 at j), and the columns of
+    R_{n+1} in the window with a low in it (top row that low). These
+    are the basis vectors, kept as sparse columns by their top row. The
+    representatives are the columns V_j whose j is no boundary's top:
+    chains of c, and for the quotient lifts of its cycles to c.
 
     coords takes chains of c with no entry at or past hi[n] (mod p) and
-    ignores their entries before lo[n]. It walks the window's rows from
-    the top down, skipping zero rows, and clears each nonzero row with
-    the basis vector whose top it is; a nonzero row that is no basis
-    vector's top is no cycle.
+    ignores their entries before lo[n]. It clears each chain from the
+    top with the basis vectors while its top row is in the window
+    (_fplinalg.clear_tops): the factors of the representatives are its
+    coordinates, and a chain with a row of the window left is no cycle.
     """
 
     def __init__(self, c: GradedChainComplex,
@@ -542,38 +538,30 @@ class _FieldFrame:
         self.complex = c
         self.p = p = c.ring.p
         if columns is None:
-            columns = {n: _fplinalg.reduce_columns(fp_array(d, p), p)
+            columns = {n: _fplinalg.reduce_columns(d, p)
                        for n, d in c.differential.items()}
         self._lo, self._hi = lo, hi
         self._reps: dict[int, IntegerMatrix] = {}
-        # per degree: top row in the window -> (the basis vector's nonzero
-        # rows in the window, its values there, 1 / its top entry, and
-        # its representative's position or None for a boundary)
-        self._pivots: dict[int, dict[int, tuple]] = {}
+        # per degree: top row in the window -> (the basis vector, 1 / its
+        # top entry, its representative's position or None for a boundary)
+        self._tops: dict[int, dict[int, tuple]] = {}
         for n in c.degrees():
             (a, b), below = _window(c, lo, hi, n), _window(c, lo, hi, n - 1)[0]
             above, above_end = _window(c, lo, hi, n + 1)
-            # a missing d_n is zero: R = 0, V = 1
-            _, v, low_out = columns.get(n, (None, None, {}))
-            r_in, _, low_in = columns.get(n + 1, (None, None, {}))
-            bounded = {k: i for k, i in low_in.items()
-                       if above <= k < above_end and i >= a}
-            tops = set(bounded.values())
+            # a missing d_n is zero: no column of R, and V = 1
+            _, v, low_out = columns.get(n, ({}, {}, {}))
+            r_in, _, low_in = columns.get(n + 1, ({}, {}, {}))
+            tops = self._tops[n] = {
+                i: (r_in[k], pow(r_in[k][i], -1, p), None)
+                for k, i in low_in.items()
+                if above <= k < above_end and i >= a}
             keys = [j for j in range(a, b)
                     if low_out.get(j, -1) < below and j not in tops]
-
-            def basis(col: np.ndarray, k: int | None) -> tuple:
-                # col holds rows a .. top of a basis vector
-                nz = np.flatnonzero(col)
-                return nz, col[nz], pow(int(col[-1]), -1, p), k
-            self._pivots[n] = {j - a: basis(
-                np.eye(1, j - a + 1, j - a, np.int64)[0] if v is None
-                else v[a:j + 1, j], k) for k, j in enumerate(keys)}
-            self._pivots[n].update({i - a: basis(r_in[a:i + 1, k], None)
-                                    for k, i in bounded.items()})
-            self._reps[n] = _from_array(v[:, keys]) if v is not None else \
-                IntegerMatrix(c.dim(n), len(keys),
-                              {(j, k): 1 for k, j in enumerate(keys)})
+            reps = [v.get(j, {j: 1}) for j in keys]
+            tops.update((j, (col, 1, k))
+                        for k, (j, col) in enumerate(zip(keys, reps)))
+            self._reps[n] = IntegerMatrix(c.dim(n), len(keys), {
+                (i, k): x for k, col in enumerate(reps) for i, x in col.items()})
 
     def rank(self, n: int) -> int:
         return self.reps(n).cols
@@ -589,29 +577,18 @@ class _FieldFrame:
             raise InvariantViolation(f"vector in degree {n} leaves the window")
         if n not in self._reps or not cycles.cols:
             return IntegerMatrix.zero(self.rank(n), cycles.cols)
-        pivots = self._pivots[n]
-        x = fp_array(_move_rows(cycles, b - a, a, b, -a), p)
-        out = np.zeros((self.rank(n), cycles.cols), dtype=np.int64)
-        # clearing row i changes only rows below it, so every row is
-        # visited once, after all that can change it
-        for i in range(b - a - 1, -1, -1):
-            if not x[i].any():
-                continue
-            got = pivots.get(i)
-            if got is None:
+        out = {}
+        for j, x in _fplinalg.columns(cycles, p).items():
+            for k, f in _fplinalg.clear_tops(x, self._tops[n], p):
+                if k is not None:
+                    out[k, j] = f
+            if x and max(x) >= a:
                 raise InvariantViolation(f"vector in degree {n} is not a cycle")
-            rows, vals, inv, k = got
-            f = x[i] * inv % p
-            x[rows] = (x[rows] - np.outer(vals, f)) % p
-            if k is not None:
-                out[k] = f
-        return _from_array(out)
+        return IntegerMatrix(self.rank(n), cycles.cols, out)
 
 
 def _map_rank(m: IntegerMatrix, ring: CoefficientRing) -> int:
-    if ring.is_field:
-        return _fplinalg.rank(fp_array(m, ring.p), ring.p)
-    return integer_rank(m)
+    return _fplinalg.rank(m, ring.p) if ring.is_field else integer_rank(m)
 
 
 def _is_zero_map(m: IntegerMatrix, ring: CoefficientRing) -> bool:
@@ -984,12 +961,9 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
             morphism_total_matrix(w.c12, n) - \
             morphism_total_matrix(w.c34, n) @ \
             morphism_total_matrix(w.c13, n)
-        diff = lhs - rhs
-        p = ring.p
-        bad = sorted({c for (r, c), v in diff.entries.items()
-                      if (v % p if p else v) != 0})
-        if bad:
-            piece, local = src_lay.locate(n, bad[0])
+        bad = _first_nonzero_column(lhs - rhs, ring.p)
+        if bad is not None:
+            piece, local = src_lay.locate(n, bad)
             return HomotopyVerdict(False, n, piece, local)
     return HomotopyVerdict(True)
 
@@ -1030,16 +1004,17 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     """Run the spectral sequence of the filtration by piece index.
 
     F^p Tot is spanned by the pieces of index <= p, and every basis of
-    Tot_n already lists its cells in ascending filtration. One column
-    reduction of each D_n (_fplinalg.reduce_columns) pairs a cell
+    Tot_n already lists its cells in ascending filtration. One sparse
+    column reduction of each D_n (_fplinalg.reduce_columns) pairs a cell
     sigma at filtration a with the cell tau at filtration b whose
-    reduced column has its lowest entry at sigma. Both cells live on
+    reduced column has its top entry at sigma. Both cells live on
     the pages r <= b - a, where they span spots (a, .) and (b, .), and
     d_{b-a} carries tau to sigma; unpaired cells survive to E-infinity.
     A page's generators at a spot are its surviving cells in cell
     order (the persistence basis), and d_r is the 0/1 matrix of the
     pairs at gap r. Each page's dimensions are cross-checked against
-    the homology of the previous page, pages stop at the filtration
+    the homology of the previous page (its d_r ranked by the same sparse
+    elimination, _fplinalg.rank), pages stop at the filtration
     width + 1, where only unpaired cells remain, and the E-infinity
     total dimensions are audited against the homology of the
     totalization. The column reductions are kept on Tot, where the F_p
@@ -1126,8 +1101,8 @@ def _check_page_turn(prev: SpectralSequencePage,
         old = prev.dims.get((pidx, q), 0)
         out = prev.differentials.get((pidx, q))
         inc = prev.differentials.get((pidx + r, q - r + 1))
-        rank_out = 0 if out is None else _fplinalg.rank(fp_array(out, pr), pr)
-        rank_in = 0 if inc is None else _fplinalg.rank(fp_array(inc, pr), pr)
+        rank_out = 0 if out is None else _fplinalg.rank(out, pr)
+        rank_in = 0 if inc is None else _fplinalg.rank(inc, pr)
         expect = old - rank_out - rank_in
         if expect != new_dim:
             raise InvariantViolation(

@@ -24,7 +24,6 @@ from mbflow.homalg import (
     IntegerMatrix,
     UnitReduction,
     complex_from_ranks,
-    fp_array,
     smith_normal_form,
 )
 from mbflow.twisted import TwistedComplex, totalize, twisted_from_parts
@@ -40,6 +39,69 @@ def point_complex(ring) -> GradedChainComplex:
 
 def circle_complex(ring) -> GradedChainComplex:
     return complex_from_ranks(ring, {0: 1, 1: 1})
+
+
+def fp_array(m: IntegerMatrix, p: int) -> np.ndarray:
+    """Dense int64 copy of m with every entry reduced mod p first, so
+    entries of any size convert."""
+    out = np.zeros((m.rows, m.cols), dtype=np.int64)
+    if m.entries:
+        rows, cols = zip(*m.entries)
+        out[rows, cols] = [v % p for v in m.entries.values()]
+    return out
+
+
+def dense_reduce_columns(a: np.ndarray, p: int,
+                         ) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Reference for _fplinalg.reduce_columns: the same left-to-right
+    column reduction on a dense int64 array, with a dense V.
+
+    Returns (R, V, low) as arrays, R = a V mod p, and low mapping every
+    nonzero column of R to its lowest nonzero row. p*p must fit in an
+    int64.
+    """
+    rows, cols = np.shape(a)
+    # column j of R and of V is row j here, so each update is contiguous
+    rt = np.ascontiguousarray(_fplinalg.asmod(a, p).T)
+    vt = np.eye(cols, dtype=np.int64)
+    low: dict[int, int] = {}
+    owner: dict[int, tuple[int, int]] = {}  # row -> (column, 1 / pivot)
+    for j in range(cols):
+        col, top = rt[j], rows
+        while True:
+            nz = col[:top].nonzero()[0]
+            if nz.size == 0:
+                break
+            i = int(nz[-1])
+            got = owner.get(i)
+            if got is None:
+                owner[i] = (j, pow(int(col[i]), -1, p))
+                low[j] = i
+                break
+            k, inv = got
+            # the scalar is reduced first, so each product is below p*p
+            f = int(col[i]) * inv % p
+            seg = col[:i + 1]
+            seg -= f * rt[k, :i + 1]
+            seg %= p
+            seg = vt[j, :k + 1]
+            seg -= f * vt[k, :k + 1]
+            seg %= p
+            top = i
+    return rt.T, vt.T, low
+
+
+def columns_array(cols: Mapping[int, Mapping[int, int]], rows: int,
+                  ncols: int, unit: bool = False) -> np.ndarray:
+    """Sparse columns {column: {row: value}} as a dense int64 array;
+    with unit, a column that is missing is e_j (V of reduce_columns)."""
+    out = np.eye(rows, ncols, dtype=np.int64) if unit else \
+        np.zeros((rows, ncols), dtype=np.int64)
+    for j, col in cols.items():
+        out[:, j] = 0
+        for i, v in col.items():
+            out[i, j] = v
+    return out
 
 
 def _integer_kernel_basis(m: IntegerMatrix) -> list[list[int]]:
@@ -379,7 +441,7 @@ def subspace_spectral_sequence(t: TwistedComplex, max_page: int):
                                     images[:, j], pr)
                 assert y is not None, ("d_r left its target", r, (f, q))
                 cols[:, j] = y[tspan.shape[1]:]
-            rank = _fplinalg.rank(cols, pr)
+            rank = len(_fplinalg.rref(cols, pr)[1])
             if rank:
                 ranks[(f, q)] = rank
         pages.append((dims, ranks))

@@ -2,6 +2,7 @@
 
 import doctest
 
+import mbflow._fplinalg
 import mbflow.examples
 import mbflow.homalg
 import mbflow.twisted
@@ -21,5 +22,11 @@ def test_examples_doctests():
 
 def test_twisted_doctests():
     failures, tried = doctest.testmod(mbflow.twisted)
+    assert tried > 0
+    assert failures == 0
+
+
+def test_fplinalg_doctests():
+    failures, tried = doctest.testmod(mbflow._fplinalg)
     assert tried > 0
     assert failures == 0

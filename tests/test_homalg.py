@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from support import (
     EntryQueueReduction,
+    columns_array,
+    dense_reduce_columns,
+    fp_array,
     grid_surface,
     random_integral_complex,
     random_twisted,
@@ -33,7 +36,6 @@ from mbflow.homalg import (
     dim_t,
     direct_sum,
     dual_complex,
-    fp_array,
     homology,
     integer_rank,
     preceq,
@@ -224,29 +226,59 @@ def test_rref_matches_row_by_row_reference(seed, p):
 LARGEST_PRIME = 3037000493  # the largest prime CoefficientRing accepts
 
 
-@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, LARGEST_PRIME)))
-@settings(max_examples=100, deadline=None)
-def test_reduce_columns_exact(seed, p):
-    rng = random.Random(seed)
+def _rank_deficient(rng, p):
+    """A random matrix with a random rank deficit, so columns really
+    reduce to zero."""
     rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-    # dense with a random rank deficit, so columns really reduce to zero
     k = rng.randint(1, min(rows, cols))
     left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
     right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
-    a = IntegerMatrix.from_rows(left, k) @ IntegerMatrix.from_rows(right, cols)
-    r, v, low = _fplinalg.reduce_columns(fp_array(a, p), p)
+    return mat(left) @ mat(right)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, LARGEST_PRIME)))
+@settings(max_examples=100, deadline=None)
+def test_reduce_columns_exact(seed, p):
+    a = _rank_deficient(random.Random(seed), p)
+    rows, cols = a.rows, a.cols
+    r_cols, v_cols, low = _fplinalg.reduce_columns(a, p)
+    r = columns_array(r_cols, rows, cols)
+    v = columns_array(v_cols, cols, cols, unit=True)
     # R = a V mod p, with the products in Python ints
     av = a @ IntegerMatrix.from_rows(v.tolist(), cols)
     assert all((av[i, j] - int(r[i, j])) % p == 0
                for i in range(rows) for j in range(cols))
-    assert ((0 <= r) & (r < p)).all() and ((0 <= v) & (v < p)).all()
+    assert all(0 < x < p for m in (r_cols, v_cols)
+               for col in m.values() for x in col.values())
     assert (np.triu(v) == v).all() and (np.diag(v) == 1).all()
+    # R keeps only its nonzero columns, V only those other than e_j
+    assert all(r_cols.values())
+    assert all(col != {j: 1} for j, col in v_cols.items())
     # low: the lowest nonzero row of every nonzero column, all distinct
     for j in range(cols):
         nz = np.flatnonzero(r[:, j])
         assert low.get(j) == (int(nz[-1]) if nz.size else None)
     assert len(set(low.values())) == len(low)
-    assert len(low) == _fplinalg.rank(fp_array(a, p), p)
+    assert len(low) == len(_fplinalg.rref(fp_array(a, p), p)[1])
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((2, 3, LARGEST_PRIME)))
+@settings(max_examples=40, deadline=None)
+def test_sparse_reduction_matches_dense_reference(seed, p):
+    # entry for entry against the dense reduction, on a rank-deficient
+    # matrix and on every D_n of a random totalization; rank against
+    # the pivots of rref
+    rng = random.Random(seed)
+    t = random_twisted(rng, CoefficientRing.prime_field(p),
+                       max_generators=14, max_pieces=5)
+    for a in [_rank_deficient(rng, p), *totalize(t).differential.values()]:
+        r, v, low = _fplinalg.reduce_columns(a, p)
+        want_r, want_v, want_low = dense_reduce_columns(fp_array(a, p), p)
+        assert (columns_array(r, a.rows, a.cols) == want_r).all()
+        assert (columns_array(v, a.cols, a.cols, unit=True) == want_v).all()
+        assert low == want_low
+        assert _fplinalg.rank(a, p) == \
+            len(_fplinalg.rref(fp_array(a, p), p)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -30,7 +31,6 @@ from mbflow.homalg import (
     IntegerMatrix,
     UnitReduction,
     complex_from_ranks,
-    fp_array,
     homology,
     integer_rank,
     shift_complex,
@@ -520,7 +520,7 @@ def test_field_connecting_ranks_count_pairs_across_the_cut(seed, p):
     lay = t._tot
     pairs = []
     for n in range(lay.min_degree, lay.max_degree + 1):
-        _, _, low = _fplinalg.reduce_columns(fp_array(lay.d(n), p), p)
+        _, _, low = _fplinalg.reduce_columns(lay.d(n), p)
         filt, filt_below = lay.filtration(n), lay.filtration(n - 1)
         pairs += [(n, filt_below[sigma], filt[tau])
                   for tau, sigma in low.items()]
@@ -545,14 +545,27 @@ def test_audit_checks_three_positions_per_degree_of_tot():
 
 
 def test_field_audit_of_a_wide_degree_with_no_differentials():
-    # 1,000 cells in one piece and 1 in the other over F_2: every cell
-    # is a class, and coordinates walk the rows of the window once
-    pieces = {0: complex_from_ranks(F2, {0: 1000}),
-              1: complex_from_ranks(F2, {0: 1})}
-    t = twisted_from_parts(F2, pieces)
+    # 1,000 (then 2,000) cells in one piece and 1 in the other over F_2:
+    # every cell is a class, and a chain's coordinates cost its entries,
+    # not the width of the degree
+    def wide(cells):
+        pieces = {0: complex_from_ranks(F2, {0: cells}),
+                  1: complex_from_ranks(F2, {0: 1})}
+        return twisted_from_parts(F2, pieces)
+    t = wide(1000)
     start = time.perf_counter()
     audit = quotient_sequence(t, 0).audit
     assert time.perf_counter() - start < 3.0
+    assert audit.exact, audit.failures
+    assert audit.positions_checked == 6 and not audit.connecting_rank
+    t = wide(2000)
+    tracemalloc.start()
+    try:
+        audit = quotient_sequence(t, 0).audit
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
     assert audit.exact, audit.failures
     assert audit.positions_checked == 6 and not audit.connecting_rank
 
@@ -799,7 +812,7 @@ def test_spectral_sequence_matches_subspace_reference(seed, ring):
     assert len(ss.pages) == len(pages)
     for page, (dims, ranks) in zip(ss.pages, pages):
         assert dict(page.dims) == dims, page.number
-        assert {spot: _fplinalg.rank(fp_array(m, ring.p), ring.p)
+        assert {spot: _fplinalg.rank(m, ring.p)
                 for spot, m in page.differentials.items()} == ranks
     assert ss.collapsed_at == collapsed_at
     assert dict(ss.limit) == limit
