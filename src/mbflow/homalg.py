@@ -11,10 +11,9 @@ joined by a +-1 incidence, in pairs, by sparse elimination in Markowitz
 order, and only the differentials left over go through the dense Smith
 form, one per degree and without transforms. Every integer rank is
 cross-checked against elimination of the original differential modulo
-a large prime. The reduction also carries the chain maps between the
-complex and its reduction, so integral induced maps (twisted's
-_IntegralFrame) need transforms of the leftover differentials only,
-and with a cut it frames the subcomplex and quotient as windows.
+a large prime. Induced maps over Z, as in twisted's long-exact-sequence
+audit, are read after tensoring with Q, off the same sparse column
+reduction as over F_p (_fplinalg), and need no reduction here.
 
 Matrix convention used everywhere: the differential d_n maps degree n
 to degree n-1 and is stored as a (rank(n-1) x rank(n)) integer matrix
@@ -24,7 +23,6 @@ acting on column vectors.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -659,16 +657,6 @@ def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
 # homology by reduction
 
 
-def _columns(x: IntegerMatrix, names: list[int] | None = None,
-             ) -> list[dict[int, int]]:
-    """The columns of x as sparse {row: value} dicts, rows renamed
-    through names when given."""
-    out: list[dict[int, int]] = [{} for _ in range(x.cols)]
-    for (i, j), v in x.entries.items():
-        out[j][i if names is None else names[i]] = v
-    return out
-
-
 class UnitReduction:
     """A complex over Z with its unit incidences cancelled in pairs.
 
@@ -683,41 +671,23 @@ class UnitReduction:
     Slusarek 1998), also known as algebraic Morse theory.
 
     The queue holds one record per line (row or column) of each d_n:
-    the least key (cost, n, r, c) among its units that may pivot, as in
-    the row and column counts of sparse LU (Markowitz 1957; Duff,
-    Erisman and Reid). A step re-queues each line it changes or
-    shortens, and a popped record whose entry has changed re-queues the
-    current best of its own line. A unit's key falls only when its row
-    or column shrinks, which re-queues that line, so every unit has a
-    record at or below its key, a current record popped is the least
-    key of all, and the order is that of a queue of every unit.
+    the least key (cost, n, r, c) among its units, as in the row and
+    column counts of sparse LU (Markowitz 1957; Duff, Erisman and Reid).
+    A step re-queues each line it changes or shortens, and a popped
+    record whose entry has changed re-queues the current best of its own
+    line. A unit's key falls only when its row or column shrinks, which
+    re-queues that line, so every unit has a record at or below its key,
+    a current record popped is the least key of all, and the order is
+    that of a queue of every unit.
 
     The reduced complex C' keeps the surviving cells of each degree in
-    their original order; cancelled(n) counts the pairs cancelled in
-    d_n, so rk d_n = cancelled(n) + rk d'_n. C and C' are chain
-    homotopy equivalent through project (f: C -> C') and lift
-    (g: C' -> C), with f g = 1; both are replayed from the recorded
-    pivot rows and columns.
-
-    An optional cut names a subcomplex S: cut[n] is the number of cells
-    at the front of C_n that span S_n (missing degrees count 0), such
-    as the pieces of index <= p of a totalization
-    (_Totalization.prefix_dim). A unit at a row of S and a column of the
-    quotient Q = C/S is then never a pivot; every other unit keeps its
-    place in the order. Every pivot lies in S or in Q, and as d maps S
-    into S, the Schur complements keep each d_n block upper triangular:
-    the diagonal blocks of d' reduce S and Q by their own pivots (a
-    filtration-compatible Morse matching, Mischaikow and Nanda 2013).
-    S keeps the first surviving cells of each C'_n, a pivot of S writes
-    no cell of Q and one of Q reads none of S: g keeps chains of S's
-    cells of C' in S and lifts Q's to C, and f cut to Q's cells of C'
-    ignores the part of a chain in S (the windows of chains of C in
-    twisted._IntegralFrame).
+    their original order, and C and C' are chain homotopy equivalent;
+    cancelled(n) counts the pairs cancelled in d_n, so
+    rk d_n = cancelled(n) + rk d'_n. A degree that loses no cell keeps
+    its cells as a range, so it costs nothing per cell.
     """
 
-    def __init__(self, c: GradedChainComplex,
-                 cut: Mapping[int, int] | None = None) -> None:
-        cut = dict(cut or {})
+    def __init__(self, c: GradedChainComplex) -> None:
         # d_n by rows and by columns: rows[n][r][c] == cols[n][c][r]
         rows: dict[int, dict[int, dict[int, int]]] = {}
         cols: dict[int, dict[int, dict[int, int]]] = {}
@@ -729,21 +699,15 @@ class UnitReduction:
 
         def best(n: int, at: int, is_row: bool):
             # the record of row (or column) `at` of d_n: the least key of
-            # its units that may pivot (those at a row of S pivot in a
-            # column of S only), flagged with the kind of line, or None
+            # its units, flagged with the kind of line, or None
             lines, across = (rows, cols) if is_row else (cols, rows)
             line = lines[n].get(at)
             if not line:
                 return None
-            lo, hi = 0, sys.maxsize
-            if is_row and at < cut.get(n - 1, 0):
-                hi = cut.get(n, 0)
-            elif not is_row and at >= cut.get(n, 0):
-                lo = cut.get(n - 1, 0)
             other, m = across[n], len(line) - 1
             key = None
             for k, v in line.items():
-                if (v == 1 or v == -1) and lo <= k < hi:
+                if v == 1 or v == -1:
                     got = (m * (len(other[k]) - 1), k)
                     if key is None or got < key:
                         key = got
@@ -764,12 +728,6 @@ class UnitReduction:
 
         cancelled: dict[int, int] = {}
         gone: dict[int, set[int]] = {}
-        # per degree, in pivot order: (r, u, column of r's pivot) for the
-        # cells of that degree cancelled as rows, which f folds away, and
-        # (c, u, row of c's pivot) for those cancelled as columns, which
-        # g fills back in
-        fold: dict[int, list] = {}
-        fill: dict[int, list] = {}
         while heap:
             cost, n, r, cc, is_row = heapq.heappop(heap)
             rn, cn = rows[n], cols[n]
@@ -820,43 +778,23 @@ class UnitReduction:
             cancelled[n] = cancelled.get(n, 0) + 1
             gone.setdefault(n, set()).add(cc)
             gone.setdefault(n - 1, set()).add(r)
-            fold.setdefault(n - 1, []).append((r, u, gamma))
-            fill.setdefault(n, []).append((cc, u, beta))
 
-        # a degree that lost no cell keeps them all as a range, so it
-        # costs nothing per cell (_set indexes it as itself)
-        cells = {n: [i for i in range(c.dim(n)) if i not in gone[n]]
-                 if n in gone else range(c.dim(n)) for n in c.degrees()}
-        self._set(c, cells, {n: {(i, j): v for i, row in rn.items()
-                                 for j, v in row.items()}
-                             for n, rn in rows.items()},
-                  cancelled, fold, fill)
-
-    def _set(self, c: GradedChainComplex,
-             cells: dict[int, list[int] | range],
-             rest: Mapping[int, dict[tuple[int, int], int]],
-             cancelled: dict[int, int], fold: dict[int, list],
-             fill: dict[int, list]) -> None:
-        """Keep a reduction of c: the surviving cells per degree, the
-        entries of each d'_n at their cells of C, the pairs cancelled
-        per differential and the pivot records of f and g.
-        Cells kept as range(dim) are all of C_n: the range itself maps
-        each cell to its position."""
-        self.complex = c
-        self.cells = cells
-        self._index = {n: kept if isinstance(kept, range)
-                       else {i: k for k, i in enumerate(kept)}
-                       for n, kept in cells.items()}
+        # a degree that lost no cell keeps them all as a range, which
+        # maps each cell to its position itself
+        self.cells = {n: [i for i in range(c.dim(n)) if i not in gone[n]]
+                      if n in gone else range(c.dim(n)) for n in c.degrees()}
+        index = {n: kept if isinstance(kept, range)
+                 else {i: k for k, i in enumerate(kept)}
+                 for n, kept in self.cells.items()}
         self._d: dict[int, IntegerMatrix] = {}
-        for n, entries in rest.items():
-            ri, ci = self._index.get(n - 1, {}), self._index.get(n, {})
-            if entries:
+        for n, rn in rows.items():
+            if rn:
+                ri, ci = index.get(n - 1, {}), index.get(n, {})
                 self._d[n] = IntegerMatrix(
                     self.dim(n - 1), self.dim(n),
-                    {(ri[i], ci[j]): v for (i, j), v in entries.items()})
+                    {(ri[i], ci[j]): v for i, row in rn.items()
+                     for j, v in row.items()})
         self._cancelled = cancelled
-        self._fold = fold
-        self._fill = fill
 
     def dim(self, n: int) -> int:
         return len(self.cells.get(n, ()))
@@ -871,46 +809,6 @@ class UnitReduction:
     def cancelled(self, n: int) -> int:
         """Pairs cancelled in d_n, each a unit pivot of d_n."""
         return self._cancelled.get(n, 0)
-
-    def project(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
-        """f: C_n -> C'_n on the columns of x.
-
-        A cell r cancelled as a row carries its coefficient onto the
-        other rows of its pivot column: x -= x_r u d[:, c]. Cells
-        cancelled as columns are dropped.
-        """
-        cols = _columns(x)
-        for r, u, gamma in self._fold.get(n, ()):
-            for col in cols:
-                xr = col.pop(r, 0)
-                if xr:
-                    s = xr * u
-                    for i, gi in gamma.items():
-                        v = col.get(i, 0) - gi * s
-                        if v:
-                            col[i] = v
-                        else:
-                            del col[i]
-        index = self._index.get(n, {})
-        return IntegerMatrix(self.dim(n), x.cols, {
-            (index[i], j): v for j, col in enumerate(cols)
-            for i, v in col.items() if i in index})
-
-    def lift(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
-        """g: C'_n -> C_n on the columns of x.
-
-        Replayed in reverse pivot order, a cell c cancelled as a column
-        gets the coefficient -u d[r, :] x that makes row r of d x
-        vanish; cells cancelled as rows get 0.
-        """
-        cols = _columns(x, self.cells.get(n, []))
-        for cc, u, beta in reversed(self._fill.get(n, ())):
-            for col in cols:
-                s = sum(b * col.get(j, 0) for j, b in beta.items())
-                if s:
-                    col[cc] = -u * s
-        return IntegerMatrix(self.complex.dim(n), x.cols, {
-            (i, j): v for j, col in enumerate(cols) for i, v in col.items()})
 
 
 # ---------------------------------------------------------------------------

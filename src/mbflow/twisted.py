@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping
 
 from . import _fplinalg
@@ -38,7 +40,6 @@ from .homalg import (
     CoefficientRing,
     GradedChainComplex,
     IntegerMatrix,
-    UnitReduction,
     complex_from_ranks,
     direct_sum,
     homology,
@@ -46,7 +47,6 @@ from .homalg import (
     negate_complex,
     place_blocks,
     shift_complex,
-    smith_normal_form,
 )
 
 GradedMap = Mapping[int, IntegerMatrix]
@@ -224,9 +224,10 @@ class _Totalization:
 
     @cached_property
     def column_reductions(self) -> dict[int, tuple]:
-        """(R, V, low) of every nonzero D_n mod p (_fplinalg.reduce_columns),
-        as sparse columns: the spectral sequence, and the F_p frames of
-        quotient_sequence."""
+        """(R, V, low) of every nonzero D_n over the ring's field, mod p
+        or over Q for Z (_fplinalg.reduce_columns), as sparse columns: the
+        spectral sequence, and the frames of quotient_sequence at every
+        cut."""
         return {n: _fplinalg.reduce_columns(d, self.ring.p)
                 for n, d in self.differentials.items()}
 
@@ -369,7 +370,7 @@ def shift(t: TwistedComplex, a: int) -> tuple[TwistedComplex, ShiftWitness]:
 
 
 # ---------------------------------------------------------------------------
-# homology frames: representatives plus coordinates, over Z and F_p
+# homology frames: representatives plus coordinates, over F_p and Q
 
 
 def _window(c: GradedChainComplex, lo: Mapping[int, int] | None,
@@ -380,161 +381,39 @@ def _window(c: GradedChainComplex, lo: Mapping[int, int] | None,
             c.dim(n) if hi is None else hi.get(n, 0))
 
 
-def _move_rows(m: IntegerMatrix, rows: int, lo: int, hi: int,
-               by: int) -> IntegerMatrix:
-    """Rows lo..hi-1 of m moved down by `by`, in a matrix of `rows` rows."""
-    return IntegerMatrix(rows, m.cols, {(i + by, j): v
-                                        for (i, j), v in m.entries.items()
-                                        if lo <= i < hi})
-
-
-class _IntegralFrame:
-    """Free-part homology basis with a cycle-coordinate map, over Z.
-
-    The frame is built on a unit-pair reduction C' (homalg.UnitReduction)
-    of c and frames the cells lo[n] .. hi[n] - 1 of each c_n (_window):
-    all of c, or the sub S (hi at a cut) or the quotient Q (lo at the
-    cut) of a cut the reduction was made with (by default the frame
-    reduces c with it). No pivot crosses the cut, so the window's cells
-    of C' are a block: d and dim give its block of d', project is red's
-    f cut to it and lift is red's g on chains of it.
-
-    Smith forms with transforms run on the window's d' only: that of
-    d'_n gives a kernel basis (trailing columns of v), and that of the
-    boundaries in kernel coordinates splits the kernel into torsion and
-    free directions. Every chain is a chain of c: representatives are
-    lifted by g (those of Q to lifts of its cycles), and coords takes a
-    chain x with no entry at or past hi[n], checks that D_n x has none
-    from lo[n-1] on, and reads f(x) in C' by exact matrix algebra, no
-    solving. A pivot of S writes no cell of Q, so the entries of x
-    before lo[n] do not count.
-    """
-
-    def __init__(self, c: GradedChainComplex,
-                 red: UnitReduction | None = None,
-                 lo: Mapping[int, int] | None = None,
-                 hi: Mapping[int, int] | None = None) -> None:
-        self.complex = c
-        if red is None:
-            red = UnitReduction(c, hi if lo is None else lo)
-        self._red = red
-        # per degree: the window's cells of c, and its cells of C'
-        self._cells = {n: _window(c, lo, hi, n)
-                       for n in range(c.min_degree - 1, c.max_degree + 2)}
-        self._block = {}
-        for n, (a, b) in self._cells.items():
-            kept = red.cells.get(n, ())
-            self._block[n] = (bisect_left(kept, a), bisect_left(kept, b))
-        self._data: dict[int, tuple] = {}
-        for n in c.degrees():
-            if self._cells[n][0] == self._cells[n][1]:
-                continue  # no cell: nothing to frame or check
-            a, b = self.d(n), self.d(n + 1)
-            dec_a = smith_normal_form(a, with_transforms=True)
-            r_a = dec_a.rank
-            k = a.cols - r_a
-            coords = dec_a.vinv @ b
-            m = IntegerMatrix(
-                k, b.cols,
-                {(i - r_a, j): v for (i, j), v in coords.entries.items()
-                 if i >= r_a})
-            dec_m = smith_normal_form(m, with_transforms=True)
-            # kernel basis as columns r_a.. of v
-            kernel = IntegerMatrix(
-                a.cols, k,
-                {(i, j - r_a): v for (i, j), v in dec_a.v.entries.items()
-                 if j >= r_a})
-            reps = self.lift(n, kernel @ IntegerMatrix(
-                k, k - dec_m.rank,
-                {(i, j - dec_m.rank): v
-                 for (i, j), v in dec_m.uinv.entries.items()
-                 if j >= dec_m.rank}))
-            self._data[n] = (dec_a, dec_m, r_a, reps)
-
-    def dim(self, n: int) -> int:
-        """Cells of the window's reduced complex in degree n."""
-        lo, hi = self._block.get(n, (0, 0))
-        return hi - lo
-
-    def d(self, n: int) -> IntegerMatrix:
-        """The window's block of the reduced differential d'_n."""
-        (r0, r1), (c0, c1) = self._block[n - 1], self._block[n]
-        return IntegerMatrix(r1 - r0, c1 - c0, {
-            (i - r0, j - c0): v for (i, j), v in self._red.d(n).entries.items()
-            if r0 <= i < r1 and c0 <= j < c1})
-
-    def project(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
-        """f on chains of c, as columns of x, cut to the window of C'."""
-        lo, hi = self._block[n]
-        return _move_rows(self._red.project(n, x), hi - lo, lo, hi, -lo)
-
-    def lift(self, n: int, x: IntegerMatrix) -> IntegerMatrix:
-        """g on chains of the window of C', as columns of x."""
-        lo, _ = self._block[n]
-        return self._red.lift(
-            n, _move_rows(x, self._red.dim(n), 0, x.rows, lo))
-
-    def rank(self, n: int) -> int:
-        return self.reps(n).cols
-
-    def reps(self, n: int) -> IntegerMatrix:
-        if n not in self._data:
-            return IntegerMatrix.zero(self.complex.dim(n), 0)
-        return self._data[n][3]
-
-    def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
-        """Free-part coordinates of cycle columns; input must be cycles."""
-        if any(i >= self._cells.get(n, (0, 0))[1] for i, _ in cycles.entries):
-            raise InvariantViolation(f"vector in degree {n} leaves the window")
-        if n not in self._data or not cycles.cols:
-            return IntegerMatrix.zero(self.rank(n), cycles.cols)
-        below = self._cells[n - 1][0]
-        if any(i >= below for i, _ in (self.complex.d(n) @ cycles).entries):
-            raise InvariantViolation(f"vector in degree {n} is not a cycle")
-        dec_a, dec_m, r_a, reps = self._data[n]
-        x = dec_a.vinv @ self.project(n, cycles)
-        if any(i < r_a for (i, _) in x.entries):
-            raise InvariantViolation(
-                f"vector in degree {n} is not a cycle of the reduction")
-        k = self.dim(n) - r_a
-        xk = IntegerMatrix(k, cycles.cols,
-                           {(i - r_a, j): v for (i, j), v in x.entries.items()})
-        y = dec_m.u @ xk
-        return IntegerMatrix(reps.cols, cycles.cols,
-                             {(i - dec_m.rank, j): v
-                              for (i, j), v in y.entries.items()
-                              if i >= dec_m.rank})
-
-
 class _FieldFrame:
-    """Homology basis with cycle coordinates over F_p, on sparse columns.
+    """Homology basis with cycle coordinates over F_p, or over Q for Z.
 
-    Built from the column reductions (R, V, low), R = d V, of c, such
-    as Tot's (_Totalization.column_reductions), and framing the window
-    of cells lo[n] .. hi[n] - 1 of each c_n (_window): all of c, or the
-    sub (hi at a cut) or the quotient (lo at the cut). Each prefix is
-    reduced on its own, and a column whose low lies past the cut is only
-    added columns past the cut, so the window's rows carry its cycles
-    and boundaries: V_j for each j of the window whose column has no low
-    or one before the window (top entry 1 at j), and the columns of
-    R_{n+1} in the window with a low in it (top row that low). These
-    are the basis vectors, kept as sparse columns by their top row. The
-    representatives are the columns V_j whose j is no boundary's top:
-    chains of c, and for the quotient lifts of its cycles to c.
+    Built from the column reductions (R, V, low), R = d V, of c over its
+    field (Q for Z: _fplinalg with p None), such as Tot's
+    (_Totalization.column_reductions), and framing the window of cells
+    lo[n] .. hi[n] - 1 of each c_n (_window): all of c, or the sub (hi
+    at a cut) or the quotient (lo at the cut). Each prefix is reduced on
+    its own, and a column whose low lies past the cut is only added
+    columns past the cut, so the window's rows carry its cycles and
+    boundaries: V_j for each j of the window whose column has no low or
+    one before the window (top entry 1 at j), and the columns of R_{n+1}
+    in the window with a low in it (top row that low). These are the
+    basis vectors, kept as sparse columns by their top row with 1 / their
+    top entry. The representatives are the columns V_j whose j is no
+    boundary's top: chains of c, and for the quotient lifts of its
+    cycles to c. Over Q each is scaled to a primitive integer column, so
+    over Z they span the free part of homology after tensoring with Q.
 
     coords takes chains of c with no entry at or past hi[n] (mod p) and
     ignores their entries before lo[n]. It clears each chain from the
     top with the basis vectors while its top row is in the window
     (_fplinalg.clear_tops): the factors of the representatives are its
     coordinates, and a chain with a row of the window left is no cycle.
+    Over Q the coordinates of a call are scaled by one positive integer,
+    the least that makes them all integers, which keeps every rank and
+    every zero test.
     """
 
     def __init__(self, c: GradedChainComplex,
                  columns: Mapping[int, tuple] | None = None,
                  lo: Mapping[int, int] | None = None,
                  hi: Mapping[int, int] | None = None) -> None:
-        if not c.ring.is_field:
-            raise UnsupportedRing("field frame over Z")
         self.complex = c
         self.p = p = c.ring.p
         if columns is None:
@@ -552,13 +431,15 @@ class _FieldFrame:
             _, v, low_out = columns.get(n, ({}, {}, {}))
             r_in, _, low_in = columns.get(n + 1, ({}, {}, {}))
             tops = self._tops[n] = {
-                i: (r_in[k], pow(r_in[k][i], -1, p), None)
+                i: (r_in[k], _fplinalg.inverse(r_in[k][i], p), None)
                 for k, i in low_in.items()
                 if above <= k < above_end and i >= a}
             keys = [j for j in range(a, b)
                     if low_out.get(j, -1) < below and j not in tops]
             reps = [v.get(j, {j: 1}) for j in keys]
-            tops.update((j, (col, 1, k))
+            if p is None:  # top entry 1, so the result is primitive
+                reps = [_clear_denominators(col) for col in reps]
+            tops.update((j, (col, _fplinalg.inverse(col[j], p), k))
                         for k, (j, col) in enumerate(zip(keys, reps)))
             self._reps[n] = IntegerMatrix(c.dim(n), len(keys), {
                 (i, k): x for k, col in enumerate(reps) for i, x in col.items()})
@@ -573,7 +454,8 @@ class _FieldFrame:
     def coords(self, n: int, cycles: IntegerMatrix) -> IntegerMatrix:
         p = self.p
         a, b = _window(self.complex, self._lo, self._hi, n)
-        if any(i >= b and v % p for (i, _), v in cycles.entries.items()):
+        if any(i >= b and (v % p if p else v)
+               for (i, _), v in cycles.entries.items()):
             raise InvariantViolation(f"vector in degree {n} leaves the window")
         if n not in self._reps or not cycles.cols:
             return IntegerMatrix.zero(self.rank(n), cycles.cols)
@@ -584,7 +466,17 @@ class _FieldFrame:
                     out[k, j] = f
             if x and max(x) >= a:
                 raise InvariantViolation(f"vector in degree {n} is not a cycle")
+        if p is None:  # one positive integer clears every fraction
+            scale = lcm(*(f.denominator for f in out.values()))
+            out = {key: int(f * scale) for key, f in out.items()}
         return IntegerMatrix(self.rank(n), cycles.cols, out)
+
+
+def _clear_denominators(col: Mapping[int, int | Fraction]) -> dict[int, int]:
+    """A rational column times the least common denominator of its
+    entries."""
+    scale = lcm(*(v.denominator for v in col.values()))
+    return {i: int(v * scale) for i, v in col.items()}
 
 
 def _map_rank(m: IntegerMatrix, ring: CoefficientRing) -> int:
@@ -605,16 +497,16 @@ class ExactnessAudit:
 
     Over a field the three-term exactness is verified degreewise as an
     equality of subspaces (composite vanishes and ranks add up to the
-    middle dimension). Over Z the same rank bookkeeping is verified on
-    homology free parts, which is exactness after tensoring with Q. The
-    three frames are windows of one reduction of the total complex: its
-    column reductions over F_p, and over Z its unit-pair reduction whose
-    pivots never cross the cut. Every chain is a chain of the total
-    complex, and each induced map is ranked once. The connecting map is
-    computed either way from the snake lemma on representatives, and
-    connecting_rank[n] is the rank of H_n(quotient) -> H_{n-1}(sub).
-    positions_checked is 3 per degree of the total complex, even where
-    the sub or the quotient is empty.
+    middle dimension). Over Z the same bookkeeping is verified after
+    tensoring with Q, on homology free parts: the frames are those over
+    Q, with integral representatives and integer coordinates, and the
+    ranks are integer ranks. Either way the three frames are windows of
+    the column reductions of the total complex, the same for every cut.
+    Every chain is a chain of the total complex, and each induced map is
+    ranked once. The connecting map is computed from the snake lemma on
+    representatives, and connecting_rank[n] is the rank of
+    H_n(quotient) -> H_{n-1}(sub). positions_checked is 3 per degree of
+    the total complex, even where the sub or the quotient is empty.
     """
 
     exact: bool
@@ -638,12 +530,11 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     inherit a quotient twisted structure. The audit certifies the long
     exact sequence relating the three homologies in the coordinates of
     Tot(t): the sub is the prefix of each Tot_n, the quotient the rest,
-    and no complex is built for either. Their frames are windows of one
-    reduction of Tot(t): over Z its unit reduction with the cut at p
-    (homalg.UnitReduction), over F_p the column reductions kept on Tot
-    (_Totalization.column_reductions), which every cut and the spectral
-    sequence share. A quotient class is represented by a lift to Tot(t),
-    and D of that lift is a cycle of the sub: the connecting map.
+    and no complex is built for either. Their frames are windows of the
+    column reductions kept on Tot (_Totalization.column_reductions), mod
+    p or, over Z, over Q, which every cut and the spectral sequence
+    share. A quotient class is represented by a lift to Tot(t), and D of
+    that lift is a cycle of the sub: the connecting map.
 
     Cutting the height-squared function on S^2 below its poles: the
     poles span H_2 of the quotient and both bound the equator's loop,
@@ -679,14 +570,10 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
     tot, lay, ring = totalize(t), t._tot, t.ring
     cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
 
-    # the sub, Tot and the quotient are windows of one reduction of Tot
-    # (column reductions over F_p, the unit reduction with the cut over Z)
-    if ring.is_field:
-        frame, whole = _FieldFrame, lay.column_reductions
-    else:
-        frame, whole = _IntegralFrame, UnitReduction(tot, cut)
-    fr_sub, fr_tot = frame(tot, whole, hi=cut), frame(tot, whole)
-    fr_quot = frame(tot, whole, lo=cut)
+    # the sub, Tot and the quotient are windows of Tot's column reductions
+    whole = lay.column_reductions
+    fr_sub, fr_tot = _FieldFrame(tot, whole, hi=cut), _FieldFrame(tot, whole)
+    fr_quot = _FieldFrame(tot, whole, lo=cut)
     lo, hi = tot.min_degree, tot.max_degree
 
     # every chain is one of Tot: the connecting map H_n(quot) ->

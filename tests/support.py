@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import sys
 from typing import Mapping
 
 import numpy as np
@@ -458,13 +457,10 @@ def subspace_spectral_sequence(t: TwistedComplex, max_page: int):
 class EntryQueueReduction(UnitReduction):
     """Reference for homalg.UnitReduction: the same reduction with a
     queue record for every unit entry, re-queueing every unit of each
-    line a pivot touches. Its pivots, cells, d', cancelled counts and
-    fold and fill records are what the one-record-per-line queue must
-    reproduce, with or without a cut."""
+    line a pivot touches. Its cells, d' and cancelled counts are what
+    the one-record-per-line queue must reproduce."""
 
-    def __init__(self, c: GradedChainComplex,
-                 cut: Mapping[int, int] | None = None) -> None:
-        cut = dict(cut or {})
+    def __init__(self, c: GradedChainComplex) -> None:
         # d_n by rows and by columns: rows[n][r][c] == cols[n][c][r]
         rows: dict[int, dict[int, dict[int, int]]] = {}
         cols: dict[int, dict[int, dict[int, int]]] = {}
@@ -475,33 +471,20 @@ class EntryQueueReduction(UnitReduction):
                 cn.setdefault(j, {})[i] = v
         heap = [((len(row) - 1) * (len(cols[n][j]) - 1), n, i, j)
                 for n, rn in rows.items() for i, row in rn.items()
-                for j, v in row.items() if v in (1, -1)
-                and (i >= cut.get(n - 1, 0) or j < cut.get(n, 0))]
+                for j, v in row.items() if v in (1, -1)]
         heapq.heapify(heap)
 
         def push(n: int, at: int, line: dict[int, int], across,
                  is_row: bool) -> None:
-            # queue the unit entries of row (or column) `at` of d_n that
-            # may pivot: those at a row of S pivot in a column of S only
-            lo, hi = 0, sys.maxsize
-            if is_row and at < cut.get(n - 1, 0):
-                hi = cut.get(n, 0)
-            elif not is_row and at >= cut.get(n, 0):
-                lo = cut.get(n - 1, 0)
+            # queue the unit entries of row (or column) `at` of d_n
             for k, v in line.items():
-                if v in (1, -1) and lo <= k < hi:
+                if v in (1, -1):
                     cost = (len(line) - 1) * (len(across[k]) - 1)
                     heapq.heappush(heap, (cost, n, at, k) if is_row
                                    else (cost, n, k, at))
 
         cancelled: dict[int, int] = {}
         gone: dict[int, set[int]] = {}
-        # per degree, in pivot order: (r, u, column of r's pivot) for the
-        # cells of that degree cancelled as rows, which f folds away, and
-        # (c, u, row of c's pivot) for those cancelled as columns, which
-        # g fills back in
-        fold: dict[int, list] = {}
-        fill: dict[int, list] = {}
         while heap:
             cost, n, r, cc = heapq.heappop(heap)
             rn, cn = rows[n], cols[n]
@@ -550,13 +533,13 @@ class EntryQueueReduction(UnitReduction):
             cancelled[n] = cancelled.get(n, 0) + 1
             gone.setdefault(n, set()).add(cc)
             gone.setdefault(n - 1, set()).add(r)
-            fold.setdefault(n - 1, []).append((r, u, gamma))
-            fill.setdefault(n, []).append((cc, u, beta))
 
-        cells = {n: [i for i in range(c.dim(n)) if i not in gone.get(n, ())]
-                 for n in c.degrees()}
-        self._set(c, cells, {n: {(i, j): v for i, row in rn.items()
-                                 for j, v in row.items()}
-                             for n, rn in rows.items()},
-                  cancelled, fold, fill)
-
+        self.cells = {n: [i for i in range(c.dim(n))
+                          if i not in gone.get(n, ())] for n in c.degrees()}
+        index = {n: {i: k for k, i in enumerate(kept)}
+                 for n, kept in self.cells.items()}
+        self._d = {n: IntegerMatrix(
+            self.dim(n - 1), self.dim(n),
+            {(index[n - 1][i], index[n][j]): v for i, row in rn.items()
+             for j, v in row.items()}) for n, rn in rows.items() if rn}
+        self._cancelled = cancelled

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -404,3 +405,17 @@ def test_subprocess_entry_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "sphere_z2" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the dense references of _fplinalg, imported when
+    # one of them runs
+    import mbflow
+
+    src = str(Path(list(mbflow.__path__)[0]).parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import mbflow.cli; print('numpy' in sys.modules)", src],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

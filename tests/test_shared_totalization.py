@@ -98,51 +98,58 @@ def test_quotient_sequence_builds_each_totalization_once(counts):
 
 @pytest.fixture
 def reductions(monkeypatch):
-    made = []
-    orig = homalg.UnitReduction.__init__
+    """The unit reductions built, and the shapes of the matrices given to
+    the column reduction, in order."""
+    made = {"unit": [], "columns": []}
+    orig_unit = homalg.UnitReduction.__init__
+    orig_columns = _fplinalg.reduce_columns
 
-    def counted(self, *args, **kwargs):
-        made.append(self)
-        orig(self, *args, **kwargs)
-    monkeypatch.setattr(homalg.UnitReduction, "__init__", counted)
+    def unit(self, *args, **kwargs):
+        made["unit"].append(self)
+        orig_unit(self, *args, **kwargs)
+
+    def columns(a, p):
+        made["columns"].append((a.rows, a.cols))
+        return orig_columns(a, p)
+    monkeypatch.setattr(homalg.UnitReduction, "__init__", unit)
+    monkeypatch.setattr(_fplinalg, "reduce_columns", columns)
     return made
 
 
+def _audit_every_cut(t):
+    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        assert quotient_sequence(t, p).audit.exact
+
+
 def test_integral_quotient_sequence_reduces_once(reductions):
-    # one reduction of Tot with the cut; the sub and quotient frames use
-    # its two halves
+    # the audits at every cut read one column reduction over Q of each
+    # nonzero D_n, kept on Tot, and build no unit reduction
     t = realize(parse_category(fixture_bytes("borel_free_circle_3")))
-    reductions.clear()
-    qs = quotient_sequence(t, 1)
-    assert qs.audit.exact
-    assert len(reductions) == 1
+    _audit_every_cut(t)
+    assert reductions["unit"] == []
+    assert reductions["columns"] == [
+        (d.rows, d.cols) for d in t._tot.differentials.values()]
 
 
 def test_field_quotient_sequence_reduces_nothing(reductions):
+    # nothing beyond the column reductions kept on Tot
     t = random_twisted(random.Random(7), F3)
-    qs = quotient_sequence(t, 1)
-    assert qs.audit.exact
-    assert reductions == []
+    _audit_every_cut(t)
+    assert reductions["unit"] == []
+    assert reductions["columns"] == [
+        (d.rows, d.cols) for d in t._tot.differentials.values()]
 
 
-def test_field_audits_and_spectral_sequence_reduce_tot_once(monkeypatch):
+def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
     # the spectral sequence and the audits at every cut read one column
     # reduction of each nonzero D_n, kept on Tot
-    reduced = []
-    orig = _fplinalg.reduce_columns
-
-    def counted(a, p):
-        reduced.append((a.rows, a.cols))
-        return orig(a, p)
-    monkeypatch.setattr(_fplinalg, "reduce_columns", counted)
     t = random_twisted(random.Random(6), F3, max_generators=14,
                        max_pieces=5)
-    lay = t._tot
     assert len(t.pieces) == 5 and len(t.structure_maps) == 3
     assert spectral_sequence(t, 4).pages
-    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-        assert quotient_sequence(t, p).audit.exact
-    assert reduced == [(d.rows, d.cols) for d in lay.differentials.values()]
+    _audit_every_cut(t)
+    assert reductions["columns"] == [
+        (d.rows, d.cols) for d in t._tot.differentials.values()]
 
 
 def test_cone_command_builds_the_cone_once(monkeypatch):

@@ -29,7 +29,6 @@ from mbflow.homalg import (
     ZZ,
     CoefficientRing,
     IntegerMatrix,
-    UnitReduction,
     complex_from_ranks,
     homology,
     integer_rank,
@@ -40,7 +39,6 @@ from mbflow.twisted import (
     TwistedComplex,
     TwistedMorphism,
     _FieldFrame,
-    _IntegralFrame,
     cone,
     identity_morphism,
     index_split,
@@ -291,29 +289,6 @@ def test_quotient_sequence_random_integral():
         assert qs.audit.exact, qs.audit.failures
 
 
-def _check_integral_frame(c):
-    fr = _IntegralFrame(c)
-    h = homology(c)
-    for n in c.degrees():
-        reps = fr.reps(n)
-        k = reps.cols
-        assert k == fr.rank(n) == h.free_rank(n)
-        assert (c.d(n) @ reps).is_zero()
-        assert fr.coords(n, reps) == IntegerMatrix.identity(k)
-        # coordinates are linear and blind to boundaries
-        bnd = c.d(n + 1)
-        mix = IntegerMatrix(k, 2, {(i, j): (i + 1) * (1 - 2 * j)
-                                   for i in range(k) for j in range(2)})
-        glue = IntegerMatrix(bnd.cols, 2, {(i, 1): -2
-                                           for i in range(bnd.cols)})
-        assert fr.coords(n, reps @ mix + bnd @ glue) == mix
-        d = c.d(n)
-        if not d.is_zero():
-            j = min(j for (_, j) in d.entries)
-            with pytest.raises(InvariantViolation):
-                fr.coords(n, IntegerMatrix(c.dim(n), 1, {(j, 0): 1}))
-
-
 def _window_rows(x, a, rows):
     """Rows a .. a + rows - 1 of x, as chains of a window."""
     return IntegerMatrix(rows, x.cols, {(i - a, j): v
@@ -327,9 +302,18 @@ def _into(x, a, rows):
                                         for (i, j), v in x.entries.items()})
 
 
+def _mod(v, p):
+    """v mod p, or v itself over Z (p None)."""
+    return v % p if p else v
+
+
+def _is_zero(m, p):
+    return m.is_zero_mod(p) if p else m.is_zero()
+
+
 def _check_field_frame(c, fr=None, lo=None):
     """fr frames c as the window of fr.complex from lo[n] on (c itself
-    by default)."""
+    by default), over F_p or, for Z, over Q."""
     p = c.ring.p
     fr = _FieldFrame(c) if fr is None else fr
     whole = fr.complex
@@ -341,43 +325,61 @@ def _check_field_frame(c, fr=None, lo=None):
         k = reps.cols
         assert reps.rows == whole.dim(n)
         assert k == fr.rank(n) == h.free_rank(n)
+        assert all(type(v) is int for v in reps.entries.values())
         assert all(i < b for i, _ in reps.entries)
-        assert (c.d(n) @ _window_rows(reps, a, c.dim(n))).is_zero_mod(p)
+        assert _is_zero(c.d(n) @ _window_rows(reps, a, c.dim(n)), p)
         assert fr.coords(n, reps) == IntegerMatrix.identity(k)
-        # coordinates are linear mod p and blind to boundaries and to
+        # coordinates are linear (mod p) and blind to boundaries and to
         # the rows before the window
         bnd = _into(c.d(n + 1), a, whole.dim(n))
-        mix = IntegerMatrix(k, 2, {(i, j): (i + 1) * (1 - 2 * j) % p
-                                   for i in range(k) for j in range(2)
-                                   if (i + 1) % p})
+        mix = IntegerMatrix(k, 2, {(i, j): v for i in range(k)
+                                   for j in range(2)
+                                   if (v := _mod((i + 1) * (1 - 2 * j), p))})
         glue = IntegerMatrix(bnd.cols, 2, {(i, 1): -2
                                            for i in range(bnd.cols)})
         front = IntegerMatrix(whole.dim(n), 2, {(i, 0): 1 for i in range(a)})
         got = fr.coords(n, reps @ mix + bnd @ glue + front)
-        assert (got - mix).is_zero_mod(p)
+        assert all(type(v) is int for v in got.entries.values())
+        assert _is_zero(got - mix, p)
         # a row can turn nonzero during the walk: a boundary less c times
         # a representative, where c is its entry at that one's top, is
         # zero there until the boundary is cleared
         tops = [max(i for i, j in reps.entries if j == q) for q in range(k)]
-        pairs = [(m, q, bnd[top, m] % p) for m in range(bnd.cols)
-                 for q, top in enumerate(tops) if bnd[top, m] % p]
+        pairs = [(m, q, v) for m in range(bnd.cols)
+                 for q, top in enumerate(tops) if (v := _mod(bnd[top, m], p))]
         if pairs:
             x = bnd @ IntegerMatrix(bnd.cols, len(pairs), {
                 (m, r): 1 for r, (m, _, _) in enumerate(pairs)})
             want = IntegerMatrix(k, len(pairs), {
                 (q, r): v for r, (_, q, v) in enumerate(pairs)})
-            assert (fr.coords(n, x - reps @ want) + want).is_zero_mod(p)
+            assert _is_zero(fr.coords(n, x - reps @ want) + want, p)
         d = c.d(n)
-        if not d.is_zero_mod(p):
-            j = min(j for (_, j), v in d.entries.items() if v % p)
-            with pytest.raises(InvariantViolation):
+        if not _is_zero(d, p):
+            j = min(j for (_, j), v in d.entries.items() if _mod(v, p))
+            with pytest.raises(InvariantViolation, match="not a cycle"):
                 fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(a + j, 0): 1}))
         if b < whole.dim(n):
             # past the window: an entry counts unless it is 0 mod p
-            with pytest.raises(InvariantViolation):
-                fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(b, 0): p + 1}))
-            assert fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(b, 0): p})) \
-                == IntegerMatrix.zero(k, 1)
+            with pytest.raises(InvariantViolation, match="leaves the window"):
+                fr.coords(n, IntegerMatrix(whole.dim(n), 1, {(b, 0): 1}))
+            if p:
+                assert fr.coords(n, IntegerMatrix(whole.dim(n), 1,
+                                                  {(b, 0): p})) \
+                    == IntegerMatrix.zero(k, 1)
+
+
+def _check_frames_at_every_cut(t):
+    """The frame of Tot from its own reductions, and the sub and quotient
+    frames as windows of Tot's reductions at every cut of t."""
+    tot = totalize(t)
+    _check_field_frame(tot)
+    lay = t._tot
+    whole = lay.column_reductions
+    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        sub, quot = (totalize(s) for s in index_split(t, p))
+        cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
+        _check_field_frame(sub, _FieldFrame(tot, whole, hi=cut))
+        _check_field_frame(quot, _FieldFrame(tot, whole, lo=cut), cut)
 
 
 def test_field_frame_from_column_reductions():
@@ -386,24 +388,32 @@ def test_field_frame_from_column_reductions():
     rng = random.Random(5)
     for ring in (F2, F3, F5):
         for _ in range(15):
-            t = random_twisted(rng, ring, 14, 5)
-            tot = totalize(t)
-            _check_field_frame(tot)
-            lay = t._tot
-            whole = lay.column_reductions
-            for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-                sub, quot = (totalize(s) for s in index_split(t, p))
-                cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
-                _check_field_frame(sub, _FieldFrame(tot, whole, hi=cut))
-                _check_field_frame(quot, _FieldFrame(tot, whole, lo=cut), cut)
+            _check_frames_at_every_cut(random_twisted(rng, ring, 14, 5))
 
 
 def test_integral_frame_on_reduced_complex():
+    # over Z the frame is over Q, read off the same column reductions:
+    # random integral complexes, and Tot of random twisted complexes
+    # over Z with its sub and quotient windows at every cut
     rng = random.Random(3)
     for _ in range(40):
-        _check_integral_frame(random_integral_complex(rng)[0])
+        _check_field_frame(random_integral_complex(rng)[0])
     for _ in range(15):
-        _check_integral_frame(totalize(random_twisted(rng, ZZ, 14)))
+        _check_frames_at_every_cut(random_twisted(rng, ZZ, 14, 5))
+
+
+def test_rational_frame_scales_coordinates_to_integers():
+    # H_1 = Z^2 / (1, 2): over Q the class of e_1 is -1/2 that of e_0,
+    # and the coordinates of (e_0, e_1) come back doubled
+    c = complex_from_ranks(ZZ, {1: 2, 2: 1}, {2: mat([[1], [2]])})
+    fr = _FieldFrame(c)
+    assert fr.reps(1) == mat([[1], [0]])
+    assert fr.coords(1, IntegerMatrix.identity(2)) == mat([[2, -1]])
+    # the representative is scaled to a primitive integer column
+    c = complex_from_ranks(ZZ, {0: 2, 1: 3}, {1: mat([[2, 0, 1], [0, 2, 1]])})
+    fr = _FieldFrame(c)
+    assert fr.reps(1) == mat([[-1], [-1], [2]])
+    assert fr.coords(1, mat([[1], [1], [-2]])) == mat([[-1]])
 
 
 def test_quotient_sequence_random_integral_every_cut():
@@ -415,75 +425,46 @@ def test_quotient_sequence_random_integral_every_cut():
             assert qs.audit.exact, (cut, qs.audit.failures)
 
 
-def _check_window_reduction(c, fr, cancelled, lo=None):
-    """The identities of the reduction of c that the frame fr reads off
-    a larger reduction, where c is the window of fr.complex from lo[n]
-    on (all of it by default); cancelled[n] counts its pivots in d_n."""
-    whole, h = fr.complex, homology(c)
-    for n in whole.degrees():
-        a = 0 if lo is None else lo.get(n, 0)
-        below = 0 if lo is None else lo.get(n - 1, 0)
-        # the frame's classes, lifted to the whole complex
-        reps = fr.reps(n)
-        assert reps.cols == fr.rank(n) == h.free_rank(n)
-        assert fr.coords(n, reps) == IntegerMatrix.identity(reps.cols)
-        if a + c.dim(n) < whole.dim(n):
-            with pytest.raises(InvariantViolation):      # past the window
-                fr.coords(n, IntegerMatrix(whole.dim(n), 1,
-                                           {(a + c.dim(n), 0): 1}))
-        ident = IntegerMatrix.identity(fr.dim(n))
-        g = fr.lift(n, ident)
-        f = fr.project(n, _into(IntegerMatrix.identity(c.dim(n)), a,
-                                whole.dim(n)))
-        # g lifts to chains of the whole complex with no cell past c
-        assert g.rows == whole.dim(n)
-        assert all(i < a + c.dim(n) for i, _ in g.entries)
-        assert fr.project(n, g) == ident                        # f g = 1
-        assert c.d(n) @ _window_rows(g, a, c.dim(n)) == \
-            _window_rows(fr.lift(n - 1, fr.d(n)), below,        # d g = g d'
-                         c.dim(n - 1))
-        assert fr.d(n) @ f == fr.project(                       # d' f = f d
-            n - 1, _into(c.d(n), below, whole.dim(n - 1)))
-        assert cancelled[n] + integer_rank(fr.d(n)) == integer_rank(c.d(n))
-        assert fr.dim(n) == c.dim(n) - cancelled[n] - cancelled[n + 1]
+def _check_window_reduction(c, whole, lo, hi, p):
+    """The column reductions of c are the window of cells lo[n] ..
+    hi[n] - 1 of the larger reductions whole, rows and columns alike:
+    its R and low, and for a prefix (a sub) its V as well."""
+    for n in c.degrees():
+        r, v, low = whole.get(n, ({}, {}, {}))
+        a, b, below = lo.get(n, 0), hi.get(n, 0), lo.get(n - 1, 0)
+
+        def window(cols, rows_from):
+            return {j - a: {i - rows_from: x for i, x in col.items()
+                            if i >= rows_from}
+                    for j, col in cols.items() if a <= j < b}
+        got_r = {j: col for j, col in window(r, below).items() if col}
+        got_low = {j - a: i - below for j, i in low.items()
+                   if a <= j < b and i >= below}
+        want_r, want_v, want_low = _fplinalg.reduce_columns(c.d(n), p)
+        assert (got_r, got_low) == (want_r, want_low), n
+        if not lo:
+            assert window(v, 0) == want_v, n
 
 
-@given(st.integers(0, 2 ** 32))
+@given(st.integers(0, 2 ** 32), st.sampled_from([None, 2, 3]))
 @settings(max_examples=60, deadline=None)
-def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed):
-    # one reduction of Tot with the cut; Tot, the sub and the quotient
-    # are its windows: all cells, those before the cut, the others
-    t = random_twisted(random.Random(seed), ZZ, max_generators=14,
+def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed, p):
+    # one column reduction of Tot serves every cut: the sub's reductions
+    # are its prefix, the quotient's its lower right block, and the
+    # pairs of Tot are those of the two plus the ones across the cut
+    ring = ZZ if p is None else CoefficientRing.prime_field(p)
+    t = random_twisted(random.Random(seed), ring, max_generators=14,
                        max_pieces=5)
-    tot, lay = totalize(t), t._tot
-    full = dict(lay.ranks)
-    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-        cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
-        red = UnitReduction(tot, cut)
-        sub, quot = (totalize(s) for s in index_split(t, p))
-        # every pivot lies on one side of the cut
-        for n in tot.degrees():
-            for (r, _, _), (cc, _, _) in zip(red._fold.get(n - 1, ()),
-                                             red._fill.get(n, ())):
-                assert (r < cut.get(n - 1, 0)) == (cc < cut[n])
-
-        def pivots(lo, hi):
-            # pivots of each d_n whose column lies in lo[n] .. hi[n] - 1
-            return Counter(n for n, recs in red._fill.items()
-                           for cc, _, _ in recs
-                           if lo.get(n, 0) <= cc < hi.get(n, 0))
-
-        fr_tot = _IntegralFrame(tot, red)
-        fr_sub = _IntegralFrame(tot, red, hi=cut)
-        fr_quot = _IntegralFrame(tot, red, lo=cut)
-        on_sub, on_quot = pivots({}, cut), pivots(cut, full)
-        _check_window_reduction(tot, fr_tot, pivots({}, full))
-        _check_window_reduction(sub, fr_sub, on_sub)
-        _check_window_reduction(quot, fr_quot, on_quot, cut)
-        for n in tot.degrees():
-            assert red.cancelled(n) == on_sub[n] + on_quot[n]
-            assert red.dim(n) == fr_tot.dim(n) == \
-                fr_sub.dim(n) + fr_quot.dim(n)
+    lay = t._tot
+    whole, full = lay.column_reductions, dict(lay.ranks)
+    for n, d in lay.differentials.items():
+        rank = integer_rank(d) if p is None else _fplinalg.rank(d, p)
+        assert len(whole[n][2]) == rank
+    for cut_at in range(min(t.pieces) - 1, max(t.pieces) + 1):
+        cut = {n: lay.prefix_dim(n, cut_at) for n in lay.ranks}
+        sub, quot = (totalize(s) for s in index_split(t, cut_at))
+        _check_window_reduction(sub, whole, {}, cut, p)
+        _check_window_reduction(quot, whole, cut, full, p)
 
 
 @given(st.integers(0, 2 ** 32))
@@ -508,13 +489,14 @@ def test_integral_connecting_ranks_match_homology_over_q(seed):
                 h_quot.free_rank(n) - rk.get(n, 0), (p, n)
 
 
-@given(st.integers(0, 2 ** 32), st.sampled_from([2, 3, 5]))
+@given(st.integers(0, 2 ** 32), st.sampled_from([None, 2, 3, 5]))
 @settings(max_examples=60, deadline=None)
 def test_field_connecting_ranks_count_pairs_across_the_cut(seed, p):
     # ker i_* = im of the connecting map: its rank at a cut is the number
     # of persistence pairs (sigma in degree n - 1, tau in degree n) of
-    # Tot with filt sigma <= cut < filt tau
-    ring = CoefficientRing.prime_field(p)
+    # Tot with filt sigma <= cut < filt tau; over Z (p None) those of
+    # the reduction over Q
+    ring = ZZ if p is None else CoefficientRing.prime_field(p)
     t = random_twisted(random.Random(seed), ring, max_generators=14,
                        max_pieces=5)
     lay = t._tot
@@ -566,6 +548,23 @@ def test_field_audit_of_a_wide_degree_with_no_differentials():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20, peak
+    assert audit.exact, audit.failures
+    assert audit.positions_checked == 6 and not audit.connecting_rank
+
+
+def test_integral_audit_of_a_dense_differential_with_no_unit():
+    # a 15 x 15 d_1 with entries in {-3, -2, 2, 3} and zeros has no unit
+    # to cancel; the audit reads Tot's column reduction over Q and runs
+    # no Smith form on it
+    rng = random.Random(11)
+    d = mat([[rng.choice((-3, -2, 0, 2, 3)) for _ in range(15)]
+             for _ in range(15)])
+    t = twisted_from_parts(ZZ, {0: complex_from_ranks(ZZ, {0: 15, 1: 15},
+                                                      {1: d}),
+                                1: point_complex(ZZ)})
+    start = time.perf_counter()
+    audit = quotient_sequence(t, 0).audit
+    assert time.perf_counter() - start < 3.0
     assert audit.exact, audit.failures
     assert audit.positions_checked == 6 and not audit.connecting_rank
 
