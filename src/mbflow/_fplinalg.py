@@ -9,7 +9,8 @@ reduced and a value is an int or a Fraction. A pivot's inverse is the
 pivot itself when it is +-1, so a column reduced by unit pivots keeps
 int values. One step, clear_tops, serves it all: it subtracts known
 columns from a column while its top (largest) row is the top of one of
-them.
+them. With unit columns only, it is also the integral sweep of homalg's
+homology over Z (homalg.unit_sweep).
 
 reduce_columns is the left-to-right column reduction of persistent
 homology, and rank the same without V. It works over any field and

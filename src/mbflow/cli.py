@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
 from typing import Any, Mapping
 
@@ -141,7 +142,15 @@ def _decode(data: bytes) -> Any:
     except UnicodeDecodeError as e:
         raise ParseError(f"not UTF-8: {e}") from None
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # an integer past Python's limit on decimal digits for
+            # int(str); Decimal reads it exactly, and only the files that
+            # need it pay for the slower parse
+            return json.loads(text, parse_int=lambda v: int(Decimal(v)))
     except json.JSONDecodeError as e:
         raise ParseError(
             f"line {e.lineno} column {e.colno}: {e.msg}") from None
@@ -162,9 +171,16 @@ def _field(doc: Mapping, key: str, path: str, type_: type, what: str,
     return _want(doc[key], f"{path}.{key}", type_, what)
 
 
+# a matrix entry may have any size, but a rank, degree, index or shape
+# is printed with str(), which Python refuses past 4,300 digits
+_DIGITS_BOUND = 10 ** 4300
+
+
 def _parse_int(v: Any, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{path}: expected an integer")
+    if not -_DIGITS_BOUND < v < _DIGITS_BOUND:
+        raise SchemaError(f"{path}: more than 4300 digits")
     return v
 
 
@@ -173,7 +189,7 @@ def _parse_matrix(obj: Any, path: str, rows: int, cols: int,
     _want(obj, path, dict, "an object")
     shape = _field(obj, "shape", path, list, "an array")
     if len(shape) != 2 or any(not isinstance(s, int) or isinstance(s, bool)
-                              or s < 0 for s in shape):
+                              or not 0 <= s < _DIGITS_BOUND for s in shape):
         raise SchemaError(f"{path}.shape: expected [rows, cols]")
     if shape != [rows, cols]:
         raise SchemaError(
@@ -388,7 +404,8 @@ def _print_homology(h: HomologySummary, out) -> None:
         return
     print(_paint("degree  free  torsion", "1", on), file=out)
     for n in degrees:
-        tor = ",".join(str(v) for v in h.torsion(n)) or "-"
+        # Decimal prints every digit, past the limit of str(int) too
+        tor = ",".join(str(Decimal(v)) for v in h.torsion(n)) or "-"
         print(f"{n:>6}  {h.free_rank(n):>4}  {tor}", file=out)
 
 

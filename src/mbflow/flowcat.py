@@ -124,18 +124,20 @@ class FlowCategoryData:
                 raise UnsupportedRing(
                     f"object {o.name!r} is over {o.chain.ring}, "
                     f"category over {self.ring}")
-        by_name = {o.name: o for o in self.objects}
         for c in self.correspondences:
-            if c.source not in by_name or c.target not in by_name:
+            if c.source not in self._by_name or \
+                    c.target not in self._by_name:
                 raise ValidationError(
                     f"correspondence {c.source!r} -> {c.target!r} references "
                     f"a missing object")
 
+    @cached_property
+    def _by_name(self) -> dict[str, FlowObject]:
+        return {o.name: o for o in self.objects}
+
     def object(self, name: str) -> FlowObject:
-        for o in self.objects:
-            if o.name == name:
-                return o
-        raise KeyError(name)
+        """The object called name; KeyError if there is none."""
+        return self._by_name[name]
 
     def object_names(self) -> list[str]:
         return [o.name for o in self.objects]

@@ -6,14 +6,15 @@ optional tracked transforms, homology with torsion, Poincare series in
 the Laurent variable t, and the (1+t)-divisibility partial order on
 such series that drives every inequality verdict in the package.
 
-Integer homology works by reduction: UnitReduction cancels the cells
-joined by a +-1 incidence, in pairs, by sparse elimination in Markowitz
-order, and only the differentials left over go through the dense Smith
-form, one per degree and without transforms. Every integer rank is
-cross-checked against elimination of the original differential modulo
-a large prime. Induced maps over Z, as in twisted's long-exact-sequence
-audit, are read after tensoring with Q, off the same sparse column
-reduction as over F_p (_fplinalg), and need no reduction here.
+Integer homology works in two stages (Dumas, Heckenbach, Saunders and
+Welker 2003): unit_sweep, a sparse column elimination of each
+differential that pivots only on +-1, splits off its unit pivots, and
+only the leftover goes through the dense Smith form, one per degree and
+without transforms. Every integer rank is cross-checked against
+elimination of the original differential modulo a large prime. Induced
+maps over Z, as in twisted's long-exact-sequence audit, are read and
+ranked after tensoring with Q, off the same sparse column reduction as
+over F_p (_fplinalg), and need no Smith form.
 
 Matrix convention used everywhere: the differential d_n maps degree n
 to degree n-1 and is stored as a (rank(n-1) x rank(n)) integer matrix
@@ -369,8 +370,8 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
     returns a SmithDecomposition carrying unimodular u, v and their
     exact inverses; only then are the transforms allocated and updated,
     and a matrix with no entries returns ((), 0) at once. The dense
-    reduction is meant for what unit-pair reduction leaves over (see
-    UnitReduction); homology over Z never asks for transforms.
+    reduction is meant for the leftover of unit_sweep, which holds no
+    +-1 pivot; homology over Z never asks for transforms.
 
     The pivot choice (smallest absolute value, then lowest row, then
     lowest column) is deterministic, so repeated runs agree entry for
@@ -485,7 +486,9 @@ def integer_rank(m: IntegerMatrix) -> int:
     After k pivots every entry left below them is a (k+1)-minor of m,
     so each division by the previous pivot is exact and the entries
     stay within Hadamard's bound: Python ints, no fractions and no
-    Smith form.
+    Smith form. Dense and cubic, it is the independent reference that
+    the sparse rank over Q (_fplinalg.rank with p None) is tested
+    against.
 
     >>> integer_rank(IntegerMatrix.from_rows([[2, 4], [3, 6]]))
     1
@@ -654,164 +657,6 @@ def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# homology by reduction
-
-
-class UnitReduction:
-    """A complex over Z with its unit incidences cancelled in pairs.
-
-    Each step picks an entry u = +-1 of some differential d_n, at row r
-    (a cell of degree n-1) and column c (a cell of degree n), and
-    cancels the two cells: d_n becomes its Schur complement
-    d_n - d_n[:, c] u d_n[r, :] on the other rows and columns, d_{n+1}
-    loses row c and d_{n-1} loses column r. Steps go in Markowitz order,
-    least (entries in the row - 1) * (entries in the column - 1) first,
-    ties broken by degree, then row, then column, so the result is
-    deterministic. This is homology by reduction (Kaczynski, Mrozek and
-    Slusarek 1998), also known as algebraic Morse theory.
-
-    The queue holds one record per line (row or column) of each d_n:
-    the least key (cost, n, r, c) among its units, as in the row and
-    column counts of sparse LU (Markowitz 1957; Duff, Erisman and Reid).
-    A step re-queues each line it changes or shortens, and a popped
-    record whose entry has changed re-queues the current best of its own
-    line. A unit's key falls only when its row or column shrinks, which
-    re-queues that line, so every unit has a record at or below its key,
-    a current record popped is the least key of all, and the order is
-    that of a queue of every unit.
-
-    The reduced complex C' keeps the surviving cells of each degree in
-    their original order, and C and C' are chain homotopy equivalent;
-    cancelled(n) counts the pairs cancelled in d_n, so
-    rk d_n = cancelled(n) + rk d'_n. A degree that loses no cell keeps
-    its cells as a range, so it costs nothing per cell.
-    """
-
-    def __init__(self, c: GradedChainComplex) -> None:
-        # d_n by rows and by columns: rows[n][r][c] == cols[n][c][r]
-        rows: dict[int, dict[int, dict[int, int]]] = {}
-        cols: dict[int, dict[int, dict[int, int]]] = {}
-        for n, m in c.differential.items():
-            rn, cn = rows.setdefault(n, {}), cols.setdefault(n, {})
-            for (i, j), v in m.entries.items():
-                rn.setdefault(i, {})[j] = v
-                cn.setdefault(j, {})[i] = v
-
-        def best(n: int, at: int, is_row: bool):
-            # the record of row (or column) `at` of d_n: the least key of
-            # its units, flagged with the kind of line, or None
-            lines, across = (rows, cols) if is_row else (cols, rows)
-            line = lines[n].get(at)
-            if not line:
-                return None
-            other, m = across[n], len(line) - 1
-            key = None
-            for k, v in line.items():
-                if v == 1 or v == -1:
-                    got = (m * (len(other[k]) - 1), k)
-                    if key is None or got < key:
-                        key = got
-            if key is None:
-                return None
-            return (key[0], n, at, key[1], True) if is_row \
-                else (key[0], n, key[1], at, False)
-
-        def push(n: int, at: int, is_row: bool) -> None:
-            rec = best(n, at, is_row)
-            if rec is not None:
-                heapq.heappush(heap, rec)
-
-        heap = [rec for n in rows for lines, is_row in
-                ((rows[n], True), (cols[n], False))
-                for at in lines if (rec := best(n, at, is_row))]
-        heapq.heapify(heap)
-
-        cancelled: dict[int, int] = {}
-        gone: dict[int, set[int]] = {}
-        while heap:
-            cost, n, r, cc, is_row = heapq.heappop(heap)
-            rn, cn = rows[n], cols[n]
-            row = rn.get(r)
-            if row is None or row.get(cc) not in (1, -1) or \
-                    (len(row) - 1) * (len(cn[cc]) - 1) != cost:
-                # stale: queue its line's current best instead
-                push(n, r if is_row else cc, is_row)
-                continue
-            u = row[cc]
-            del rn[r]
-            col = cn.pop(cc)
-            beta = {j: v for j, v in row.items() if j != cc}
-            gamma = {i: v for i, v in col.items() if i != r}
-            for j in beta:
-                del cn[j][r]
-            for i in gamma:
-                del rn[i][cc]
-            for i, gi in gamma.items():
-                ri, s = rn[i], gi * u
-                for j, bj in beta.items():
-                    v = ri.get(j, 0) - s * bj
-                    if v:
-                        ri[j] = cn[j][i] = v
-                    else:
-                        del ri[j], cn[j][i]
-            for i in gamma:
-                if rn[i]:
-                    push(n, i, True)
-                else:
-                    del rn[i]
-            for j in beta:
-                if cn[j]:
-                    push(n, j, False)
-                else:
-                    del cn[j]
-            # the cancelled cells leave the neighbouring differentials
-            for m, lines, across, cell, is_row in (
-                    (n + 1, rows, cols, cc, False),
-                    (n - 1, cols, rows, r, True)):
-                for k in lines.get(m, {}).pop(cell, ()):
-                    line = across[m][k]
-                    del line[cell]
-                    if line:
-                        push(m, k, is_row)
-                    else:
-                        del across[m][k]
-            cancelled[n] = cancelled.get(n, 0) + 1
-            gone.setdefault(n, set()).add(cc)
-            gone.setdefault(n - 1, set()).add(r)
-
-        # a degree that lost no cell keeps them all as a range, which
-        # maps each cell to its position itself
-        self.cells = {n: [i for i in range(c.dim(n)) if i not in gone[n]]
-                      if n in gone else range(c.dim(n)) for n in c.degrees()}
-        index = {n: kept if isinstance(kept, range)
-                 else {i: k for k, i in enumerate(kept)}
-                 for n, kept in self.cells.items()}
-        self._d: dict[int, IntegerMatrix] = {}
-        for n, rn in rows.items():
-            if rn:
-                ri, ci = index.get(n - 1, {}), index.get(n, {})
-                self._d[n] = IntegerMatrix(
-                    self.dim(n - 1), self.dim(n),
-                    {(ri[i], ci[j]): v for i, row in rn.items()
-                     for j, v in row.items()})
-        self._cancelled = cancelled
-
-    def dim(self, n: int) -> int:
-        return len(self.cells.get(n, ()))
-
-    def d(self, n: int) -> IntegerMatrix:
-        """The reduced differential d'_n: C'_n -> C'_{n-1}."""
-        got = self._d.get(n)
-        if got is not None:
-            return got
-        return IntegerMatrix.zero(self.dim(n - 1), self.dim(n))
-
-    def cancelled(self, n: int) -> int:
-        """Pairs cancelled in d_n, each a unit pivot of d_n."""
-        return self._cancelled.get(n, 0)
-
-
-# ---------------------------------------------------------------------------
 # homology
 
 
@@ -846,47 +691,111 @@ class HomologySummary:
         return not self.free and not self.torsion_factors
 
 
+def unit_sweep(d: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+    """Sparse elimination of d over Z that pivots only on +-1.
+
+    Returns (units, leftover): d is equivalent over Z to the identity of
+    size units plus the leftover, a matrix on its own rows and columns,
+    so rk d = units + rk leftover and the invariant factors of d other
+    than 1 are those of the leftover.
+
+    Each column of d in turn is cleared while its top (largest) row is
+    the top of an earlier unit column (_fplinalg.clear_tops over Z): the
+    multiplier is the column's own entry times +-1, so values stay
+    integers. A column left with a top of +-1 becomes a unit column. Any
+    other nonzero column goes to the leftover and never pivots, so no
+    fraction arises. Then each leftover column is cleared at every unit
+    column's top row, in descending row order. Every move is a
+    unimodular column operation. On their top rows the unit columns are
+    triangular with +-1 on the diagonal, and the leftover is zero there,
+    so row operations split the units off without touching the leftover.
+    This is the sparse first stage of Dumas, Heckenbach, Saunders and
+    Welker (2003); the Smith form runs only on what is left.
+
+    >>> units, rest = unit_sweep(IntegerMatrix.from_rows([[1, 1], [1, -1]]))
+    >>> units, rest.to_rows()
+    (1, [[2]])
+    """
+    # top row -> (unit column, 1 / its top, which is its top, None)
+    tops: dict[int, tuple] = {}
+    rest = []
+    for x in _fplinalg.columns(d, None).values():
+        _fplinalg.clear_tops(x, tops, None)
+        if x:
+            i = max(x)
+            if x[i] in (1, -1):
+                tops[i] = (x, x[i], None)
+            else:
+                rest.append(x)
+    for x in rest:
+        # a step only fills rows below the one it clears
+        todo = [-i for i in x if i in tops]
+        heapq.heapify(todo)
+        while todo:
+            i = -heapq.heappop(todo)
+            if i in x:
+                y, u, _ = tops[i]
+                _fplinalg.subtract(x, y, x[i] * u, None)
+                for k in y:
+                    if k < i and k in tops and k in x:
+                        heapq.heappush(todo, -k)
+    rest = [x for x in rest if x]
+    rows = {i: k for k, i in enumerate(sorted({i for x in rest for i in x}))}
+    return len(tops), IntegerMatrix(
+        len(rows), len(rest),
+        {(rows[i], j): v for j, x in enumerate(rest) for i, v in x.items()})
+
+
 def homology(c: GradedChainComplex) -> HomologySummary:
     """Homology of a bounded complex over its coefficient ring.
 
-    Over Z the complex is first reduced by cancelling unit pairs
-    (UnitReduction); one Smith form without transforms per reduced
-    differential d'_n, shared by the two degrees it touches, then gives
-    free rank dim C'_n - rk d'_n - rk d'_{n+1} and torsion, the
-    invariant factors > 1 of d'_{n+1}, in divisibility order. Each rank
-    is cross-checked against an independent one: the rank of the
-    original d_n mod the prime CHECK_PRIME must equal cancelled(n) +
-    rk d'_n minus the number of invariant factors it divides. That rank,
-    and every rank over F_p, comes from the sparse column reduction of
-    the differential's entries (_fplinalg.rank), and over F_p every
-    homology dimension is checked to be nonnegative.
+    Over Z each nonzero d_n goes through unit_sweep, and one Smith form
+    without transforms of its leftover, shared by the two degrees it
+    touches, gives rk d_n = units + rk leftover and the torsion of
+    degree n - 1: the invariant factors > 1 of the leftover, in
+    divisibility order. The free rank is dim C_n - rk d_n - rk d_{n+1}.
+    Each rank is cross-checked against an independent one: the rank of
+    d_n mod the prime CHECK_PRIME must equal units + rk leftover minus
+    the number of invariant factors it divides. That rank, and every
+    rank over F_p, comes from the sparse column reduction of the
+    differential's entries (_fplinalg.rank), and over F_p every homology
+    dimension is checked to be nonnegative.
+
+    The real projective plane, one cell in each degree with d_2 = 2:
+
+    >>> rp2 = complex_from_ranks(ZZ, {0: 1, 1: 1, 2: 1},
+    ...                          {2: IntegerMatrix.from_rows([[2]])})
+    >>> h = homology(rp2)
+    >>> dict(h.free), dict(h.torsion_factors)
+    ({0: 1}, {1: (2,)})
     """
     if c.ring.is_field:
         return _homology_field(c)
-    red = UnitReduction(c)
     q = CHECK_PRIME
-    snf: dict[int, tuple[tuple[int, ...], int]] = {}
-    for n in range(c.min_degree, c.max_degree + 2):
-        diag, rank = snf[n] = smith_normal_form(red.d(n))
-        full = c.d(n)
-        got = _fplinalg.rank(full, q) if full.entries else 0
-        want = red.cancelled(n) + rank - sum(1 for x in diag if x % q == 0)
+    rk: dict[int, int] = {}
+    factors: dict[int, tuple[int, ...]] = {}
+    for n, d in sorted(c.differential.items()):
+        units, rest = unit_sweep(d)
+        diag, rank = smith_normal_form(rest)
+        got = _fplinalg.rank(d, q)
+        want = units + rank - sum(1 for x in diag if x % q == 0)
         if got != want:
             raise InvariantViolation(
                 f"rank of d_{n} mod {q} is {got}, the reduction and Smith "
                 f"form give {want}")
+        rk[n] = units + rank
+        factors[n] = tuple(x for x in diag if x > 1)
     free: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     for n in c.degrees():
-        f = red.dim(n) - snf[n][1] - snf[n + 1][1]
+        f = c.dim(n) - rk.get(n, 0) - rk.get(n + 1, 0)
         if f < 0:
             raise InvariantViolation(
                 f"negative free rank in degree {n}")
-        tor = tuple(x for x in snf[n + 1][0] if x > 1)
         if f:
             free[n] = f
-        if tor:
-            torsion[n] = tor
+        if factors.get(n + 1):
+            torsion[n] = factors[n + 1]
     return HomologySummary(c.ring, c.min_degree, c.max_degree, free, torsion)
 
 

@@ -43,7 +43,6 @@ from .homalg import (
     complex_from_ranks,
     direct_sum,
     homology,
-    integer_rank,
     negate_complex,
     place_blocks,
     shift_complex,
@@ -479,10 +478,6 @@ def _clear_denominators(col: Mapping[int, int | Fraction]) -> dict[int, int]:
     return {i: int(v * scale) for i, v in col.items()}
 
 
-def _map_rank(m: IntegerMatrix, ring: CoefficientRing) -> int:
-    return _fplinalg.rank(m, ring.p) if ring.is_field else integer_rank(m)
-
-
 def _is_zero_map(m: IntegerMatrix, ring: CoefficientRing) -> bool:
     return m.is_zero_mod(ring.p) if ring.is_field else m.is_zero()
 
@@ -500,7 +495,7 @@ class ExactnessAudit:
     middle dimension). Over Z the same bookkeeping is verified after
     tensoring with Q, on homology free parts: the frames are those over
     Q, with integral representatives and integer coordinates, and the
-    ranks are integer ranks. Either way the three frames are windows of
+    ranks are ranks over Q. Either way the three frames are windows of
     the column reductions of the total complex, the same for every cut.
     Every chain is a chain of the total complex, and each induced map is
     ranked once. The connecting map is computed from the snake lemma on
@@ -584,8 +579,9 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
         i_star[n] = fr_tot.coords(n, fr_sub.reps(n))
         p_star[n] = fr_quot.coords(n, fr_tot.reps(n))
         d_star[n] = fr_sub.coords(n - 1, lay.d(n) @ fr_quot.reps(n))
-    # each induced map is ranked once
-    rk_i, rk_p, rk_d = ({n: _map_rank(m, ring) for n, m in table.items()}
+    # each induced map is ranked once, over Q when the ring is Z
+    rk_i, rk_p, rk_d = ({n: _fplinalg.rank(m, ring.p)
+                         for n, m in table.items()}
                         for table in (i_star, p_star, d_star))
 
     failures: list[str] = []

@@ -10,7 +10,6 @@ by construction, for any coefficient ring.
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Mapping
 
@@ -21,7 +20,6 @@ from mbflow.homalg import (
     CoefficientRing,
     GradedChainComplex,
     IntegerMatrix,
-    UnitReduction,
     complex_from_ranks,
     smith_normal_form,
 )
@@ -452,94 +450,3 @@ def subspace_spectral_sequence(t: TwistedComplex, max_page: int):
     for (f, q), d in inf.items():
         limit[f + q] = limit.get(f + q, 0) + d
     return pages, limit, collapsed_at
-
-
-class EntryQueueReduction(UnitReduction):
-    """Reference for homalg.UnitReduction: the same reduction with a
-    queue record for every unit entry, re-queueing every unit of each
-    line a pivot touches. Its cells, d' and cancelled counts are what
-    the one-record-per-line queue must reproduce."""
-
-    def __init__(self, c: GradedChainComplex) -> None:
-        # d_n by rows and by columns: rows[n][r][c] == cols[n][c][r]
-        rows: dict[int, dict[int, dict[int, int]]] = {}
-        cols: dict[int, dict[int, dict[int, int]]] = {}
-        for n, m in c.differential.items():
-            rn, cn = rows.setdefault(n, {}), cols.setdefault(n, {})
-            for (i, j), v in m.entries.items():
-                rn.setdefault(i, {})[j] = v
-                cn.setdefault(j, {})[i] = v
-        heap = [((len(row) - 1) * (len(cols[n][j]) - 1), n, i, j)
-                for n, rn in rows.items() for i, row in rn.items()
-                for j, v in row.items() if v in (1, -1)]
-        heapq.heapify(heap)
-
-        def push(n: int, at: int, line: dict[int, int], across,
-                 is_row: bool) -> None:
-            # queue the unit entries of row (or column) `at` of d_n
-            for k, v in line.items():
-                if v in (1, -1):
-                    cost = (len(line) - 1) * (len(across[k]) - 1)
-                    heapq.heappush(heap, (cost, n, at, k) if is_row
-                                   else (cost, n, k, at))
-
-        cancelled: dict[int, int] = {}
-        gone: dict[int, set[int]] = {}
-        while heap:
-            cost, n, r, cc = heapq.heappop(heap)
-            rn, cn = rows[n], cols[n]
-            row = rn.get(r)
-            if row is None or row.get(cc) not in (1, -1) or \
-                    (len(row) - 1) * (len(cn[cc]) - 1) != cost:
-                continue  # stale: a fresher entry was pushed
-            u = row[cc]
-            del rn[r]
-            col = cn.pop(cc)
-            beta = {j: v for j, v in row.items() if j != cc}
-            gamma = {i: v for i, v in col.items() if i != r}
-            for j in beta:
-                del cn[j][r]
-            for i in gamma:
-                del rn[i][cc]
-            for i, gi in gamma.items():
-                ri, s = rn[i], gi * u
-                for j, bj in beta.items():
-                    v = ri.get(j, 0) - s * bj
-                    if v:
-                        ri[j] = cn[j][i] = v
-                    else:
-                        del ri[j], cn[j][i]
-            for i in gamma:
-                if rn[i]:
-                    push(n, i, rn[i], cn, True)
-                else:
-                    del rn[i]
-            for j in beta:
-                if cn[j]:
-                    push(n, j, cn[j], rn, False)
-                else:
-                    del cn[j]
-            # the cancelled cells leave the neighbouring differentials
-            for m, lines, across, cell, is_row in (
-                    (n + 1, rows, cols, cc, False),
-                    (n - 1, cols, rows, r, True)):
-                for k in lines.get(m, {}).pop(cell, ()):
-                    line = across[m][k]
-                    del line[cell]
-                    if line:
-                        push(m, k, line, lines[m], is_row)
-                    else:
-                        del across[m][k]
-            cancelled[n] = cancelled.get(n, 0) + 1
-            gone.setdefault(n, set()).add(cc)
-            gone.setdefault(n - 1, set()).add(r)
-
-        self.cells = {n: [i for i in range(c.dim(n))
-                          if i not in gone.get(n, ())] for n in c.degrees()}
-        index = {n: {i: k for k, i in enumerate(kept)}
-                 for n, kept in self.cells.items()}
-        self._d = {n: IntegerMatrix(
-            self.dim(n - 1), self.dim(n),
-            {(index[n - 1][i], index[n][j]): v for i, row in rn.items()
-             for j, v in row.items()}) for n, rn in rows.items() if rn}
-        self._cancelled = cancelled

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,62 @@ def test_non_integer_matrix_entry_exits_2_with_its_path(tmp_path, capsys,
         in err
 
 
+def _d1_file(tmp_path, d1, ranks=None):
+    """A file of one object with d_1 given by rows of digit strings, and
+    the ranks of degrees 0 and 1 too if given: json cannot write an int
+    past 4,300 digits, but may read one."""
+    rows, cols = len(d1), len(d1[0])
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": "x", "index": 0, "framing_rank": 0,
+                        "chain": {"ranks": ["@R0", "@R1"],
+                                  "differentials": [{
+                                      "degree": 1, "shape": [rows, cols],
+                                      "data": ["@D"]}]}}]}
+    text = json.dumps(doc)
+    for key, v in zip(("R0", "R1", "D"), (*(ranks or (rows, cols)),
+                                          ", ".join(sum(d1, [])))):
+        text = text.replace(f'"@{key}"', str(v))
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    return path
+
+
+def _timed_homology(path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["homology", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    return out
+
+
+def test_entry_past_the_digit_limit_is_read_exactly(tmp_path, capsys):
+    # Python's int() takes at most 4,300 digits from a string; a 5,001
+    # digit entry of d_1 is read exactly, and is the torsion of H_0
+    big = "7" * 5001
+    path = _d1_file(tmp_path, [[big]])
+    assert path.stat().st_size < 6000
+    assert _timed_homology(path, capsys) == \
+        f"ring: Z\ndegree  free  torsion\n     0     0  {big}\n"
+    # a file cut short after such an entry is refused cleanly
+    path.write_text(path.read_text()[:-10])
+    code, _, err = run_cli(["homology", str(path)], capsys)
+    assert code == 2 and err.startswith("error: line 1 column ")
+    # a rank that long is refused cleanly
+    path = _d1_file(tmp_path, [["2"]], ranks=(1, "9" * 4301))
+    code, _, err = run_cli(["homology", str(path)], capsys)
+    assert code == 2
+    assert err == "error: objects[0].chain.ranks[1]: more than 4300 digits\n"
+
+
+def test_torsion_factor_past_the_digit_limit_prints_exactly(tmp_path,
+                                                          capsys):
+    # d_1 = [[10^4000, 1], [0, 10^4000]]: H_0 = Z/10^8000, 8,001 digits
+    e = "1" + "0" * 4000
+    path = _d1_file(tmp_path, [[e, "1"], ["0", e]])
+    assert _timed_homology(path, capsys) == \
+        f"ring: Z\ndegree  free  torsion\n     0     0  1{'0' * 8000}\n"
+
+
 def _assert_wide_homology_stays_small(tmp_path, capsys, cells: int):
     import tracemalloc
 
@@ -304,8 +361,7 @@ def test_wide_object_without_differentials_stays_small(tmp_path, capsys):
 
 def test_million_cells_without_differentials_keep_no_cell_index(tmp_path,
                                                                 capsys):
-    # the reduction keeps nothing per cell for a degree it cancelled
-    # nothing in
+    # homology keeps nothing per cell for a degree with no differential
     _assert_wide_homology_stays_small(tmp_path, capsys, 10 ** 6)
 
 

@@ -1,13 +1,15 @@
 """Unit tests for the exact linear-algebra and polynomial kernel."""
 
 import random
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
-    EntryQueueReduction,
     columns_array,
     dense_reduce_columns,
     fp_array,
@@ -16,7 +18,7 @@ from support import (
     random_twisted,
 )
 
-from mbflow import _fplinalg
+from mbflow import _fplinalg, homalg
 
 from mbflow.errors import (
     InvariantViolation,
@@ -30,7 +32,6 @@ from mbflow.homalg import (
     GradedChainComplex,
     IntegerMatrix,
     LaurentPoly,
-    UnitReduction,
     block_matrix,
     complex_from_ranks,
     dim_t,
@@ -41,8 +42,15 @@ from mbflow.homalg import (
     preceq,
     shift_complex,
     smith_normal_form,
+    unit_sweep,
 )
-from mbflow.twisted import index_split, totalize
+from mbflow.flowcat import (
+    CorrespondenceMap,
+    FlowCategoryData,
+    FlowObject,
+    realize,
+)
+from mbflow.twisted import totalize
 
 
 def mat(rows):
@@ -178,6 +186,20 @@ def test_integer_rank_counts_the_invariant_factors(seed):
     diag, _ = smith_normal_form(m)
     assert integer_rank(m) == len(diag)
     assert integer_rank(IntegerMatrix.zero(rows, cols)) == 0
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_sparse_rank_over_q_agrees_with_bareiss(seed):
+    # the sparse elimination over Q (non-unit pivots bring in fractions)
+    # against the fraction-free dense one
+    rng = random.Random(seed)
+    rows, cols, k = (rng.randint(0, 9) for _ in range(3))
+    left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+    right = [[rng.choice((0, 0, 1, -1, 2, -3, 5)) for _ in range(cols)]
+             for _ in range(k)]
+    m = IntegerMatrix.from_rows(left, k) @ IntegerMatrix.from_rows(right, cols)
+    assert _fplinalg.rank(m, None) == integer_rank(m)
 
 
 def test_snf_deterministic():
@@ -435,87 +457,93 @@ def test_chain_complex_check_multiplies_stored_pairs_only(monkeypatch):
     assert len(calls) == 1
 
 
-@given(st.integers(0, 2 ** 32))
-@settings(max_examples=100, deadline=None)
-def test_unit_reduction_keeps_ranks_and_torsion(seed):
-    c, _, _ = random_integral_complex(random.Random(seed))
-    red = UnitReduction(c)
-    for n in c.degrees():
-        # d' is a differential, and cancelling a unit pair changes no
-        # invariant factor other than a 1
-        assert (red.d(n - 1) @ red.d(n)).is_zero()
-        diag, rank = smith_normal_form(red.d(n))
-        assert [x for x in diag if x > 1] == \
-            [x for x in smith_normal_form(c.d(n))[0] if x > 1]
-        # rank d_n = pairs cancelled in d_n + rank of what is left
-        assert red.cancelled(n) + rank == integer_rank(c.d(n))
-        assert red.dim(n) == c.dim(n) - red.cancelled(n) - \
-            red.cancelled(n + 1)
-
-
-def test_unit_reduction_cancels_in_markowitz_order():
-    # d_1 = [[1, 1, 1], [1, 0, 0]]: (0, 1), (0, 2) and (1, 0) cost
-    # nothing, (0, 0) costs (3 - 1) * (2 - 1); the free pivots go first,
-    # (0, 1) before (0, 2) by column, then (1, 0), so edge 2 survives
-    c = complex_from_ranks(ZZ, {0: 2, 1: 3}, {1: mat([[1, 1, 1], [1, 0, 0]])})
-    red = UnitReduction(c)
-    assert red.cancelled(1) == 2
-    assert red.cells == {0: [], 1: [2]}
-    assert red.d(1) == IntegerMatrix.zero(0, 1)
-    # a 2 is no unit: it is left for the Smith form, and becomes torsion
-    red = UnitReduction(rp2_cw())
-    assert red.cancelled(2) == 0 and red.d(2) == mat([[2]])
-
-
-def _assert_queues_agree(c):
-    got, want = UnitReduction(c), EntryQueueReduction(c)
-    for n in c.degrees():
-        assert list(got.cells[n]) == want.cells[n], n
-    for n in range(c.min_degree, c.max_degree + 2):
-        assert got.d(n) == want.d(n), n
-        assert got.cancelled(n) == want.cancelled(n), n
+def _assert_sweep_keeps_invariants(d):
+    """unit_sweep(d) against the Smith form and the Bareiss rank of d:
+    the units stand for factors 1, the leftover for all the others.
+    Returns the leftover's invariant factors > 1."""
+    units, rest = unit_sweep(d)
+    diag, rank = smith_normal_form(rest)
+    full = smith_normal_form(d)[0]
+    assert units + rank == len(full) == integer_rank(d)
+    assert [x for x in diag if x > 1] == [x for x in full if x > 1]
+    # the leftover keeps only its nonzero rows and columns
+    assert {i for i, _ in rest.entries} == set(range(rest.rows))
+    assert {j for _, j in rest.entries} == set(range(rest.cols))
+    return tuple(x for x in diag if x > 1)
 
 
 @given(st.integers(0, 2 ** 32), st.sampled_from(((7, 14), (24, 60))))
 @settings(max_examples=150, deadline=None)
-def test_line_queue_pivots_as_the_entry_queue(seed, size):
+def test_unit_sweep_keeps_ranks_and_torsion(seed, size):
     rng = random.Random(seed)
     parts, scramble = size
-    c, _, _ = random_integral_complex(rng, max_parts=parts, scramble=scramble)
-    _assert_queues_agree(c)
-    t = random_twisted(rng, ZZ)
-    _assert_queues_agree(totalize(t))
-    for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
-        for part in index_split(t, p):
-            _assert_queues_agree(totalize(part))
+    c, _, torsion = random_integral_complex(rng, max_parts=parts,
+                                            scramble=scramble)
+    for n, d in c.differential.items():
+        assert _assert_sweep_keeps_invariants(d) == torsion.get(n - 1, ())
+    for d in totalize(random_twisted(rng, ZZ)).differential.values():
+        _assert_sweep_keeps_invariants(d)
 
 
-def test_line_queue_pivots_as_the_entry_queue_on_fixed_complexes():
-    for n in (5, 8):
-        for klein in (False, True):
-            _assert_queues_agree(grid_surface(n, klein))
-    # here a record goes stale through the other line of its entry: unless
-    # the pop queues its own line again, a unit of that line is left with
-    # no record and the pivots run out of order
-    _assert_queues_agree(complex_from_ranks(ZZ, {0: 4, 1: 7}, {1: mat([
-        [-1, -1, 1, 1, -1, -1, -1],
-        [0, -1, 1, -1, -1, 0, 1],
-        [0, -1, 0, 1, 0, -1, 0],
-        [1, -1, 0, 1, 0, 0, -1]])}))
-
-
-def test_uncancelled_degree_keeps_no_cell_index():
-    c = complex_from_ranks(ZZ, {0: 10 ** 6})
-    red = UnitReduction(c)
-    assert red.cells == {0: range(10 ** 6)}
-    assert red.dim(0) == 10 ** 6 and red.d(0).rows == 0
+def test_unit_sweep_leaves_only_what_no_unit_pivots():
+    # column 0 pivots on row 1 and column 1 on row 0; column 2 is then
+    # cleared to zero
+    assert unit_sweep(mat([[1, 1, 1], [1, 0, 0]])) == \
+        (2, IntegerMatrix.zero(0, 0))
+    # a 2 is no unit: it is left over, and becomes torsion
+    assert unit_sweep(mat([[2]])) == (0, mat([[2]]))
+    # the leftover is cleared at a unit's row below its top ...
+    assert unit_sweep(mat([[1, 1], [0, 2]])) == (1, mat([[2]]))
+    # ... and at a unit's top that only a later column pivots on
+    assert unit_sweep(mat([[2, 1]])) == (1, IntegerMatrix.zero(0, 0))
+    # the Klein bottle's d_2 leaves one column, its torsion
+    for n in (5, 12):
+        units, rest = unit_sweep(grid_surface(n, klein=True).d(2))
+        assert (units, rest.cols) == (2 * n * n - 1, 1)
+        assert smith_normal_form(rest) == ((2,), 1)
 
 
 def test_integer_rank_cross_check_sees_a_corrupted_reduction(monkeypatch):
-    # the rank mod a large prime must match what the reduction reports
-    monkeypatch.setattr(UnitReduction, "cancelled", lambda self, n: 0)
-    with pytest.raises(InvariantViolation):
+    # the rank mod a large prime must match what the sweep reports
+    sweep = homalg.unit_sweep
+    monkeypatch.setattr(homalg, "unit_sweep", lambda d: (0, sweep(d)[1]))
+    with pytest.raises(InvariantViolation, match="rank of d_1 mod"):
         homology(circle_cw())
+
+
+def test_integral_homology_of_a_dense_unit_level_link():
+    # the benchmark's Borel model of the rotated 16 x 16 torus: each
+    # level link sends every vertex to minus the loop, a dense block of
+    # units
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    cat = gen.borel_surface(16, 2)
+
+    def chain(o):
+        ranks = dict(enumerate(o.chain.ranks))
+        return complex_from_ranks(ZZ, ranks, {
+            n: IntegerMatrix(o.chain.dim(n - 1), o.chain.dim(n), d)
+            for n, d in o.chain.diffs.items()})
+    objects = {o.name: FlowObject(o.name, o.index, o.framing, chain(o))
+               for o in cat.objects}
+    corrs = []
+    for c in cat.corrs:
+        src, dst = objects[c.source], objects[c.target]
+        shift = src.framing_rank - dst.framing_rank - 1
+        corrs.append(CorrespondenceMap(c.source, c.target, {
+            m: IntegerMatrix(dst.chain.dim(m + shift), src.chain.dim(m), b)
+            for m, b in c.blocks.items()}))
+    c = totalize(realize(FlowCategoryData(ZZ, tuple(objects.values()),
+                                          tuple(corrs))))
+    assert c.total_dim() == 4614
+    start = time.perf_counter()
+    h = homology(c)
+    assert time.perf_counter() - start < 1.0
+    assert (dict(h.free), dict(h.torsion_factors)) == ({1: 1, 6: 1}, {})
 
 
 # ---------------------------------------------------------------------------

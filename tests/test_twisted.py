@@ -552,6 +552,20 @@ def test_field_audit_of_a_wide_degree_with_no_differentials():
     assert audit.positions_checked == 6 and not audit.connecting_rank
 
 
+def test_integral_audit_of_a_wide_degree_with_no_differentials():
+    # 2,000 cells in one piece and 1 in the other over Z: each induced
+    # map is ranked by sparse elimination over Q, not a dense one cubic
+    # in the width of the degree
+    pieces = {0: complex_from_ranks(ZZ, {0: 2000}),
+              1: complex_from_ranks(ZZ, {0: 1})}
+    t = twisted_from_parts(ZZ, pieces)
+    start = time.perf_counter()
+    audit = quotient_sequence(t, 0).audit
+    assert time.perf_counter() - start < 3.0
+    assert audit.exact, audit.failures
+    assert audit.positions_checked == 6 and not audit.connecting_rank
+
+
 def test_integral_audit_of_a_dense_differential_with_no_unit():
     # a 15 x 15 d_1 with entries in {-3, -2, 2, 3} and zeros has no unit
     # to cancel; the audit reads Tot's column reduction over Q and runs
