@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -112,7 +113,44 @@ def category_to_json(f: FlowCategoryData,
 
 
 def _canonical_bytes(doc: Mapping[str, Any]) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    """doc as sorted, indented JSON, integers of any size included.
+
+    json.dumps refuses an integer past Python's limit on decimal digits
+    for str(int), such as a matrix entry that parse_category has read.
+    Each such integer goes in as a string longer than every string of
+    doc, so equal to none, and Decimal's digits, which are exact at any
+    size, then replace that string and its quotes.
+    """
+    big: list[int] = []
+    width = [0]
+
+    def swap(v: Any) -> Any:
+        if isinstance(v, dict):
+            width.extend(len(k) for k in v if isinstance(k, str))
+            return {k: swap(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [swap(x) for x in v]
+        if isinstance(v, str):
+            width.append(len(v))
+        elif type(v) is int and not -_DIGITS_BOUND < v < _DIGITS_BOUND:
+            big.append(v)
+            return _Placeholder(len(big) - 1)
+        return v
+
+    swapped = swap(doc)
+    pad = "#" * (max(width) + 1)
+    text = json.dumps(swapped, sort_keys=True, indent=2,
+                      default=lambda h: f"{pad}{h.k}")
+    text = re.sub(f'"{pad}([0-9]+)"',
+                  lambda m: str(Decimal(big[int(m[1])])), text)
+    return (text + "\n").encode("utf-8")
+
+
+class _Placeholder:
+    """Stands in for the k-th integer json cannot print."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
 
 
 def serialize_category(f: FlowCategoryData,

@@ -16,6 +16,7 @@ assert rather than assume.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -143,7 +144,8 @@ class FlowCategoryData:
         return [o.name for o in self.objects]
 
     # Realization and verdict are built at most once per category value
-    # and shared by validate_category, realize and everything above them.
+    # and shared by validate_category, realize and everything above them;
+    # category_with_ring may hand over those of the category it reads.
 
     @cached_property
     def _realized(self) -> tuple[TwistedComplex, "_PieceLayout"]:
@@ -255,6 +257,14 @@ class _PieceLayout:
                     at += c.dim(m)
             self.pieces[mu] = shifted[0] if len(shifted) == 1 \
                 else direct_sum(shifted)
+
+    def with_ring(self, g: FlowCategoryData) -> "_PieceLayout":
+        """This layout for g, the same objects over another ring."""
+        out = copy(self)
+        out.by_index = {mu: [g.object(o.name) for o in group]
+                        for mu, group in self.by_index.items()}
+        out.pieces = {mu: c.with_ring(g.ring) for mu, c in self.pieces.items()}
+        return out
 
     def internal_degree(self, o: FlowObject, chain_degree: int) -> int:
         return chain_degree + o.framing_rank - o.index
@@ -402,11 +412,29 @@ def category_with_ring(f: FlowCategoryData, ring: CoefficientRing,
     """The same combinatorial data over another coefficient ring.
 
     Correspondence blocks are integer matrices and carry over as they
-    are; chains are re-validated over the new ring.
+    are. When f's ring reduces to ring (the same ring, or Z to a prime
+    field) and f has already been validated and found valid (as
+    parse_category does), D.D = 0 holds over ring as well: the new
+    category takes f's verdict and f's realization read over ring,
+    sharing Tot, and no chain is squared again. This call never
+    validates f itself. Any other case (F_p to Z or to F_q, an f not yet
+    validated, or one invalid over its own ring but maybe valid mod p)
+    re-validates the chains over ring, and the category is realized and
+    validated over ring from scratch.
     """
     objects = tuple(replace(o, chain=o.chain.with_ring(ring))
                     for o in f.objects)
-    return FlowCategoryData(ring, objects, tuple(f.correspondences), f.borel)
+    g = FlowCategoryData(ring, objects, tuple(f.correspondences), f.borel)
+    verdict = f.__dict__.get("_diagnostics")
+    if f.ring.reduces_to(ring) and verdict is not None and verdict.valid:
+        t, lay = f._realized
+        lay = lay.with_ring(g)
+        t_g = TwistedComplex(ring, {i: lay.pieces[i] for i in t.pieces},
+                             t.structure_maps)
+        t_g.__dict__["_tot"] = t._tot.with_ring(ring)
+        # the cached properties of g, filled in
+        g.__dict__.update(_realized=(t_g, lay), _diagnostics=verdict)
+    return g
 
 
 def shift_category(f: FlowCategoryData, a: int) -> FlowCategoryData:

@@ -94,6 +94,12 @@ class CoefficientRing:
             return CoefficientRing.prime_field(p)
         raise UnsupportedRing(f"bad ring spec {text!r}")
 
+    def reduces_to(self, ring: "CoefficientRing") -> bool:
+        """Whether every integer matrix identity that holds over this
+        ring holds over ring too: the same ring, or from Z to a prime
+        field (reduction mod p). Then d.d = 0 carries over."""
+        return self == ring or not self.is_field
+
     def __str__(self) -> str:
         return "Z" if self.kind == "Z" else f"Fp:{self.p}"
 
@@ -524,8 +530,16 @@ class GradedChainComplex:
 
     rank maps each degree in [min_degree, max_degree] to a nonnegative
     dimension; differential[n] is the map out of degree n, shaped
-    rank(n-1) x rank(n). Missing differentials mean zero. Construction
-    verifies shapes and d_n . d_{n+1} = 0 over the stated ring.
+    rank(n-1) x rank(n). Missing differentials mean zero.
+
+    Every constructor checks the degree range and the shapes. Those that
+    take matrices from outside verify d_n . d_{n+1} = 0 over the stated
+    ring and raise InvariantViolation otherwise: GradedChainComplex(...)
+    itself, complex_from_ranks and so the file parser and Tot's complex,
+    and with_ring to a ring this one does not reduce to. Those that
+    derive a complex from checked ones inherit d.d = 0 and square
+    nothing: shift_complex, negate_complex, dual_complex, direct_sum, and
+    with_ring to the same ring or from Z to a prime field.
     """
 
     ring: CoefficientRing
@@ -535,6 +549,34 @@ class GradedChainComplex:
     differential: Mapping[int, IntegerMatrix] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._check_shapes()
+        # a missing differential is zero, and so is its product with any
+        # other; ascending n reports the lowest failure
+        for n in sorted(self.differential):
+            if n + 1 not in self.differential:
+                continue
+            sq = self.differential[n] @ self.differential[n + 1]
+            ok = sq.is_zero_mod(self.ring.p) if self.ring.is_field \
+                else sq.is_zero()
+            if not ok:
+                raise InvariantViolation(
+                    f"d.d is nonzero out of degree {n + 1} over {self.ring}")
+
+    @classmethod
+    def _derived(cls, ring: CoefficientRing, min_degree: int,
+                 max_degree: int, rank: Mapping[int, int],
+                 differential: Mapping[int, IntegerMatrix],
+                 ) -> "GradedChainComplex":
+        """A complex whose d.d = 0 follows from complexes already
+        checked: the range and shapes are checked, nothing is squared."""
+        c = object.__new__(cls)
+        c.__dict__.update(ring=ring, min_degree=min_degree,
+                          max_degree=max_degree, rank=rank,
+                          differential=differential)
+        c._check_shapes()
+        return c
+
+    def _check_shapes(self) -> None:
         if self.min_degree > self.max_degree:
             raise InvalidRange(
                 f"degree range [{self.min_degree}, {self.max_degree}] is empty")
@@ -551,17 +593,6 @@ class GradedChainComplex:
                 raise ShapeMismatch(
                     f"differential out of degree {n} is {d.rows}x{d.cols}, "
                     f"expected {want[0]}x{want[1]}")
-        # a missing differential is zero, and so is its product with any
-        # other; ascending n reports the lowest failure
-        for n in sorted(self.differential):
-            if n + 1 not in self.differential:
-                continue
-            sq = self.differential[n] @ self.differential[n + 1]
-            ok = sq.is_zero_mod(self.ring.p) if self.ring.is_field \
-                else sq.is_zero()
-            if not ok:
-                raise InvariantViolation(
-                    f"d.d is nonzero out of degree {n + 1} over {self.ring}")
 
     def dim(self, n: int) -> int:
         return self.rank.get(n, 0)
@@ -579,9 +610,17 @@ class GradedChainComplex:
         return sum(self.dim(n) for n in self.degrees())
 
     def with_ring(self, ring: CoefficientRing) -> "GradedChainComplex":
-        """Same integer matrices read over a different coefficient ring."""
-        return GradedChainComplex(ring, self.min_degree, self.max_degree,
-                                  dict(self.rank), dict(self.differential))
+        """Same integer matrices read over another coefficient ring.
+
+        When this complex's ring reduces to ring (the same ring, or Z to a
+        prime field), d.d = 0 carries over and nothing is squared. Any
+        other change (F_p to Z or to F_q) squares every d_n d_{n+1} again
+        over ring and raises InvariantViolation if one is nonzero.
+        """
+        build = GradedChainComplex._derived if self.ring.reduces_to(ring) \
+            else GradedChainComplex
+        return build(ring, self.min_degree, self.max_degree,
+                     dict(self.rank), dict(self.differential))
 
 
 def complex_from_ranks(ring: CoefficientRing, ranks: Mapping[int, int],
@@ -599,7 +638,7 @@ def complex_from_ranks(ring: CoefficientRing, ranks: Mapping[int, int],
 
 def shift_complex(c: GradedChainComplex, s: int) -> GradedChainComplex:
     """Degree shift: the new complex has C'_n = C_{n-s}, same maps."""
-    return GradedChainComplex(
+    return GradedChainComplex._derived(
         c.ring, c.min_degree + s, c.max_degree + s,
         {n + s: r for n, r in c.rank.items()},
         {n + s: d for n, d in c.differential.items()},
@@ -608,7 +647,7 @@ def shift_complex(c: GradedChainComplex, s: int) -> GradedChainComplex:
 
 def negate_complex(c: GradedChainComplex) -> GradedChainComplex:
     """The same complex with every differential negated."""
-    return GradedChainComplex(
+    return GradedChainComplex._derived(
         c.ring, c.min_degree, c.max_degree, dict(c.rank),
         {n: -d for n, d in c.differential.items()})
 
@@ -626,8 +665,8 @@ def dual_complex(c: GradedChainComplex) -> GradedChainComplex:
         d = c.d(n)
         if not d.is_zero():
             diffs[-n + 1] = d.transpose()
-    return GradedChainComplex(c.ring, -c.max_degree, -c.min_degree,
-                              ranks, diffs)
+    return GradedChainComplex._derived(c.ring, -c.max_degree, -c.min_degree,
+                                       ranks, diffs)
 
 
 def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
@@ -651,9 +690,8 @@ def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
         d = place_blocks(roff, coff, placed)
         if not d.is_zero():
             diffs[n] = d
-    return GradedChainComplex(ring, lo, hi,
-                              {n: r for n, r in ranks.items() if r > 0},
-                              diffs)
+    return GradedChainComplex._derived(
+        ring, lo, hi, {n: r for n, r in ranks.items() if r > 0}, diffs)
 
 
 # ---------------------------------------------------------------------------

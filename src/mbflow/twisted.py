@@ -11,7 +11,8 @@ Tot is built once per twisted complex and kept on the (immutable)
 value: its layout, the total differential in every degree, and the
 Maurer-Cartan verdict. validate and totalize read that one value, as do
 the quotient-sequence audit, the spectral sequence and the morphism and
-homotopy checks.
+homotopy checks. A valid complex read over a ring its own reduces to
+(Z to F_p, see flowcat.category_with_ring) shares that Tot as well.
 
 The module also provides the operations that mirror geometric
 constructions at the chain level: index shifts, sub/quotient
@@ -220,6 +221,15 @@ class _Totalization:
     @cached_property
     def complex(self) -> GradedChainComplex:
         return complex_from_ranks(self.ring, self.ranks, self.differentials)
+
+    def with_ring(self, ring: CoefficientRing) -> "_Totalization":
+        """This Tot, valid, read over ring, which its ring reduces to:
+        layout, differentials, verdict and chain complex carry over, and
+        the column reductions are computed over ring on first use."""
+        out = replace(self, ring=ring)
+        out.__dict__.update(diagnostics=self.diagnostics,
+                            complex=self.complex.with_ring(ring))
+        return out
 
     @cached_property
     def column_reductions(self) -> dict[int, tuple]:

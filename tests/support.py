@@ -10,12 +10,15 @@ by construction, for any coefficient ring.
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Mapping
 
 import numpy as np
 
 from mbflow import _fplinalg
+from mbflow.cli import category_to_json, parse_category
+from mbflow.flowcat import FlowCategoryData
 from mbflow.homalg import (
     CoefficientRing,
     GradedChainComplex,
@@ -36,6 +39,16 @@ def point_complex(ring) -> GradedChainComplex:
 
 def circle_complex(ring) -> GradedChainComplex:
     return complex_from_ranks(ring, {0: 1, 1: 1})
+
+
+def redeclared(f: FlowCategoryData, ring: CoefficientRing,
+               ) -> FlowCategoryData:
+    """f declared over ring from scratch: its file with "ring" swapped,
+    parsed without validation. The reference for category_with_ring,
+    sharing nothing computed for f."""
+    doc = category_to_json(f)
+    doc["ring"] = str(ring)
+    return parse_category(json.dumps(doc).encode(), validate=False)
 
 
 def fp_array(m: IntegerMatrix, p: int) -> np.ndarray:

@@ -314,6 +314,11 @@ def test_entry_past_the_digit_limit_is_read_exactly(tmp_path, capsys):
     assert path.stat().st_size < 6000
     assert _timed_homology(path, capsys) == \
         f"ring: Z\ndegree  free  torsion\n     0     0  {big}\n"
+    # and written back exactly
+    f = parse_category(path.read_bytes())
+    data = serialize_category(f)
+    assert f'"data": [\n              {big}\n            ]' in data.decode()
+    assert parse_category(data) == f
     # a file cut short after such an entry is refused cleanly
     path.write_text(path.read_text()[:-10])
     code, _, err = run_cli(["homology", str(path)], capsys)

@@ -1,8 +1,9 @@
 """Each category is realized once, and each twisted complex gets one
 total-differential assembly and one D.D pass per command, however many
 layers (parsing, validation, realization, totalization, audits) read
-them. The audit of an index cut works in the whole complex's Tot, and
-assembles or builds no sub or quotient complex."""
+them; a change from Z to F_p reads the Z ones over F_p. The audit of an
+index cut works in the whole complex's Tot, and assembles or builds no
+sub or quotient complex."""
 
 import contextlib
 import io
@@ -13,8 +14,8 @@ from support import random_twisted
 
 from mbflow import _fplinalg, flowcat, homalg, twisted
 from mbflow.cli import fixture_bytes, main, parse_category
-from mbflow.flowcat import realize
-from mbflow.homalg import ZZ, CoefficientRing, IntegerMatrix
+from mbflow.flowcat import category_with_ring, realize
+from mbflow.homalg import F2, ZZ, CoefficientRing, IntegerMatrix
 from mbflow.twisted import (
     index_split,
     quotient_sequence,
@@ -73,10 +74,12 @@ def run(argv):
 @pytest.mark.parametrize("argv, complexes", [
     (["homology", "@sphere_z2"], 1),
     (["homology", "@borel_free_circle_3"], 1),
-    (["homology", "@cpn_act_2", "--ring", "Fp:2"], 2),
+    # the F_2 realization is the validated Z one, read over F_2
+    (["homology", "@cpn_act_2", "--ring", "Fp:2"], 1),
     (["check-ineq", "@sphere_z2"], 1),
     (["check-ineq", "@borel_free_circle_3", "--equivariant",
       "--cutoff", "5"], 1),
+    (["ss", "@borel_free_circle_3", "--field", "2"], 1),
 ])
 def test_cli_command_builds_each_totalization_once(counts, argv, complexes):
     argv = [fixture_path(a[1:]) if a.startswith("@") else a for a in argv]
@@ -99,12 +102,12 @@ def test_quotient_sequence_builds_each_totalization_once(counts):
 @pytest.fixture
 def reductions(monkeypatch):
     """The shapes of the matrices given to the column reduction, in
-    order."""
+    order, each with the prime it reduces mod (None: over Q)."""
     made = []
     orig = _fplinalg.reduce_columns
 
     def columns(a, p):
-        made.append((a.rows, a.cols))
+        made.append((a.rows, a.cols, p))
         return orig(a, p)
     monkeypatch.setattr(_fplinalg, "reduce_columns", columns)
     return made
@@ -120,16 +123,16 @@ def test_integral_quotient_sequence_reduces_once(reductions):
     # nonzero D_n, kept on Tot
     t = realize(parse_category(fixture_bytes("borel_free_circle_3")))
     _audit_every_cut(t)
-    assert reductions == [
-        (d.rows, d.cols) for d in t._tot.differentials.values()]
+    assert reductions == [(d.rows, d.cols, t.ring.p)
+                          for d in t._tot.differentials.values()]
 
 
 def test_field_quotient_sequence_reduces_nothing(reductions):
     # nothing beyond the column reductions kept on Tot
     t = random_twisted(random.Random(7), F3)
     _audit_every_cut(t)
-    assert reductions == [
-        (d.rows, d.cols) for d in t._tot.differentials.values()]
+    assert reductions == [(d.rows, d.cols, t.ring.p)
+                          for d in t._tot.differentials.values()]
 
 
 def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
@@ -140,8 +143,23 @@ def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
     assert len(t.pieces) == 5 and len(t.structure_maps) == 3
     assert spectral_sequence(t, 4).pages
     _audit_every_cut(t)
-    assert reductions == [
-        (d.rows, d.cols) for d in t._tot.differentials.values()]
+    assert reductions == [(d.rows, d.cols, t.ring.p)
+                          for d in t._tot.differentials.values()]
+
+
+def test_ring_change_builds_each_totalization_once(counts, reductions):
+    # the F_2 realization of a Z file is its validated Z one, read over
+    # F_2, and Tot is reduced once, mod 2, for the spectral sequence and
+    # the audits at every cut; the Z Tot is never reduced over Q
+    f = parse_category(fixture_bytes("borel_free_circle_3"))
+    t = realize(category_with_ring(f, F2))
+    assert spectral_sequence(t, 4).pages
+    _audit_every_cut(t)
+    assert counts["realize"].per_object() == [1]
+    assert counts["assemble"].per_object() == [1]
+    assert counts["dd"].per_object() == [1]
+    assert reductions == [(d.rows, d.cols, 2)
+                          for d in t._tot.differentials.values()]
 
 
 def test_cone_command_builds_the_cone_once(monkeypatch):
@@ -193,12 +211,13 @@ def test_quotient_sequence_builds_no_complex_per_cut(monkeypatch, ring):
                        max_pieces=5)
     totalize(t)
     built = []
-    orig = homalg.GradedChainComplex.__post_init__
+    # every constructor checks shapes, also those that square nothing
+    orig = homalg.GradedChainComplex._check_shapes
 
     def counted(self):
         built.append(self)
         orig(self)
-    monkeypatch.setattr(homalg.GradedChainComplex, "__post_init__", counted)
+    monkeypatch.setattr(homalg.GradedChainComplex, "_check_shapes", counted)
     cuts = range(min(t.pieces) - 1, max(t.pieces) + 1)
     assert len(cuts) > 3
     for p in cuts:
