@@ -14,12 +14,13 @@ homology over Z (homalg.unit_sweep).
 
 reduce_columns is the left-to-right column reduction of persistent
 homology, and rank the same without V. It works over any field and
-reduces every prefix of the columns on its own, so one reduction of
-each total differential in filtration order serves a twisted complex
-(twisted): its pairs give the index-filtration spectral sequence, and
-its columns the cycles and boundaries of the homology frames of the
-long exact sequence at every cut, over F_p and, for Z after tensoring
-with Q, over Q, whose coordinates clear_tops reads.
+reduces every prefix of the columns on its own, so the one reduction of
+each differential that a chain complex keeps
+(homalg.GradedChainComplex.column_reductions) gives the ranks of its
+homology over F_p and, for a twisted complex's Tot (twisted), the
+index-filtration spectral sequence and the homology frames of the long
+exact sequence at every cut, over F_p and, for Z after tensoring with
+Q, over Q, whose coordinates clear_tops reads.
 
 rref, solve and null_space are dense elimination by rows on numpy int64
 arrays reduced mod p, so p*p must be below 2^63; each scalar is reduced

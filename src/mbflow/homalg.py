@@ -1,10 +1,15 @@
 """Exact homological algebra over Z and over prime fields.
 
 This module owns the coefficient-ring abstraction, exact integer
-matrices, bounded graded chain complexes, Smith normal form with
-optional tracked transforms, homology with torsion, Poincare series in
-the Laurent variable t, and the (1+t)-divisibility partial order on
-such series that drives every inequality verdict in the package.
+matrices, bounded graded chain complexes, the Smith normal form
+(invariant factors only), homology with torsion, Poincare series in the
+Laurent variable t, and the (1+t)-divisibility partial order on such
+series that drives every inequality verdict in the package.
+
+Each chain complex keeps one column reduction of each differential over
+its ring's field (GradedChainComplex.column_reductions): homology over
+F_p reads its ranks there, and twisted's spectral sequence and
+long-exact-sequence audit read the same reductions of Tot.
 
 Integer homology works in two stages (Dumas, Heckenbach, Saunders and
 Welker 2003): unit_sweep, a sparse column elimination of each
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import _fplinalg
@@ -276,112 +282,21 @@ def place_blocks(rows: int, cols: int,
     return IntegerMatrix(rows, cols, acc)
 
 
-def block_matrix(blocks: list[list[IntegerMatrix | None]],
-                 row_sizes: list[int], col_sizes: list[int]) -> IntegerMatrix:
-    """Assemble a matrix from a grid of blocks; None means a zero block."""
-    roff = [0]
-    for r in row_sizes:
-        roff.append(roff[-1] + r)
-    coff = [0]
-    for c in col_sizes:
-        coff.append(coff[-1] + c)
-    placed = []
-    for bi, brow in enumerate(blocks):
-        for bj, blk in enumerate(brow):
-            if blk is None:
-                continue
-            if blk.rows != row_sizes[bi] or blk.cols != col_sizes[bj]:
-                raise ShapeMismatch(
-                    f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, slot wants "
-                    f"{row_sizes[bi]}x{col_sizes[bj]}")
-            placed.append((roff[bi], coff[bj], blk))
-    return place_blocks(roff[-1], coff[-1], placed)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
-class _Transforms:
-    """Row and column transform accumulators for the SNF reduction.
+def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
+    """Smith normal form of an integer matrix, without transforms.
 
-    Maintains u @ a0 @ v == a throughout, together with the exact
-    inverses uinv, vinv, by mirroring every elementary operation.
-    """
-
-    def __init__(self, rows: int, cols: int) -> None:
-        self.u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-        self.uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
-        self.v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-        self.vinv = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(self, i: int, j: int) -> None:
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for row in self.uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(self, i: int, j: int, c: int) -> None:
-        # row_i += c * row_j on the working matrix
-        ui, uj = self.u[i], self.u[j]
-        for k in range(len(ui)):
-            ui[k] += c * uj[k]
-        for row in self.uinv:
-            row[j] -= c * row[i]
-
-    def negate_row(self, i: int) -> None:
-        self.u[i] = [-x for x in self.u[i]]
-        for row in self.uinv:
-            row[i] = -row[i]
-
-    def swap_cols(self, i: int, j: int) -> None:
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
-
-    def add_col(self, i: int, j: int, c: int) -> None:
-        # col_i += c * col_j on the working matrix
-        for row in self.v:
-            row[i] += c * row[j]
-        vi, vj = self.vinv[i], self.vinv[j]
-        for k in range(len(vj)):
-            vj[k] -= c * vi[k]
-
-
-class _NoTransforms:
-    """Stands in for _Transforms when only the diagonal is wanted."""
-
-    def _skip(self, *args: int) -> None:
-        pass
-
-    swap_rows = add_row = negate_row = swap_cols = add_col = _skip
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Full SNF data: u @ original @ v has `diagonal` on its diagonal."""
-
-    diagonal: tuple[int, ...]
-    rank: int
-    u: IntegerMatrix
-    uinv: IntegerMatrix
-    v: IntegerMatrix
-    vinv: IntegerMatrix
-
-
-def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
-    """Smith normal form of an integer matrix.
-
-    Returns (diagonal, rank) by default, where diagonal lists the
-    positive invariant factors d_1 | d_2 | ... With with_transforms=True
-    returns a SmithDecomposition carrying unimodular u, v and their
-    exact inverses; only then are the transforms allocated and updated,
-    and a matrix with no entries returns ((), 0) at once. The dense
-    reduction is meant for the leftover of unit_sweep, which holds no
-    +-1 pivot; homology over Z never asks for transforms.
+    Returns (diagonal, rank), where diagonal lists the positive
+    invariant factors d_1 | d_2 | ... The dense reduction is meant for
+    the leftover of unit_sweep, which holds no +-1 pivot, and only the
+    diagonal is kept: homology over Z reads nothing else (Dumas,
+    Heckenbach, Saunders and Welker 2003).
 
     The pivot choice (smallest absolute value, then lowest row, then
-    lowest column) is deterministic, so repeated runs agree entry for
-    entry.
+    lowest column) is deterministic.
 
     >>> m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
     >>> smith_normal_form(m)
@@ -389,11 +304,10 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
     >>> smith_normal_form(IntegerMatrix.zero(2, 3))
     ((), 0)
     """
-    if not with_transforms and not m.entries:
+    if not m.entries:
         return (), 0
     a = m.to_rows()
     rows, cols = m.rows, m.cols
-    tr = _Transforms(rows, cols) if with_transforms else _NoTransforms()
     t = 0
     while True:
         # locate the deterministic pivot in the trailing submatrix
@@ -411,11 +325,9 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
         _, pi, pj = best
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
-            tr.swap_rows(t, pi)
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            tr.swap_cols(t, pj)
         while True:
             # clear the pivot column
             dirty = False
@@ -427,11 +339,9 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
                         ai = a[i]
                         for k in range(t, cols):
                             ai[k] -= q * at[k]
-                        tr.add_row(i, t, -q)
                     if a[i][t]:
                         # remainder is smaller than the pivot; promote it
                         a[t], a[i] = a[i], a[t]
-                        tr.swap_rows(t, i)
                         dirty = True
             if dirty:
                 continue
@@ -442,11 +352,9 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
                     if q:
                         for row_i in range(t, rows):
                             a[row_i][j] -= q * a[row_i][t]
-                        tr.add_col(j, t, -q)
                     if a[t][j]:
                         for row in a:
                             row[t], row[j] = row[j], row[t]
-                        tr.swap_cols(t, j)
                         dirty = True
                         break
             if dirty:
@@ -467,23 +375,11 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False):
             ao = a[offender]
             for k in range(t, cols):
                 at[k] += ao[k]
-            tr.add_row(t, offender, 1)
         if a[t][t] < 0:
             for k in range(t, cols):
                 a[t][k] = -a[t][k]
-            tr.negate_row(t)
         t += 1
-    diagonal = tuple(a[i][i] for i in range(t))
-    if not with_transforms:
-        return diagonal, t
-    return SmithDecomposition(
-        diagonal=diagonal,
-        rank=t,
-        u=IntegerMatrix.from_rows(tr.u, rows),
-        uinv=IntegerMatrix.from_rows(tr.uinv, rows),
-        v=IntegerMatrix.from_rows(tr.v, cols),
-        vinv=IntegerMatrix.from_rows(tr.vinv, cols),
-    )
+    return tuple(a[i][i] for i in range(t)), t
 
 
 def integer_rank(m: IntegerMatrix) -> int:
@@ -540,6 +436,25 @@ class GradedChainComplex:
     derive a complex from checked ones inherit d.d = 0 and square
     nothing: shift_complex, negate_complex, dual_complex, direct_sum, and
     with_ring to the same ring or from Z to a prime field.
+
+    column_reductions is computed on first use and kept, so each d_n is
+    reduced once however many layers read it. The real projective
+    plane, one cell in each degree with d_2 = 2: over F_3 the 2 is a
+    unit, d_2 has one low and H = F_3 in degree 0; over F_2 it reduces
+    to zero, there is no low, and H = F_2 in degrees 0, 1 and 2.
+
+    >>> d = {2: IntegerMatrix.from_rows([[2]])}
+    >>> rp2 = complex_from_ranks(CoefficientRing.prime_field(3),
+    ...                          {0: 1, 1: 1, 2: 1}, d)
+    >>> {n: low for n, (_, _, low) in rp2.column_reductions.items()}
+    {2: {0: 0}}
+    >>> dict(homology(rp2).free)
+    {0: 1}
+    >>> rp2 = complex_from_ranks(F2, {0: 1, 1: 1, 2: 1}, d)
+    >>> {n: low for n, (_, _, low) in rp2.column_reductions.items()}
+    {2: {}}
+    >>> dict(homology(rp2).free)
+    {0: 1, 1: 1, 2: 1}
     """
 
     ring: CoefficientRing
@@ -608,6 +523,15 @@ class GradedChainComplex:
 
     def total_dim(self) -> int:
         return sum(self.dim(n) for n in self.degrees())
+
+    @cached_property
+    def column_reductions(self) -> dict[int, tuple]:
+        """(R, V, low) of every stored d_n over the ring's field, mod p or
+        over Q for Z (_fplinalg.reduce_columns), as sparse columns:
+        rk d_n = len(low) for homology over F_p, and the pairs and frames
+        of twisted's spectral sequence and long-exact-sequence audit."""
+        return {n: _fplinalg.reduce_columns(d, self.ring.p)
+                for n, d in self.differential.items()}
 
     def with_ring(self, ring: CoefficientRing) -> "GradedChainComplex":
         """Same integer matrices read over another coefficient ring.
@@ -794,9 +718,11 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     divisibility order. The free rank is dim C_n - rk d_n - rk d_{n+1}.
     Each rank is cross-checked against an independent one: the rank of
     d_n mod the prime CHECK_PRIME must equal units + rk leftover minus
-    the number of invariant factors it divides. That rank, and every
-    rank over F_p, comes from the sparse column reduction of the
-    differential's entries (_fplinalg.rank), and over F_p every homology
+    the number of invariant factors it divides, by the sparse column
+    elimination of d_n's entries (_fplinalg.rank). Over F_p, rk d_n is
+    the number of lows of the column reduction c keeps
+    (GradedChainComplex.column_reductions), which the spectral sequence
+    and the exactness audit of a Tot read too, and every homology
     dimension is checked to be nonnegative.
 
     The real projective plane, one cell in each degree with d_2 = 2:
@@ -838,14 +764,11 @@ def homology(c: GradedChainComplex) -> HomologySummary:
 
 
 def _homology_field(c: GradedChainComplex) -> HomologySummary:
-    p = c.ring.p
-    assert p is not None
     free: dict[int, int] = {}
-    # each d_n is ranked once: out of degree n and into degree n - 1
-    rk = {n: _fplinalg.rank(c.d(n), p)
-          for n in range(c.min_degree, c.max_degree + 2)}
+    # rk d_n counts the lows of its kept reduction; a missing d_n is zero
+    rk = {n: len(low) for n, (_, _, low) in c.column_reductions.items()}
     for n in c.degrees():
-        f = c.dim(n) - rk[n] - rk[n + 1]
+        f = c.dim(n) - rk.get(n, 0) - rk.get(n + 1, 0)
         if f < 0:
             raise InvariantViolation(
                 f"negative homology dimension in degree {n}")

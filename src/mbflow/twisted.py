@@ -11,8 +11,10 @@ Tot is built once per twisted complex and kept on the (immutable)
 value: its layout, the total differential in every degree, and the
 Maurer-Cartan verdict. validate and totalize read that one value, as do
 the quotient-sequence audit, the spectral sequence and the morphism and
-homotopy checks. A valid complex read over a ring its own reduces to
-(Z to F_p, see flowcat.category_with_ring) shares that Tot as well.
+homotopy checks; its chain complex keeps the one column reduction of
+each D_n that they read. A valid complex read over a ring its own
+reduces to (Z to F_p, see flowcat.category_with_ring) shares that Tot
+as well.
 
 The module also provides the operations that mirror geometric
 constructions at the chain level: index shifts, sub/quotient
@@ -225,20 +227,11 @@ class _Totalization:
     def with_ring(self, ring: CoefficientRing) -> "_Totalization":
         """This Tot, valid, read over ring, which its ring reduces to:
         layout, differentials, verdict and chain complex carry over, and
-        the column reductions are computed over ring on first use."""
+        the complex over ring reduces its differentials on first use."""
         out = replace(self, ring=ring)
         out.__dict__.update(diagnostics=self.diagnostics,
                             complex=self.complex.with_ring(ring))
         return out
-
-    @cached_property
-    def column_reductions(self) -> dict[int, tuple]:
-        """(R, V, low) of every nonzero D_n over the ring's field, mod p
-        or over Q for Z (_fplinalg.reduce_columns), as sparse columns: the
-        spectral sequence, and the frames of quotient_sequence at every
-        cut."""
-        return {n: _fplinalg.reduce_columns(d, self.ring.p)
-                for n, d in self.differentials.items()}
 
 
 def _assemble(t: TwistedComplex) -> _Totalization:
@@ -393,10 +386,10 @@ def _window(c: GradedChainComplex, lo: Mapping[int, int] | None,
 class _FieldFrame:
     """Homology basis with cycle coordinates over F_p, or over Q for Z.
 
-    Built from the column reductions (R, V, low), R = d V, of c over its
-    field (Q for Z: _fplinalg with p None), such as Tot's
-    (_Totalization.column_reductions), and framing the window of cells
-    lo[n] .. hi[n] - 1 of each c_n (_window): all of c, or the sub (hi
+    Built from the column reductions (R, V, low), R = d V, that c keeps
+    over its field (GradedChainComplex.column_reductions; Q for Z), and
+    framing the window of cells lo[n] .. hi[n] - 1 of each c_n
+    (_window): all of c, or the sub (hi
     at a cut) or the quotient (lo at the cut). Each prefix is reduced on
     its own, and a column whose low lies past the cut is only added
     columns past the cut, so the window's rows carry its cycles and
@@ -420,14 +413,11 @@ class _FieldFrame:
     """
 
     def __init__(self, c: GradedChainComplex,
-                 columns: Mapping[int, tuple] | None = None,
                  lo: Mapping[int, int] | None = None,
                  hi: Mapping[int, int] | None = None) -> None:
         self.complex = c
         self.p = p = c.ring.p
-        if columns is None:
-            columns = {n: _fplinalg.reduce_columns(d, p)
-                       for n, d in c.differential.items()}
+        columns = c.column_reductions
         self._lo, self._hi = lo, hi
         self._reps: dict[int, IntegerMatrix] = {}
         # per degree: top row in the window -> (the basis vector, 1 / its
@@ -536,10 +526,10 @@ def quotient_sequence(t: TwistedComplex, p: int) -> QuotientSequence:
     exact sequence relating the three homologies in the coordinates of
     Tot(t): the sub is the prefix of each Tot_n, the quotient the rest,
     and no complex is built for either. Their frames are windows of the
-    column reductions kept on Tot (_Totalization.column_reductions), mod
-    p or, over Z, over Q, which every cut and the spectral sequence
-    share. A quotient class is represented by a lift to Tot(t), and D of
-    that lift is a cycle of the sub: the connecting map.
+    column reductions that Tot's chain complex keeps, mod p or, over Z,
+    over Q, which every cut and the spectral sequence share. A quotient
+    class is represented by a lift to Tot(t), and D of that lift is a
+    cycle of the sub: the connecting map.
 
     Cutting the height-squared function on S^2 below its poles: the
     poles span H_2 of the quotient and both bound the equator's loop,
@@ -576,9 +566,8 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
     cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
 
     # the sub, Tot and the quotient are windows of Tot's column reductions
-    whole = lay.column_reductions
-    fr_sub, fr_tot = _FieldFrame(tot, whole, hi=cut), _FieldFrame(tot, whole)
-    fr_quot = _FieldFrame(tot, whole, lo=cut)
+    fr_sub, fr_tot = _FieldFrame(tot, hi=cut), _FieldFrame(tot)
+    fr_quot = _FieldFrame(tot, lo=cut)
     lo, hi = tot.min_degree, tot.max_degree
 
     # every chain is one of Tot: the connecting map H_n(quot) ->
@@ -907,11 +896,14 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     order (the persistence basis), and d_r is the 0/1 matrix of the
     pairs at gap r. Each page's dimensions are cross-checked against
     the homology of the previous page (its d_r ranked by the same sparse
-    elimination, _fplinalg.rank), pages stop at the filtration
-    width + 1, where only unpaired cells remain, and the E-infinity
-    total dimensions are audited against the homology of the
-    totalization. The column reductions are kept on Tot, where the F_p
-    frames of quotient_sequence read them (_Totalization.column_reductions).
+    elimination, _fplinalg.rank), and pages stop at the filtration
+    width + 1, where only unpaired cells remain. The reductions are
+    those Tot's chain complex keeps, which homology over F_p and the
+    frames of quotient_sequence read too. So the audit of the E-infinity
+    total dimensions against homology(Tot) checks the filtration and spot
+    bookkeeping against Tot's degrees, not the reduction; the tests
+    test_integer_homology_agrees_with_fp_by_universal_coefficients and
+    test_reduce_columns_exact check that.
     """
     if not t.ring.is_field:
         raise UnsupportedRing(
@@ -930,7 +922,7 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     gap: dict[tuple[int, int], int] = {}  # paired cell (n, column) -> b - a
     # per pair: (gap, source spot, tau, target spot, sigma)
     arrows: list[tuple[int, tuple[int, int], int, tuple[int, int], int]] = []
-    for n, (_, _, low) in lay.column_reductions.items():
+    for n, (_, _, low) in tot.column_reductions.items():
         for tau, sigma in low.items():
             b, a = filt[n][tau], filt[n - 1][sigma]
             gap[(n, tau)] = gap[(n - 1, sigma)] = b - a

@@ -24,7 +24,6 @@ from mbflow.homalg import (
     GradedChainComplex,
     IntegerMatrix,
     complex_from_ranks,
-    smith_normal_form,
 )
 from mbflow.twisted import TwistedComplex, totalize, twisted_from_parts
 
@@ -115,12 +114,65 @@ def columns_array(cols: Mapping[int, Mapping[int, int]], rows: int,
 
 
 def _integer_kernel_basis(m: IntegerMatrix) -> list[list[int]]:
-    dec = smith_normal_form(m, with_transforms=True)
-    cols = []
-    v = dec.v.to_rows()
-    for j in range(dec.rank, m.cols):
-        cols.append([v[i][j] for i in range(m.cols)])
-    return cols
+    """A basis over Z of the kernel of m: the columns rank .. cols - 1
+    of a unimodular V with U m V in Smith normal form.
+
+    This is the elimination of homalg.smith_normal_form, pivot for
+    pivot, with every column move applied to V as well. Row moves never
+    touch V, so no U is kept. Rows above the pivot are zero past their
+    diagonal, so moves on whole rows and columns change nothing else.
+    """
+    rows, cols = m.rows, m.cols
+    a = m.to_rows()
+    v = IntegerMatrix.identity(cols).to_rows()
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while True:
+        best = min(((abs(x), i, j) for i in range(t, rows)
+                    for j in range(t, cols) if (x := a[i][j])), default=None)
+        if best is None:
+            break
+        _, pi, pj = best
+        a[t], a[pi] = a[pi], a[t]
+        swap_cols(t, pj)
+        while True:
+            # clear the pivot column; a smaller remainder becomes the pivot
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        dirty = True
+            if dirty:
+                continue
+            # clear the pivot row, the column moves that V follows
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for row in a + v:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # the trailing block must be divisible by the pivot
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % a[t][t] for x in a[i][t + 1:])), None)
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        t += 1
+    return [[row[j] for row in v] for j in range(t, cols)]
 
 
 def grid_surface(n: int, klein: bool = False) -> GradedChainComplex:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    _integer_kernel_basis,
     columns_array,
     dense_reduce_columns,
     fp_array,
@@ -32,7 +33,6 @@ from mbflow.homalg import (
     GradedChainComplex,
     IntegerMatrix,
     LaurentPoly,
-    block_matrix,
     complex_from_ranks,
     dim_t,
     direct_sum,
@@ -95,13 +95,6 @@ def test_matrix_shapes_and_arithmetic():
         IntegerMatrix(1, 1, {(0, 2): 1})
 
 
-def test_block_matrix_layout():
-    top = mat([[1, 2]])
-    m = block_matrix([[top, None], [None, IntegerMatrix.identity(1)]],
-                     [1, 1], [2, 1])
-    assert m.to_rows() == [[1, 2, 0], [0, 0, 1]]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -120,15 +113,28 @@ def test_snf_divisibility_chain():
 
 
 def test_snf_transforms_reconstruct():
-    m = mat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    dec = smith_normal_form(m, with_transforms=True)
-    s = dec.u @ m @ dec.v
-    assert all(s[(i, j)] == 0
-               for i in range(s.rows) for j in range(s.cols) if i != j)
-    assert tuple(s[(i, i)] for i in range(dec.rank)) == dec.diagonal
-    n = m.rows
-    assert dec.u @ dec.uinv == IntegerMatrix.identity(n)
-    assert dec.v @ dec.vinv == IntegerMatrix.identity(m.cols)
+    # the tests' integral kernel basis, the kernel columns of the Smith
+    # form's V: m K = 0, K has cols - rank columns, and the gcd of its
+    # maximal minors is 1, so K spans the kernel lattice over Z
+    rng = random.Random(11)
+    cases = [mat([[2, 4, 4], [-6, 6, 12], [-4, 10, 16]]),
+             mat([[2, 4, 4], [-6, 6, 12]]), mat([[6, 10, 15]]),
+             IntegerMatrix.zero(2, 3)]
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        k = rng.randint(0, cols - 1)
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.choice((0, 1, -1, 2, -3, 6)) for _ in range(cols)]
+                 for _ in range(k)]
+        cases.append(IntegerMatrix.from_rows(left, k)
+                     @ IntegerMatrix.from_rows(right, cols))
+    for m in cases:
+        basis = _integer_kernel_basis(m)
+        assert len(basis) == m.cols - integer_rank(m) > 0
+        kern = IntegerMatrix.from_rows(
+            [[col[i] for col in basis] for i in range(m.cols)])
+        assert (m @ kern).is_zero()
+        assert _minor_gcds(kern.to_rows(), kern.cols) == 1
 
 
 def _minor_gcds(rows, k):
@@ -200,13 +206,6 @@ def test_sparse_rank_over_q_agrees_with_bareiss(seed):
              for _ in range(k)]
     m = IntegerMatrix.from_rows(left, k) @ IntegerMatrix.from_rows(right, cols)
     assert _fplinalg.rank(m, None) == integer_rank(m)
-
-
-def test_snf_deterministic():
-    rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    first = smith_normal_form(mat(rows), with_transforms=True)
-    second = smith_normal_form(mat(rows), with_transforms=True)
-    assert first.u == second.u and first.v == second.v
 
 
 def _rref_row_by_row(a, p):
@@ -429,7 +428,9 @@ def test_integer_homology_agrees_with_fp_by_universal_coefficients(seed):
     h = homology(c)
     assert dict(h.free) == free
     assert dict(h.torsion_factors) == torsion
-    for p in (2, 3):
+    # the Z side (unit_sweep and the Smith form) shares nothing with the
+    # column reduction that F_p homology reads its ranks from
+    for p in (2, 3, 5, LARGEST_PRIME):
         hp = homology(c.with_ring(CoefficientRing.prime_field(p)))
         for n in c.degrees():
             # dim H_n(C; F_p) = free_n + p-torsion of H_n and of H_{n-1}

@@ -15,8 +15,9 @@ from support import random_twisted
 from mbflow import _fplinalg, flowcat, homalg, twisted
 from mbflow.cli import fixture_bytes, main, parse_category
 from mbflow.flowcat import category_with_ring, realize
-from mbflow.homalg import F2, ZZ, CoefficientRing, IntegerMatrix
+from mbflow.homalg import F2, ZZ, CoefficientRing, IntegerMatrix, homology
 from mbflow.twisted import (
+    _FieldFrame,
     index_split,
     quotient_sequence,
     spectral_sequence,
@@ -99,17 +100,30 @@ def test_quotient_sequence_builds_each_totalization_once(counts):
     assert counts["dd"].per_object() == [1]
 
 
+class Eliminations:
+    """reduced: the shape of each matrix given to the column reduction,
+    in order, with the prime it reduces mod (None: over Q); ranked: each
+    matrix given to rank, with its prime."""
+
+    def __init__(self):
+        self.reduced: list[tuple] = []
+        self.ranked: list[tuple] = []
+
+
 @pytest.fixture
 def reductions(monkeypatch):
-    """The shapes of the matrices given to the column reduction, in
-    order, each with the prime it reduces mod (None: over Q)."""
-    made = []
-    orig = _fplinalg.reduce_columns
+    made = Eliminations()
+    reduce_columns, rank = _fplinalg.reduce_columns, _fplinalg.rank
 
-    def columns(a, p):
-        made.append((a.rows, a.cols, p))
-        return orig(a, p)
-    monkeypatch.setattr(_fplinalg, "reduce_columns", columns)
+    def reduced(a, p):
+        made.reduced.append((a.rows, a.cols, p))
+        return reduce_columns(a, p)
+
+    def ranked(a, p):
+        made.ranked.append((a, p))
+        return rank(a, p)
+    monkeypatch.setattr(_fplinalg, "reduce_columns", reduced)
+    monkeypatch.setattr(_fplinalg, "rank", ranked)
     return made
 
 
@@ -123,16 +137,16 @@ def test_integral_quotient_sequence_reduces_once(reductions):
     # nonzero D_n, kept on Tot
     t = realize(parse_category(fixture_bytes("borel_free_circle_3")))
     _audit_every_cut(t)
-    assert reductions == [(d.rows, d.cols, t.ring.p)
-                          for d in t._tot.differentials.values()]
+    assert reductions.reduced == [(d.rows, d.cols, t.ring.p)
+                                  for d in t._tot.differentials.values()]
 
 
 def test_field_quotient_sequence_reduces_nothing(reductions):
     # nothing beyond the column reductions kept on Tot
     t = random_twisted(random.Random(7), F3)
     _audit_every_cut(t)
-    assert reductions == [(d.rows, d.cols, t.ring.p)
-                          for d in t._tot.differentials.values()]
+    assert reductions.reduced == [(d.rows, d.cols, t.ring.p)
+                                  for d in t._tot.differentials.values()]
 
 
 def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
@@ -143,8 +157,8 @@ def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
     assert len(t.pieces) == 5 and len(t.structure_maps) == 3
     assert spectral_sequence(t, 4).pages
     _audit_every_cut(t)
-    assert reductions == [(d.rows, d.cols, t.ring.p)
-                          for d in t._tot.differentials.values()]
+    assert reductions.reduced == [(d.rows, d.cols, t.ring.p)
+                                  for d in t._tot.differentials.values()]
 
 
 def test_ring_change_builds_each_totalization_once(counts, reductions):
@@ -158,8 +172,38 @@ def test_ring_change_builds_each_totalization_once(counts, reductions):
     assert counts["realize"].per_object() == [1]
     assert counts["assemble"].per_object() == [1]
     assert counts["dd"].per_object() == [1]
-    assert reductions == [(d.rows, d.cols, 2)
-                          for d in t._tot.differentials.values()]
+    assert reductions.reduced == [(d.rows, d.cols, 2)
+                                  for d in t._tot.differentials.values()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "@borel_free_circle_3", "--ring", "Fp:2"],
+    ["ss", "@borel_free_circle_3", "--field", "2"],
+])
+def test_fp_command_reduces_tot_once_and_ranks_none_of_it(
+        counts, reductions, argv):
+    # F_p homology, the spectral sequence and its E-infinity audit read
+    # one column reduction of each nonzero D_n of the F_2 Tot, which is
+    # the Z one read over F_2; rank sees only the pages' differentials
+    argv = [fixture_path(a[1:]) if a.startswith("@") else a for a in argv]
+    assert run(argv) == 0
+    [(t, _)] = counts["assemble"].calls.values()
+    stored = list(t._tot.differentials.values())
+    assert len(stored) == 3
+    assert reductions.reduced == [(d.rows, d.cols, 2) for d in stored]
+    # no D_n of Tot is ranked, nor a zero matrix such as a missing D_n
+    assert not [m for m, _ in reductions.ranked
+                if not m.entries or any(m is d for d in stored)]
+
+
+def test_homology_and_frame_share_one_reduction(reductions):
+    c = totalize(random_twisted(random.Random(7), F3))
+    assert c.differential
+    homology(c)
+    _FieldFrame(c)
+    assert reductions.reduced == [(d.rows, d.cols, 3)
+                                  for d in c.differential.values()]
+    assert reductions.ranked == []
 
 
 def test_cone_command_builds_the_cone_once(monkeypatch):

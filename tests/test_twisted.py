@@ -374,12 +374,11 @@ def _check_frames_at_every_cut(t):
     tot = totalize(t)
     _check_field_frame(tot)
     lay = t._tot
-    whole = lay.column_reductions
     for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
         sub, quot = (totalize(s) for s in index_split(t, p))
         cut = {n: lay.prefix_dim(n, p) for n in lay.ranks}
-        _check_field_frame(sub, _FieldFrame(tot, whole, hi=cut))
-        _check_field_frame(quot, _FieldFrame(tot, whole, lo=cut), cut)
+        _check_field_frame(sub, _FieldFrame(tot, hi=cut))
+        _check_field_frame(quot, _FieldFrame(tot, lo=cut), cut)
 
 
 def test_field_frame_from_column_reductions():
@@ -456,7 +455,7 @@ def test_cut_reduction_splits_into_sub_and_quotient_reductions(seed, p):
     t = random_twisted(random.Random(seed), ring, max_generators=14,
                        max_pieces=5)
     lay = t._tot
-    whole, full = lay.column_reductions, dict(lay.ranks)
+    whole, full = totalize(t).column_reductions, dict(lay.ranks)
     for n, d in lay.differentials.items():
         rank = integer_rank(d) if p is None else _fplinalg.rank(d, p)
         assert len(whole[n][2]) == rank
