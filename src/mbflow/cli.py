@@ -25,7 +25,6 @@ from decimal import Decimal
 from importlib import resources
 from typing import Any, Mapping
 
-from ._fplinalg import rank as _fp_rank
 from .errors import (
     MBFlowError,
     ParseError,
@@ -248,7 +247,6 @@ def _parse_matrix(obj: Any, path: str, rows: int, cols: int,
 
 def _parse_blocks(arr: Any, path: str, dims_from, dims_to,
                   ) -> dict[int, IntegerMatrix]:
-    _want(arr, path, list, "an array")
     out: dict[int, IntegerMatrix] = {}
     for i, item in enumerate(arr):
         here = f"{path}[{i}]"
@@ -273,17 +271,9 @@ def _parse_chain(obj: Any, path: str, ring: CoefficientRing,
         if r:
             ranks[i] = r
     dim = lambda n: ranks.get(n, 0)
-    diffs_arr = _field(obj, "differentials", path, list, "an array",
-                       default=[])
-    diffs = {}
-    for i, item in enumerate(diffs_arr):
-        here = f"{path}.differentials[{i}]"
-        _want(item, here, dict, "an object")
-        n = _parse_int(_field(item, "degree", here, object, "an integer"),
-                       f"{here}.degree")
-        if n in diffs:
-            raise SchemaError(f"{here}.degree: duplicate degree {n}")
-        diffs[n] = _parse_matrix(item, here, dim(n - 1), dim(n))
+    diffs = _parse_blocks(
+        _field(obj, "differentials", path, list, "an array", default=[]),
+        f"{path}.differentials", dims_from=dim, dims_to=lambda n: dim(n - 1))
     return complex_from_ranks(ring, ranks, diffs)
 
 
@@ -546,12 +536,9 @@ def _cmd_ss(args) -> int:
         print(f"page {page.number}")
         for (p, q) in sorted(page.dims):
             print(f"  E[{p},{q}] dim {page.dims[p, q]}")
-        for (p, q) in sorted(page.differentials):
-            r = _fp_rank(page.differentials[p, q], args.field)
-            if r:
-                print(f"  d{page.number} E[{p},{q}] -> "
-                      f"E[{p - page.number},{q + page.number - 1}] "
-                      f"rank {r}")
+        for (p, q), r in sorted(page.ranks.items()):
+            print(f"  d{page.number} E[{p},{q}] -> "
+                  f"E[{p - page.number},{q + page.number - 1}] rank {r}")
     if res.collapsed_at is not None:
         print(f"collapsed at page {res.collapsed_at}")
     print("limit")

@@ -4,9 +4,11 @@ A flow category is recorded combinatorially: objects carry an integer
 index mu, a framing rank r, and a cellular chain model of the critical
 manifold; correspondences carry chain-level block maps whose degree
 shift r_from - r_to - 1 is the shadow of the framing equation. The
-realization packs objects of equal index into one twisted piece,
-shifting each object's chain by r - mu so that a generator in chain
-degree k lands in total degree k + r.
+realization packs objects of equal index into one twisted piece (a
+homalg.Layout of their chains), shifting each object's chain by r - mu
+so that a generator in chain degree k lands in total degree k + r.
+Correspondence, bimodule and relative-module blocks are checked and
+placed between those layouts by homalg's one shape rule and placement.
 
 Everything downstream (inclusion/quotient splits, index shifts, the
 Atiyah-style dual, bimodule-induced maps, relative modules) is phrased
@@ -34,10 +36,12 @@ from .homalg import (
     GradedChainComplex,
     HomologySummary,
     IntegerMatrix,
-    direct_sum,
+    Layout,
+    block_shape_issues,
     dual_complex,
     homology,
     negate_complex,
+    place_families,
     shift_complex,
 )
 from .twisted import (
@@ -45,7 +49,6 @@ from .twisted import (
     TwistedMorphism,
     cone,
     index_split,
-    place_piece_blocks,
     totalize,
     twisted_from_parts,
     validate as validate_twisted,
@@ -136,6 +139,12 @@ class FlowCategoryData:
     def _by_name(self) -> dict[str, FlowObject]:
         return {o.name: o for o in self.objects}
 
+    @cached_property
+    def _summands(self) -> dict[str, tuple[GradedChainComplex, int]]:
+        """Each object's chain shifted by its framing rank: its total
+        degree, where block_shape_issues checks its blocks."""
+        return {o.name: (o.chain, o.framing_rank) for o in self.objects}
+
     def object(self, name: str) -> FlowObject:
         """The object called name; KeyError if there is none."""
         return self._by_name[name]
@@ -198,25 +207,19 @@ def _diagnose(f: FlowCategoryData) -> CategoryDiagnostics:
                 f"correspondence {c.source!r} -> {c.target!r} does not "
                 f"decrease the index ({src.index} <= {dst.index})")
             continue
-        shift = src.framing_rank - dst.framing_rank - 1
-        for m, blk in c.blocks.items():
-            want = (dst.chain.dim(m + shift), src.chain.dim(m))
-            if (blk.rows, blk.cols) != want:
-                issues.append(
-                    f"correspondence {c.source!r} -> {c.target!r} block at "
-                    f"degree {m} is {blk.rows}x{blk.cols}, expected "
-                    f"{want[0]}x{want[1]}")
+        issues += block_shape_issues(
+            [((c.source, c.target), c.blocks)], f._summands, f._summands, -1,
+            lambda x, y: f"correspondence {x!r} -> {y!r} block")
     if issues:
         return CategoryDiagnostics(False, tuple(issues))
     t, lay = f._realized
     diag = validate_twisted(t)
     if diag.valid:
         return CategoryDiagnostics(True)
-    # translate (piece, local column) back to an object
+    # translate (piece, internal degree, local column) back to an object
     piece = diag.failure_piece
-    local = diag.failure_generator
-    internal = diag.failure_degree - piece
-    name, cell = lay.locate(piece, internal, local)
+    name, cell = lay.layouts[piece].locate(diag.failure_degree - piece,
+                                           diag.failure_generator)
     return CategoryDiagnostics(
         False,
         (f"D.D is nonzero on cell {cell} of object {name!r} "
@@ -232,73 +235,49 @@ def _diagnose(f: FlowCategoryData) -> CategoryDiagnostics:
 
 
 class _PieceLayout:
-    """Column bookkeeping for objects packed into twisted pieces.
+    """Objects packed into twisted pieces, one Layout per piece.
 
-    Objects of equal index are summed in their declaration order; the
-    object's chain enters shifted by r - mu, so chain degree k sits at
-    internal degree k + r - mu.
+    Objects of equal index are summed in their declaration order, keyed
+    by name; each object's chain enters shifted by r - mu, so chain
+    degree k sits at internal degree k + r - mu. A single-object piece
+    is the shifted chain itself, sharing its matrices.
     """
 
-    def __init__(self, f: FlowCategoryData) -> None:
-        self.by_index: dict[int, list[FlowObject]] = {}
-        for o in f.objects:
-            self.by_index.setdefault(o.index, []).append(o)
-        self.offsets: dict[tuple[str, int], int] = {}
-        self.pieces: dict[int, GradedChainComplex] = {}
-        for mu, group in self.by_index.items():
-            shifted = [shift_complex(o.chain, o.framing_rank - mu)
-                       for o in group]
-            lo = min(c.min_degree for c in shifted)
-            hi = max(c.max_degree for c in shifted)
-            for m in range(lo, hi + 1):
-                at = 0
-                for o, c in zip(group, shifted):
-                    self.offsets[(o.name, m)] = at
-                    at += c.dim(m)
-            self.pieces[mu] = shifted[0] if len(shifted) == 1 \
-                else direct_sum(shifted)
+    def __init__(self, summands: Sequence[tuple]) -> None:
+        """summands lists (name, piece index, chain, shift)."""
+        groups: dict[int, list] = {}
+        for name, i, c, s in summands:
+            groups.setdefault(i, []).append((name, c, s))
+        self.piece_of = {name: i for name, i, _, _ in summands}
+        self.layouts = {i: Layout.of(g) for i, g in groups.items()}
+        self.pieces = {i: lay.complex() for i, lay in self.layouts.items()}
 
-    def with_ring(self, g: FlowCategoryData) -> "_PieceLayout":
-        """This layout for g, the same objects over another ring."""
+    def with_ring(self, ring: CoefficientRing) -> "_PieceLayout":
+        """This layout with its pieces read over another ring."""
         out = copy(self)
-        out.by_index = {mu: [g.object(o.name) for o in group]
-                        for mu, group in self.by_index.items()}
-        out.pieces = {mu: c.with_ring(g.ring) for mu, c in self.pieces.items()}
+        out.pieces = {i: c.with_ring(ring) for i, c in self.pieces.items()}
         return out
 
-    def internal_degree(self, o: FlowObject, chain_degree: int) -> int:
-        return chain_degree + o.framing_rank - o.index
-
-    def locate(self, piece: int, internal: int, column: int,
-               ) -> tuple[str, int]:
-        """Map a (piece, internal degree, column) back to an object cell."""
-        for o in self.by_index.get(piece, []):
-            off = self.offsets[(o.name, internal)]
-            dim = o.chain.dim(internal - o.framing_rank + o.index)
-            if off <= column < off + dim:
-                return o.name, column - off
-        raise ShapeMismatch(
-            f"column {column} not found in piece {piece} degree {internal}")
+    def place(self, blocks, dst: "_PieceLayout", lift: int) -> dict:
+        """Blocks ((x, y), {m: block}) from objects of this layout to
+        objects of dst, as piece families (i, j): the maps (piece i)_n ->
+        (dst piece j)_{n + i - j + lift}."""
+        groups: dict[tuple[int, int], list] = {}
+        for (x, y), fam in blocks:
+            groups.setdefault((self.piece_of[x], dst.piece_of[y]), []).append(
+                ((x, y), fam))
+        placed = {(i, j): place_families(fams, self.layouts[i],
+                                         dst.layouts[j], i - j + lift)
+                  for (i, j), fams in groups.items()}
+        return {key: fam for key, fam in placed.items() if fam}
 
 
 def _realize_unchecked(f: FlowCategoryData,
                        ) -> tuple[TwistedComplex, _PieceLayout]:
-    lay = _PieceLayout(f)
-    by_name = {o.name: o for o in f.objects}
-    placed: dict[tuple[int, int, int], list] = {}
-    for c in f.correspondences:
-        src = by_name[c.source]
-        dst = by_name[c.target]
-        shift = src.framing_rank - dst.framing_rank - 1
-        for m, blk in c.blocks.items():
-            if blk.is_zero():
-                continue
-            mm = lay.internal_degree(src, m)
-            tm = lay.internal_degree(dst, m + shift)
-            placed.setdefault((src.index, dst.index, mm), []).append(
-                (lay.offsets[(dst.name, tm)], lay.offsets[(src.name, mm)],
-                 blk))
-    structure = place_piece_blocks(placed, lay.pieces, lay.pieces, -1)
+    lay = _PieceLayout([(o.name, o.index, o.chain, o.framing_rank - o.index)
+                        for o in f.objects])
+    structure = lay.place((((c.source, c.target), c.blocks)
+                           for c in f.correspondences), lay, -1)
     return twisted_from_parts(f.ring, lay.pieces, structure), lay
 
 
@@ -428,7 +407,7 @@ def category_with_ring(f: FlowCategoryData, ring: CoefficientRing,
     verdict = f.__dict__.get("_diagnostics")
     if f.ring.reduces_to(ring) and verdict is not None and verdict.valid:
         t, lay = f._realized
-        lay = lay.with_ring(g)
+        lay = lay.with_ring(ring)
         t_g = TwistedComplex(ring, {i: lay.pieces[i] for i in t.pieces},
                              t.structure_maps)
         t_g.__dict__["_tot"] = t._tot.with_ring(ring)
@@ -509,21 +488,18 @@ class BimoduleData:
     def __post_init__(self) -> None:
         if self.source.ring != self.target.ring:
             raise UnsupportedRing("bimodule between different rings")
-        for (xn, yn), fam in self.blocks.items():
-            x = self.source.object(xn)
-            y = self.target.object(yn)
-            if x.index < y.index:
+        issues = block_shape_issues(
+            self.blocks.items(), self.source._summands,
+            self.target._summands, 0,
+            lambda x, y: f"bimodule block {x!r} -> {y!r}")
+        if issues:
+            raise ShapeMismatch(issues[0])
+        for xn, yn in self.blocks:
+            mx, my = self.source.object(xn).index, self.target.object(yn).index
+            if mx < my:
                 raise ShapeMismatch(
                     f"bimodule block {xn!r} -> {yn!r} is not monotone "
-                    f"({x.index} < {y.index})")
-            shift = x.framing_rank - y.framing_rank
-            for m, blk in fam.items():
-                want = (y.chain.dim(m + shift), x.chain.dim(m))
-                if (blk.rows, blk.cols) != want:
-                    raise ShapeMismatch(
-                        f"bimodule block {xn!r} -> {yn!r} at degree {m} is "
-                        f"{blk.rows}x{blk.cols}, expected "
-                        f"{want[0]}x{want[1]}")
+                    f"({mx} < {my})")
 
 
 def bimodule_to_map(b: BimoduleData) -> TwistedMorphism:
@@ -537,21 +513,8 @@ def bimodule_to_map(b: BimoduleData) -> TwistedMorphism:
     """
     src_t = realize(b.source)
     dst_t = realize(b.target)
-    src_lay = b.source._realized[1]
-    dst_lay = b.target._realized[1]
-    placed: dict[tuple[int, int, int], list] = {}
-    for (xn, yn), fam in b.blocks.items():
-        x = b.source.object(xn)
-        y = b.target.object(yn)
-        shift = x.framing_rank - y.framing_rank
-        for m, blk in fam.items():
-            if blk.is_zero():
-                continue
-            mm = src_lay.internal_degree(x, m)
-            tm = dst_lay.internal_degree(y, m + shift)
-            placed.setdefault((x.index, y.index, mm), []).append(
-                (dst_lay.offsets[(yn, tm)], src_lay.offsets[(xn, mm)], blk))
-    blocks = place_piece_blocks(placed, src_lay.pieces, dst_lay.pieces, 0)
+    blocks = b.source._realized[1].place(b.blocks.items(),
+                                         b.target._realized[1], 0)
     morphism = TwistedMorphism(src_t, dst_t, blocks)
     cone_cat = _cone_category(b)
     if realize(cone_cat) != cone(morphism):
@@ -616,17 +579,14 @@ class RelativeModuleData:
     def __post_init__(self) -> None:
         if self.target_space_chain.ring != self.base.ring:
             raise UnsupportedRing("relative module over a different ring")
-        for xn, fam in self.blocks.items():
-            x = self.base.object(xn)
-            shift = x.framing_rank - self.twist_rank
-            for m, blk in fam.items():
-                want = (self.target_space_chain.dim(m + shift),
-                        x.chain.dim(m))
-                if (blk.rows, blk.cols) != want:
-                    raise ShapeMismatch(
-                        f"relative block for {xn!r} at degree {m} is "
-                        f"{blk.rows}x{blk.cols}, expected "
-                        f"{want[0]}x{want[1]}")
+        # C(P) sits at total degree (its degree + twist_rank)
+        issues = block_shape_issues(
+            (((xn, None), fam) for xn, fam in self.blocks.items()),
+            self.base._summands,
+            {None: (self.target_space_chain, self.twist_rank)}, 0,
+            lambda x, _: f"relative block for {x!r}")
+        if issues:
+            raise ShapeMismatch(issues[0])
 
 
 @dataclass(frozen=True)
@@ -651,24 +611,12 @@ def relative_map(rm: RelativeModuleData) -> RelativeMapResult:
     j + twist_rank.
     """
     src_t = realize(rm.base)
-    src_lay = rm.base._realized[1]
     base_index = min([0] + [o.index for o in rm.base.objects])
-    piece = shift_complex(rm.target_space_chain,
-                          rm.twist_rank - base_index)
-    dst_t = twisted_from_parts(rm.base.ring, {base_index: piece}, {})
-    # C(P)_{m + r_x - twist_rank} sits at piece degree mm + i - base_index,
-    # where mm is the internal degree of C(x)_m in piece i
-    placed: dict[tuple[int, int, int], list] = {}
-    for xn, fam in rm.blocks.items():
-        x = rm.base.object(xn)
-        for m, blk in fam.items():
-            if blk.is_zero():
-                continue
-            mm = src_lay.internal_degree(x, m)
-            placed.setdefault((x.index, base_index, mm), []).append(
-                (0, src_lay.offsets[(xn, mm)], blk))
-    blocks = place_piece_blocks(placed, src_lay.pieces, {base_index: piece},
-                                0)
+    dst = _PieceLayout([(None, base_index, rm.target_space_chain,
+                         rm.twist_rank - base_index)])
+    dst_t = twisted_from_parts(rm.base.ring, dst.pieces, {})
+    blocks = rm.base._realized[1].place(
+        (((xn, None), fam) for xn, fam in rm.blocks.items()), dst, 0)
     morphism = TwistedMorphism(src_t, dst_t, blocks)
     cone_h = homology(totalize(cone(morphism)))
     return RelativeMapResult(

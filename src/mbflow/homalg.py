@@ -1,10 +1,12 @@
 """Exact homological algebra over Z and over prime fields.
 
 This module owns the coefficient-ring abstraction, exact integer
-matrices, bounded graded chain complexes, the Smith normal form
-(invariant factors only), homology with torsion, Poincare series in the
-Laurent variable t, and the (1+t)-divisibility partial order on such
-series that drives every inequality verdict in the package.
+matrices, bounded graded chain complexes, graded layouts of shifted
+summands with the one rule that checks and places block families
+between them, the Smith normal form (invariant factors only), homology
+with torsion, Poincare series in the Laurent variable t, and the
+(1+t)-divisibility partial order on such series that drives every
+inequality verdict in the package.
 
 Each chain complex keeps one column reduction of each differential over
 its ring's field (GradedChainComplex.column_reductions): homology over
@@ -29,9 +31,10 @@ acting on column vectors.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from . import _fplinalg
 from .errors import (
@@ -594,28 +597,148 @@ def dual_complex(c: GradedChainComplex) -> GradedChainComplex:
 
 
 def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
+    """The summands side by side in each degree, in the order given."""
     if not parts:
         raise InvalidRange("direct sum of no complexes")
-    ring = parts[0].ring
-    for c in parts:
-        if c.ring != ring:
+    return Layout.of((k, c, 0) for k, c in enumerate(parts)).complex()
+
+
+# ---------------------------------------------------------------------------
+# graded layouts and block placement
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Keyed, shifted summands laid side by side in each degree.
+
+    summands[key] = (c, s) places the complex c shifted by s: its degree
+    m sits in degree m + s of the layout. In each degree the summands
+    that are nonzero there follow in the order of summands. parts[n]
+    holds only those: their positions in that order, ascending, and the
+    offsets where they start. ranks holds the nonzero total dimensions.
+    A direct sum, a piece of objects and Tot are layouts.
+    """
+
+    summands: Mapping[Any, tuple[GradedChainComplex, int]]
+    ranks: Mapping[int, int]
+    parts: Mapping[int, tuple[tuple[int, ...], tuple[int, ...]]]
+
+    @staticmethod
+    def of(summands: Iterable[tuple]) -> "Layout":
+        """The layout of (key, complex, shift) triples, in that order."""
+        placed, ranks, parts = {}, {}, {}
+        for k, (key, c, s) in enumerate(summands):
+            placed[key] = (c, s)
+            for m, r in c.rank.items():
+                if r:
+                    at, starts = parts.setdefault(m + s, ([], []))
+                    at.append(k)
+                    starts.append(ranks.get(m + s, 0))
+                    ranks[m + s] = starts[-1] + r
+        return Layout(placed, ranks, {n: (tuple(a), tuple(b))
+                                      for n, (a, b) in parts.items()})
+
+    @cached_property
+    def keys(self) -> tuple:
+        return tuple(self.summands)
+
+    @cached_property
+    def _positions(self) -> dict[Any, int]:
+        return {key: k for k, key in enumerate(self.keys)}
+
+    def position(self, key: Any) -> int:
+        """The place of key in the order of summands."""
+        return self._positions[key]
+
+    def dim(self, n: int) -> int:
+        return self.ranks.get(n, 0)
+
+    def offset(self, n: int, key: Any) -> int:
+        """Dimension of the summands before key in degree n: the row or
+        column where key's cells start."""
+        at, starts = self.parts.get(n, ((), ()))
+        k = bisect_left(at, self.position(key))
+        return starts[k] if k < len(starts) else self.dim(n)
+
+    def locate(self, n: int, cell: int) -> tuple[Any, int]:
+        """Map a cell of degree n back to (summand key, local index)."""
+        at, starts = self.parts.get(n, ((), ()))
+        k = bisect_right(starts, cell) - 1
+        if k < 0 or cell >= self.dim(n):
+            raise ShapeMismatch(f"cell {cell} outside degree {n}")
+        return self.keys[at[k]], cell - starts[k]
+
+    def filtration(self, n: int) -> list[Any]:
+        """The summand key of every cell of degree n, in cell order."""
+        at, starts = self.parts.get(n, ((), ()))
+        ends = starts[1:] + (self.dim(n),)
+        return [self.keys[k] for k, a, b in zip(at, starts, ends)
+                for _ in range(b - a)]
+
+    def complex(self) -> GradedChainComplex:
+        """The direct sum of the shifted summands with their own
+        differentials: d.d = 0 is inherited, and nothing is squared. One
+        summand is shift_complex of it, sharing its matrices."""
+        parts = list(self.summands.values())
+        if len(parts) == 1:
+            return shift_complex(*parts[0])
+        if len({c.ring for c, _ in parts}) > 1:
             raise UnsupportedRing("direct sum over mixed rings")
-    lo = min(c.min_degree for c in parts)
-    hi = max(c.max_degree for c in parts)
-    ranks: dict[int, int] = {}
-    diffs: dict[int, IntegerMatrix] = {}
-    for n in range(lo, hi + 1):
-        placed, roff, coff = [], 0, 0
-        for c in parts:
-            placed.append((roff, coff, c.d(n)))
-            roff += c.dim(n - 1)
-            coff += c.dim(n)
-        ranks[n] = coff
-        d = place_blocks(roff, coff, placed)
-        if not d.is_zero():
-            diffs[n] = d
-    return GradedChainComplex._derived(
-        ring, lo, hi, {n: r for n, r in ranks.items() if r > 0}, diffs)
+        diffs = place_families((((key, key), c.differential) for key, (c, _)
+                                in self.summands.items()), self, self, -1)
+        return GradedChainComplex._derived(
+            parts[0][0].ring, min(c.min_degree + s for c, s in parts),
+            max(c.max_degree + s for c, s in parts), dict(self.ranks), diffs)
+
+
+def block_shape_issues(families: Iterable, src: Mapping, dst: Mapping,
+                       lift: int, label: Callable) -> list[str]:
+    """What keeps block families from fitting between their summands.
+
+    A family ((a, b), {m: block}) maps summand a of src to summand b of
+    dst, each given as (complex, shift) as in Layout.summands, and
+    raises the layout's degree by lift: its block at degree m of a must
+    land at degree m + shift_a + lift - shift_b of b. A family naming a
+    summand that is not there is reported once; label(a, b) names the
+    family in every message.
+    """
+    issues = []
+    for (a, b), fam in families:
+        if a not in src or b not in dst:
+            issues.append(f"{label(a, b)} references a missing summand")
+            continue
+        (c, s), (e, t) = src[a], dst[b]
+        for m, blk in fam.items():
+            want = (e.dim(m + s + lift - t), c.dim(m))
+            if (blk.rows, blk.cols) != want:
+                issues.append(
+                    f"{label(a, b)} at degree {m} is {blk.rows}x{blk.cols}, "
+                    f"expected {want[0]}x{want[1]}")
+    return issues
+
+
+def place_families(families: Iterable, src: Layout, dst: Layout, lift: int,
+                   ) -> dict[int, IntegerMatrix]:
+    """Sum block families into the maps src_n -> dst_{n + lift}.
+
+    The family ((a, b), {m: block}) puts its block at degree m of
+    summand a in the columns of a in degree n = m + shift_a and the rows
+    of b in degree n + lift. The blocks must fit (block_shape_issues).
+    Returns the nonzero maps, keyed by n in ascending order.
+    """
+    placed: dict[int, list[tuple[int, int, IntegerMatrix]]] = {}
+    for (a, b), fam in families:
+        s = src.summands[a][1]
+        for m, blk in fam.items():
+            if blk.entries:
+                placed.setdefault(m + s, []).append(
+                    (dst.offset(m + s + lift, b), src.offset(m + s, a), blk))
+    out = {}
+    for n in sorted(placed):
+        d = place_blocks(dst.dim(n + lift), src.dim(n), placed[n])
+        if d.entries:
+            out[n] = d
+    return out
 
 
 # ---------------------------------------------------------------------------

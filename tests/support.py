@@ -515,3 +515,72 @@ def subspace_spectral_sequence(t: TwistedComplex, max_page: int):
     for (f, q), d in inf.items():
         limit[f + q] = limit.get(f + q, 0) + d
     return pages, limit, collapsed_at
+
+
+# ---------------------------------------------------------------------------
+# dense assembly: an oracle for homalg.Layout and homalg.place_families
+
+
+def _dense_starts(sizes: list[tuple[object, int]]) -> tuple[dict, int]:
+    """Where each (key, size) starts when laid end to end, and the total."""
+    starts, at = {}, 0
+    for key, size in sizes:
+        starts[key] = at
+        at += size
+    return starts, at
+
+
+def _dense_matrix(rows: int, cols: int, placed) -> IntegerMatrix:
+    """Blocks (row start, column start, block) summed into a dense array."""
+    a = [[0] * cols for _ in range(rows)]
+    for r0, c0, blk in placed:
+        for (r, c), v in blk.entries.items():
+            a[r0 + r][c0 + c] += v
+    return IntegerMatrix.from_rows(a, cols)
+
+
+def _tot_cells(t: TwistedComplex, n: int) -> tuple[dict, int]:
+    # Tot_n lists the pieces by ascending index, piece i in degree n - i
+    return _dense_starts([(i, t.pieces[i].dim(n - i))
+                          for i in sorted(t.pieces)])
+
+
+def dense_total_differential(t: TwistedComplex, n: int) -> IntegerMatrix:
+    """D_n of Tot(t), assembled densely from each piece's differential
+    and the structure maps."""
+    (rows, r), (cols, c) = _tot_cells(t, n - 1), _tot_cells(t, n)
+    placed = [(rows[i], cols[i], p.d(n - i)) for i, p in t.pieces.items()]
+    placed += [(rows[j], cols[i], fam[n - i])
+               for (i, j), fam in t.structure_maps.items() if n - i in fam]
+    return _dense_matrix(r, c, placed)
+
+
+def dense_morphism_matrix(m, n: int) -> IntegerMatrix:
+    """The map Tot(m.source)_n -> Tot(m.target)_n of a twisted
+    morphism, assembled densely from its blocks."""
+    (rows, r), (cols, c) = _tot_cells(m.target, n), _tot_cells(m.source, n)
+    return _dense_matrix(r, c, [(rows[j], cols[i], fam[n - i])
+                                for (i, j), fam in m.blocks.items()
+                                if n - i in fam])
+
+
+def dense_realized_differential(f: FlowCategoryData, n: int,
+                                ) -> IntegerMatrix:
+    """D_n of Tot(realize(f)) from the objects themselves: the cells of
+    total degree k are those of chain degree k - r of every object,
+    objects by ascending index and then in declaration order; D is each
+    chain's own differential plus the correspondence blocks."""
+    order = sorted(f.objects, key=lambda o: o.index)  # stable
+
+    def cells(k):
+        return _dense_starts([(o.name, o.chain.dim(k - o.framing_rank))
+                              for o in order])
+    (rows, r), (cols, c) = cells(n - 1), cells(n)
+    placed = [(rows[o.name], cols[o.name], o.chain.d(n - o.framing_rank))
+              for o in order]
+    for corr in f.correspondences:
+        m = n - f.object(corr.source).framing_rank
+        if m in corr.blocks:
+            placed.append((rows[corr.target], cols[corr.source],
+                           corr.blocks[m]))
+    return _dense_matrix(r, c, placed)

@@ -1,0 +1,182 @@
+"""One graded layout and one block placement (homalg.Layout,
+place_families, block_shape_issues) for Tot, morphisms, homotopies,
+cones and realizations, checked against dense assembly in
+support.py, which uses none of them."""
+
+import random
+
+import pytest
+from support import (
+    dense_morphism_matrix,
+    dense_realized_differential,
+    dense_total_differential,
+    mat,
+    point_complex,
+    random_twisted,
+)
+
+from mbflow import homalg, twisted
+from mbflow.errors import ShapeMismatch, UnsupportedRing
+from mbflow.examples import homotopy_square_fixture, standard_fixtures
+from mbflow.flowcat import realize
+from mbflow.homalg import (
+    F2,
+    ZZ,
+    IntegerMatrix,
+    Layout,
+    block_shape_issues,
+    complex_from_ranks,
+    direct_sum,
+    negate_complex,
+    shift_complex,
+)
+from mbflow.twisted import (
+    TwistedMorphism,
+    identity_morphism,
+    index_split,
+    morphism_total_matrix,
+    shift,
+    totalize,
+    twisted_from_parts,
+    verify_homotopy_square,
+)
+
+
+def _degrees(t):
+    lay = t._tot
+    return range(lay.min_degree - 1, lay.max_degree + 2)
+
+
+def shifted_identity(t, a):
+    """The identity of Tot(t) as a morphism to shift(t, a): blocks
+    (i, i + a) of shift a, so every target layout differs."""
+    s, _ = shift(t, a)
+    return TwistedMorphism(t, s, {
+        (i, i + a): {m: IntegerMatrix.identity(c.dim(m))
+                     for m in c.degrees() if c.dim(m)}
+        for i, c in t.pieces.items()}, shift=a)
+
+
+def cut_morphism(t, p):
+    """The structure maps of t from the quotient at the cut p to the
+    sub, as a chain map Q' -> S. Q' is the quotient one total degree
+    down with every map negated, so D_S d = d D_Q' follows from D.D = 0
+    on t. Its blocks leave the diagonal."""
+    sub, quot = index_split(t, p)
+    lowered = twisted_from_parts(
+        t.ring,
+        {i: shift_complex(negate_complex(c), -1)
+         for i, c in quot.pieces.items()},
+        {key: {m - 1: -blk for m, blk in fam.items()}
+         for key, fam in quot.structure_maps.items()})
+    return TwistedMorphism(lowered, sub, {
+        (i, j): {m - 1: blk for m, blk in fam.items()}
+        for (i, j), fam in t.structure_maps.items() if j <= p < i})
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2])
+def test_tot_and_morphisms_match_dense_assembly(ring):
+    rng = random.Random(20)
+    crossing = 0
+    for _ in range(110):
+        t = random_twisted(rng, ring, max_generators=14, max_pieces=5)
+        tot = totalize(t)
+        for n in _degrees(t):
+            assert tot.d(n) == dense_total_differential(t, n), n
+        morphisms = [shifted_identity(t, rng.choice((-2, 1, 3)))]
+        for p in range(min(t.pieces), max(t.pieces)):
+            m = cut_morphism(t, p)
+            if m.source.pieces and m.target.pieces:
+                morphisms.append(m)
+                crossing += bool(m.blocks)
+        for m in morphisms:
+            for n in _degrees(m.source):
+                assert morphism_total_matrix(m, n) == \
+                    dense_morphism_matrix(m, n), n
+    assert crossing > 50
+
+
+@pytest.mark.parametrize("name, f", standard_fixtures())
+def test_realization_matches_object_level_assembly(name, f):
+    t = realize(f)
+    for n in _degrees(t):
+        assert t._tot.d(n) == dense_realized_differential(f, n), n
+
+
+def test_homotopy_square_places_its_homotopy_once(monkeypatch):
+    w = homotopy_square_fixture()
+    calls = []
+    orig = homalg.place_blocks
+
+    def counted(rows, cols, placed):
+        calls.append((rows, cols))
+        return orig(rows, cols, placed)
+    monkeypatch.setattr(homalg, "place_blocks", counted)
+    assert verify_homotopy_square(w).holds
+    # the morphisms' Tot matrices were placed when they were built
+    assert len(calls) == 1
+
+
+def test_morphism_places_its_blocks_once(monkeypatch):
+    t = random_twisted(random.Random(3), ZZ, max_generators=14,
+                       max_pieces=5)
+    t._tot
+    calls = []
+    orig = twisted.place_families
+
+    def counted(families, src, dst, lift):
+        calls.append(lift)
+        return orig(families, src, dst, lift)
+    monkeypatch.setattr(twisted, "place_families", counted)
+    m = identity_morphism(t)
+    assert calls == [0]
+    for n in _degrees(t):
+        morphism_total_matrix(m, n)
+    assert calls == [0]
+
+
+def test_layout_offsets_and_locate():
+    seg = complex_from_ranks(ZZ, {0: 2, 1: 1}, {1: mat([[1], [-1]])})
+    lay = Layout.of([("a", seg, 0), ("b", point_complex(ZZ), 1),
+                     ("c", seg, 1)])
+    assert dict(lay.ranks) == {0: 2, 1: 4, 2: 1}
+    assert [lay.offset(1, k) for k in "abc"] == [0, 1, 2]
+    assert [lay.locate(1, cell) for cell in range(4)] == \
+        [("a", 0), ("b", 0), ("c", 0), ("c", 1)]
+    assert lay.filtration(1) == ["a", "b", "c", "c"]
+    for bad in (-1, 4):
+        with pytest.raises(ShapeMismatch):
+            lay.locate(1, bad)
+    total = lay.complex()
+    assert total == direct_sum([seg, shift_complex(point_complex(ZZ), 1),
+                                shift_complex(seg, 1)])
+    assert total.d(1).to_rows() == [[1, 0, 0, 0], [-1, 0, 0, 0]]
+    assert total.d(2).to_rows() == [[0], [0], [1], [-1]]
+
+
+def test_one_summand_layout_shares_the_matrices():
+    seg = complex_from_ranks(ZZ, {0: 2, 1: 1}, {1: mat([[1], [-1]])})
+    c = Layout.of([("x", seg, 3)]).complex()
+    assert c.d(4) is seg.d(1)
+
+
+def test_direct_sum_over_mixed_rings_is_refused():
+    with pytest.raises(UnsupportedRing):
+        direct_sum([point_complex(ZZ), point_complex(F2)])
+
+
+def test_block_shape_issues_reports_shapes_and_missing_summands():
+    pt, seg = point_complex(ZZ), complex_from_ranks(ZZ, {0: 1, 1: 1})
+    src, dst = {0: (seg, 1)}, {1: (pt, 0)}
+    label = "block ({},{})".format
+    # lift -1: the block at degree 1 of summand 0 lands at degree
+    # 1 + 1 - 1 - 0 = 1 of summand 1, which is empty there
+    assert block_shape_issues([((0, 1), {0: mat([[1]]),
+                                         1: IntegerMatrix.zero(0, 1)}),
+                               ((0, 2), {}), ((5, 1), {})],
+                              src, dst, -1, label) == [
+        "block (0,2) references a missing summand",
+        "block (5,1) references a missing summand"]
+    assert block_shape_issues([((0, 1), {1: mat([[1]])})], src, dst, -1,
+                              label) == [
+        "block (0,1) at degree 1 is 1x1, expected 0x1"]

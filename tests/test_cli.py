@@ -480,3 +480,45 @@ def test_cli_import_leaves_numpy_out():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_subcommand_runs_without_numpy(capsys):
+    # numpy made unimportable: one command of each subcommand prints the
+    # same bytes and exit code as in this process
+    import mbflow
+
+    src = str(Path(list(mbflow.__path__)[0]).parent)
+    commands = [
+        ["validate", fixture_path("sphere_z2")],
+        ["homology", fixture_path("rp2")],
+        ["homology", fixture_path("rp2"), "--ring", "Fp:2"],
+        ["poincare", fixture_path("torus_flat")],
+        ["check-ineq", fixture_path("sphere_z2")],
+        ["check-ineq", fixture_path("borel_free_circle_3"),
+         "--equivariant", "--cutoff", "5"],
+        ["ss", fixture_path("borel_free_circle_3"), "--field", "2"],
+        ["cone"] + [fixture_path(name) for name in
+                    ("s2_two_point", "sphere_z2", "continuation_s2")],
+        ["dual", fixture_path("torus_flat")],
+        ["fixtures", "list"],
+        ["fixtures", "emit", "rp2"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from mbflow.cli import main\n"
+        "got = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    got.append([code, out.getvalue()])\n"
+        "print(json.dumps(got))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src, json.dumps(commands)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = [list(run_cli(argv, capsys)[:2]) for argv in commands]
+    assert json.loads(proc.stdout) == want
+    assert all(code == 0 for code, _ in want)

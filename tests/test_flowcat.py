@@ -410,6 +410,15 @@ def test_bimodule_rejects_non_monotone_block():
         )
 
 
+def test_bimodule_rejects_unknown_object():
+    # a name that is no object of its category is a missing summand
+    for key in (("zz", "n"), ("b", "zz")):
+        with pytest.raises(ShapeMismatch, match="missing summand"):
+            BimoduleData(source=two_point_sphere(),
+                         target=equator_sphere(),
+                         blocks={key: {0: mat([[1]])}})
+
+
 def test_bimodule_rejects_bad_shape():
     with pytest.raises(ShapeMismatch):
         BimoduleData(
@@ -526,6 +535,16 @@ def test_relative_twist_shifts_target():
     res = relative_map(rm)
     assert res.quasi_isomorphism
     assert dict(res.target_homology.free) == {3: 1}
+
+
+def test_relative_block_rejects_unknown_object():
+    with pytest.raises(ShapeMismatch, match="relative block for 'zz'"):
+        RelativeModuleData(
+            base=two_point_sphere(),
+            target_space_chain=point_complex(ZZ),
+            twist_rank=0,
+            blocks={"zz": {0: mat([[1]])}},
+        )
 
 
 def test_relative_block_shape_checked():

@@ -196,6 +196,16 @@ def test_fp_command_reduces_tot_once_and_ranks_none_of_it(
                 if not m.entries or any(m is d for d in stored)]
 
 
+def test_ss_command_ranks_each_page_differential_once(reductions):
+    # the page-turn audit and the printed table read the ranks kept on
+    # each page
+    argv = ["ss", fixture_path("borel_free_circle_3"), "--field", "2"]
+    assert run(argv) == 0
+    ranked = [m for m, _ in reductions.ranked]
+    assert len(ranked) == 3
+    assert len({id(m) for m in ranked}) == 3
+
+
 def test_homology_and_frame_share_one_reduction(reductions):
     c = totalize(random_twisted(random.Random(7), F3))
     assert c.differential

@@ -728,6 +728,18 @@ def test_homotopy_square_nontrivial_witness():
     assert (v.failure_degree, v.failure_piece) == (1, 1)
 
 
+def test_homotopy_square_checks_its_blocks_at_construction():
+    # a diagonal block naming a missing piece, or of the wrong shape, is
+    # refused by the witness itself, before any verification
+    ident = identity_morphism(sphere_two_pieces())
+    with pytest.raises(ShapeMismatch, match="missing summand"):
+        HomotopySquareWitness(ident, ident, ident, ident,
+                              {(0, 7): {0: mat([[1]])}})
+    with pytest.raises(ShapeMismatch, match=r"homotopy block \(0,0\)"):
+        HomotopySquareWitness(ident, ident, ident, ident,
+                              {(0, 0): {0: mat([[1, 1]])}})
+
+
 def test_homotopy_square_rejects_mismatched_corners():
     t = sphere_two_pieces()
     s = flat_torus()
