@@ -17,11 +17,16 @@ Integer homology works in two stages (Dumas, Heckenbach, Saunders and
 Welker 2003): unit_sweep, a sparse column elimination of each
 differential that pivots only on +-1, splits off its unit pivots, and
 only the leftover goes through the dense Smith form, one per degree and
-without transforms. Every integer rank is cross-checked against
-elimination of the original differential modulo a large prime. Induced
-maps over Z, as in twisted's long-exact-sequence audit, are read and
-ranked after tensoring with Q, off the same sparse column reduction as
-over F_p (_fplinalg), and need no Smith form.
+without transforms. That Smith form runs modulo a nonzero rank x rank
+minor D of the leftover, which a fraction-free elimination (Bareiss
+1968) gives along with the rank. Every nonzero invariant factor divides
+D, so working mod D loses none of them and keeps every entry below D
+(Domich, Kannan and Trotter 1987; Hafner and McCurley 1991). Every
+integer rank is cross-checked against elimination of the original
+differential modulo a large prime. Induced maps over Z, as in twisted's
+long-exact-sequence audit, are read and ranked after tensoring with Q,
+off the same sparse column reduction as over F_p (_fplinalg), and need
+no Smith form.
 
 Matrix convention used everywhere: the differential d_n maps degree n
 to degree n-1 and is stored as a (rank(n-1) x rank(n)) integer matrix
@@ -34,6 +39,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Any, Callable, Iterable, Mapping
 
 from . import _fplinalg
@@ -293,110 +299,89 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     """Smith normal form of an integer matrix, without transforms.
 
     Returns (diagonal, rank), where diagonal lists the positive
-    invariant factors d_1 | d_2 | ... The dense reduction is meant for
-    the leftover of unit_sweep, which holds no +-1 pivot, and only the
-    diagonal is kept: homology over Z reads nothing else (Dumas,
-    Heckenbach, Saunders and Welker 2003).
+    invariant factors d_1 | d_2 | ... It is meant for the leftover of
+    unit_sweep, which holds no +-1 pivot, and only the diagonal is kept:
+    homology over Z reads nothing else (Dumas, Heckenbach, Saunders and
+    Welker 2003).
 
-    The pivot choice (smallest absolute value, then lowest row, then
-    lowest column) is deterministic.
+    The elimination runs modulo D, the nonzero rank x rank minor that
+    _bareiss ends on (Domich, Kannan and Trotter 1987; Hafner and
+    McCurley 1991). The product of the factors is the gcd of the
+    rank x rank minors, which divides D, so each factor divides D and
+    is read off mod D as gcd(pivot, D); a factor with no nonzero pivot
+    mod D is D. Every step on two lines is unimodular, and the
+    extended-gcd step shrinks the pivot. Column t is cleared, then row
+    t by clearing the transpose, which has the same Smith form, until
+    both are zero. gcd/lcm swaps put the factors in divisibility order.
 
     >>> m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
     >>> smith_normal_form(m)
     ((2, 4), 2)
+    >>> smith_normal_form(IntegerMatrix.from_rows([[4, 6], [6, 4]]))
+    ((2, 10), 2)
     >>> smith_normal_form(IntegerMatrix.zero(2, 3))
     ((), 0)
     """
     if not m.entries:
         return (), 0
-    a = m.to_rows()
-    rows, cols = m.rows, m.cols
-    t = 0
-    while True:
-        # locate the deterministic pivot in the trailing submatrix
-        best: tuple[int, int, int] | None = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                v = ai[j]
-                if v:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
+    rank, det = _bareiss(m)
+    a = [[v % det for v in row] for row in m.to_rows()]
+    factors = []
+    for t in range(min(m.rows, m.cols)):
+        pick = next(((i, j) for i in range(t, len(a))
+                     for j in range(t, len(a[i])) if a[i][j]), None)
+        if pick is None:
             break
-        _, pi, pj = best
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
+        i, j = pick
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, rows):
+            for i in range(t + 1, len(a)):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        at = a[t]
-                        ai = a[i]
-                        for k in range(t, cols):
-                            ai[k] -= q * at[k]
-                    if a[i][t]:
-                        # remainder is smaller than the pivot; promote it
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row_i in range(t, rows):
-                            a[row_i][j] -= q * a[row_i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # enforce divisibility of the trailing submatrix by the pivot
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+                    a[t], a[i] = _unimodular_step(a[t], a[i], t, det)
+            if not any(a[t][t + 1:]):
                 break
-            at = a[t]
-            ao = a[offender]
-            for k in range(t, cols):
-                at[k] += ao[k]
-        if a[t][t] < 0:
-            for k in range(t, cols):
-                a[t][k] = -a[t][k]
-        t += 1
-    return tuple(a[i][i] for i in range(t)), t
+            a = [list(col) for col in zip(*a)]
+        factors.append(gcd(a[t][t], det))
+    factors += [det] * (rank - len(factors))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    return tuple(factors[:rank]), rank
 
 
-def integer_rank(m: IntegerMatrix) -> int:
-    """Rank of m over Q, by fraction-free elimination (Bareiss 1968).
+def _unimodular_step(top: list[int], row: list[int], t: int, mod: int,
+                     ) -> tuple[list[int], list[int]]:
+    """top and row, reduced mod mod, after a unimodular step that
+    clears row[t] against the pivot top[t]."""
+    p, x = top[t], row[t]
+    if x % p == 0:
+        # an extended gcd of equal entries would swap the lines forever
+        return top, [(v - x // p * w) % mod for w, v in zip(top, row)]
+    g, s, u = _xgcd(p, x)
+    return ([(s * w + u * v) % mod for w, v in zip(top, row)],
+            [(p // g * v - x // g * w) % mod for w, v in zip(top, row)])
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) with s*a + u*b = g = gcd(a, b)."""
+    s, s1, u, u1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s, s1, u, u1 = b, a - q * b, s1, s - q * s1, u1, u - q * u1
+    return a, s, u
+
+
+def _bareiss(m: IntegerMatrix) -> tuple[int, int]:
+    """(rank, |D|) of m by fraction-free elimination (Bareiss 1968).
 
     After k pivots every entry left below them is a (k+1)-minor of m,
     so each division by the previous pivot is exact and the entries
-    stay within Hadamard's bound: Python ints, no fractions and no
-    Smith form. Dense and cubic, it is the independent reference that
-    the sparse rank over Q (_fplinalg.rank with p None) is tested
-    against.
-
-    >>> integer_rank(IntegerMatrix.from_rows([[2, 4], [3, 6]]))
-    1
+    stay within Hadamard's bound: Python ints, no fractions. D, the
+    last pivot, is the rank x rank minor on the pivot rows and columns,
+    and nonzero; it is 1 for a zero matrix.
     """
     a = [row for row in m.to_rows() if any(row)]
     rank, prev = 0, 1
@@ -416,7 +401,19 @@ def integer_rank(m: IntegerMatrix) -> int:
                 ai[k] = (p * ai[k] - f * top[k]) // prev
         prev = p
         rank += 1
-    return rank
+    return rank, abs(prev)
+
+
+def integer_rank(m: IntegerMatrix) -> int:
+    """Rank of m over Q, by fraction-free elimination (_bareiss).
+
+    Dense and cubic, it is the independent reference that the sparse
+    rank over Q (_fplinalg.rank with p None) is tested against.
+
+    >>> integer_rank(IntegerMatrix.from_rows([[2, 4], [3, 6]]))
+    1
+    """
+    return _bareiss(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +842,8 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     elimination of d_n's entries (_fplinalg.rank). Over F_p, rk d_n is
     the number of lows of the column reduction c keeps
     (GradedChainComplex.column_reductions), which the spectral sequence
-    and the exactness audit of a Tot read too, and every homology
-    dimension is checked to be nonnegative.
+    and the exactness audit of a Tot read too. Over either ring every
+    free rank is checked to be nonnegative.
 
     The real projective plane, one cell in each degree with d_2 = 2:
 
@@ -856,48 +853,33 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     >>> dict(h.free), dict(h.torsion_factors)
     ({0: 1}, {1: (2,)})
     """
-    if c.ring.is_field:
-        return _homology_field(c)
-    q = CHECK_PRIME
-    rk: dict[int, int] = {}
-    factors: dict[int, tuple[int, ...]] = {}
-    for n, d in sorted(c.differential.items()):
-        units, rest = unit_sweep(d)
-        diag, rank = smith_normal_form(rest)
-        got = _fplinalg.rank(d, q)
-        want = units + rank - sum(1 for x in diag if x % q == 0)
-        if got != want:
-            raise InvariantViolation(
-                f"rank of d_{n} mod {q} is {got}, the reduction and Smith "
-                f"form give {want}")
-        rk[n] = units + rank
-        factors[n] = tuple(x for x in diag if x > 1)
-    free: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    for n in c.degrees():
-        f = c.dim(n) - rk.get(n, 0) - rk.get(n + 1, 0)
-        if f < 0:
-            raise InvariantViolation(
-                f"negative free rank in degree {n}")
-        if f:
-            free[n] = f
-        if factors.get(n + 1):
-            torsion[n] = factors[n + 1]
-    return HomologySummary(c.ring, c.min_degree, c.max_degree, free, torsion)
-
-
-def _homology_field(c: GradedChainComplex) -> HomologySummary:
+    if c.ring.is_field:
+        # rk d_n counts the lows of its kept reduction; a missing d_n is zero
+        rk = {n: len(low) for n, (_, _, low) in c.column_reductions.items()}
+    else:
+        q = CHECK_PRIME
+        rk = {}
+        for n, d in sorted(c.differential.items()):
+            units, rest = unit_sweep(d)
+            diag, rank = smith_normal_form(rest)
+            got = _fplinalg.rank(d, q)
+            want = units + rank - sum(1 for x in diag if x % q == 0)
+            if got != want:
+                raise InvariantViolation(
+                    f"rank of d_{n} mod {q} is {got}, the reduction and "
+                    f"Smith form give {want}")
+            rk[n] = units + rank
+            if diag and diag[-1] > 1:
+                torsion[n - 1] = tuple(x for x in diag if x > 1)
     free: dict[int, int] = {}
-    # rk d_n counts the lows of its kept reduction; a missing d_n is zero
-    rk = {n: len(low) for n, (_, _, low) in c.column_reductions.items()}
     for n in c.degrees():
         f = c.dim(n) - rk.get(n, 0) - rk.get(n + 1, 0)
         if f < 0:
-            raise InvariantViolation(
-                f"negative homology dimension in degree {n}")
+            raise InvariantViolation(f"negative free rank in degree {n}")
         if f:
             free[n] = f
-    return HomologySummary(c.ring, c.min_degree, c.max_degree, free, {})
+    return HomologySummary(c.ring, c.min_degree, c.max_degree, free, torsion)
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,8 @@ class TwistedMorphism:
         got = None if fam is None else fam.get(m)
         if got is not None:
             return got
+        if i not in self.source.pieces or j not in self.target.pieces:
+            raise ShapeMismatch(f"block ({i},{j}) references a missing piece")
         return IntegerMatrix.zero(self.target.pieces[j].dim(m + i - j),
                                   self.source.pieces[i].dim(m))
 

@@ -117,10 +117,10 @@ def _integer_kernel_basis(m: IntegerMatrix) -> list[list[int]]:
     """A basis over Z of the kernel of m: the columns rank .. cols - 1
     of a unimodular V with U m V in Smith normal form.
 
-    This is the elimination of homalg.smith_normal_form, pivot for
-    pivot, with every column move applied to V as well. Row moves never
-    touch V, so no U is kept. Rows above the pivot are zero past their
-    diagonal, so moves on whole rows and columns change nothing else.
+    The elimination pivots on the smallest entry left, with every
+    column move applied to V as well. Row moves never touch V, so no U
+    is kept. Rows above the pivot are zero past their diagonal, so moves
+    on whole rows and columns change nothing else.
     """
     rows, cols = m.rows, m.cols
     a = m.to_rows()

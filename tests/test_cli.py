@@ -1,9 +1,13 @@
 """File format round-trips, golden fixtures, and command exit codes."""
 
 import json
+import math
+import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -328,6 +332,63 @@ def test_entry_past_the_digit_limit_is_read_exactly(tmp_path, capsys):
     code, _, err = run_cli(["homology", str(path)], capsys)
     assert code == 2
     assert err == "error: objects[0].chain.ranks[1]: more than 4300 digits\n"
+
+
+def _rank_and_det(rows, q=None):
+    """Rank of rows over Q (q None) or F_q by Gaussian elimination, and
+    over Q the absolute value of the product of the pivots: |det| when
+    rows is square of full rank."""
+    cut = (lambda x: x) if q is None else (lambda x: x % q)
+    a = [[Fraction(v) if q is None else v % q for v in row] for row in rows]
+    rank, det = 0, 1
+    for j in range(len(a[0])):
+        pick = next((i for i in range(rank, len(a)) if a[i][j]), None)
+        if pick is None:
+            continue
+        a[rank], a[pick] = a[pick], a[rank]
+        p = a[rank][j]
+        det *= p
+        inv = 1 / p if q is None else pow(p, -1, q)
+        for i in range(rank + 1, len(a)):
+            f = a[i][j] * inv
+            a[i] = [cut(x - f * y) for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, abs(det)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_d1_with_no_unit_answers_at_once(tmp_path, seed):
+    # a 15 x 15 d_1 with entries in {-3, -2, 0, 2, 3}: unit_sweep hands it
+    # over whole to the Smith form, whose entries must not blow up; the
+    # child is killed, and the test fails, if it does not answer in time
+    rng = random.Random(seed)
+    d1 = [[rng.choice((-3, -2, 0, 2, 3)) for _ in range(15)]
+          for _ in range(15)]
+    path = _d1_file(tmp_path, [[str(v) for v in row] for row in d1])
+    import mbflow
+
+    src = str(Path(list(mbflow.__path__)[0]).parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbflow", "homology", str(path)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    # "degree free torsion" lines: degree 1 is free of rank 15 - rk d_1,
+    # degree 0 carries the factors > 1 of d_1
+    lines = {int(n): (int(free), [] if tor == "-" else
+                      [int(x) for x in tor.split(",")])
+             for n, free, tor in (x.split() for x in
+                                  proc.stdout.splitlines()[2:])}
+    rank = 15 - lines.get(1, (0, []))[0]
+    torsion = lines.get(0, (0, []))[1]
+    factors = [1] * (rank - len(torsion)) + torsion
+    want_rank, det = _rank_and_det(d1)
+    assert rank == want_rank
+    if rank == 15:
+        assert math.prod(factors) == det
+    for q in (2, 3, 5, 7):
+        assert sum(f % q == 0 for f in factors) == \
+            rank - _rank_and_det(d1, q)[0]
 
 
 def test_torsion_factor_past_the_digit_limit_prints_exactly(tmp_path,

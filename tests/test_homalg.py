@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from support import (
     _integer_kernel_basis,
@@ -161,9 +161,23 @@ def _minor_gcds(rows, k):
     return g
 
 
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-                min_size=1, max_size=4).filter(
-                    lambda r: len({len(x) for x in r}) == 1))
+def _dense_without_units(shape):
+    # no entry is a unit: what unit_sweep hands over whole
+    rows, cols = shape
+    return st.lists(st.lists(st.sampled_from((-4, -2, 2, 4, 6)),
+                             min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@given(st.one_of(
+    st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+             min_size=1, max_size=4).filter(
+                 lambda r: len({len(x) for x in r}) == 1),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        _dense_without_units)))
+@example([[2, 2], [2, 2]])
+@example([[2, 2], [2, 4]])
+@example([[4, 6], [6, 4]])
 @settings(max_examples=200, deadline=None)
 def test_snf_matches_minor_gcds(rows):
     m = IntegerMatrix.from_rows(rows)

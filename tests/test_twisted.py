@@ -24,6 +24,7 @@ from mbflow.errors import (
     UnsupportedRing,
 )
 from mbflow import _fplinalg
+from mbflow.examples import homotopy_square_fixture
 from mbflow.homalg import (
     F2,
     ZZ,
@@ -603,6 +604,17 @@ def test_morphism_monotonicity_gate():
     # degree by 1, landing the generator in the same total degree
     m = TwistedMorphism(lo, hi, {(0, 1): {0: mat([], 1)}}, shift=1)
     assert morphism_total_matrix(m, 0).is_zero()
+
+
+def test_morphism_block_naming_a_missing_piece_is_a_shape_mismatch():
+    # a block that is not stored reads as zero, shaped by its pieces; a
+    # piece that is not there has no shape
+    c12 = homotopy_square_fixture().c12
+    assert c12.block(1, 0, 0).is_zero()
+    with pytest.raises(ShapeMismatch, match=r"block \(0,9\) references"):
+        c12.block(0, 9, 0)
+    with pytest.raises(ShapeMismatch, match=r"block \(9,0\) references"):
+        c12.block(9, 0, 0)
 
 
 def test_cone_of_identity_is_acyclic():
