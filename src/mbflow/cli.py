@@ -50,6 +50,7 @@ from .homalg import (
     HomologySummary,
     IntegerMatrix,
     complex_from_ranks,
+    digits,
     dim_t,
     homology,
 )
@@ -117,8 +118,8 @@ def _canonical_bytes(doc: Mapping[str, Any]) -> bytes:
     json.dumps refuses an integer past Python's limit on decimal digits
     for str(int), such as a matrix entry that parse_category has read.
     Each such integer goes in as a string longer than every string of
-    doc, so equal to none, and Decimal's digits, which are exact at any
-    size, then replace that string and its quotes.
+    doc, so equal to none, and its digits (homalg.digits, exact at any
+    size) then replace that string and its quotes.
     """
     big: list[int] = []
     width = [0]
@@ -140,8 +141,8 @@ def _canonical_bytes(doc: Mapping[str, Any]) -> bytes:
     pad = "#" * (max(width) + 1)
     text = json.dumps(swapped, sort_keys=True, indent=2,
                       default=lambda h: f"{pad}{h.k}")
-    text = re.sub(f'"{pad}([0-9]+)"',
-                  lambda m: str(Decimal(big[int(m[1])])), text)
+    text = re.sub(f'"{pad}([0-9]+)"', lambda m: digits(big[int(m[1])]),
+                  text)
     return (text + "\n").encode("utf-8")
 
 
@@ -432,9 +433,9 @@ def _print_homology(h: HomologySummary, out) -> None:
         return
     print(_paint("degree  free  torsion", "1", on), file=out)
     for n in degrees:
-        # Decimal prints every digit, past the limit of str(int) too
-        tor = ",".join(str(Decimal(v)) for v in h.torsion(n)) or "-"
-        print(f"{n:>6}  {h.free_rank(n):>4}  {tor}", file=out)
+        tor = ",".join(digits(v) for v in h.torsion(n)) or "-"
+        print(f"{digits(n):>6}  {digits(h.free_rank(n)):>4}  {tor}",
+              file=out)
 
 
 def _print_report(rep, out) -> None:
@@ -450,7 +451,8 @@ def _print_report(rep, out) -> None:
         if rep.is_equality():
             print("equality", file=out)
     else:
-        print(f"first failure degree: {rep.failure_degree}", file=out)
+        print(f"first failure degree: {digits(rep.failure_degree)}",
+              file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +535,19 @@ def _cmd_ss(args) -> int:
     t = realize(category_with_ring(f, ring))
     res = spectral_sequence(t, args.max_page)
     for page in res.pages:
-        print(f"page {page.number}")
+        r = page.number
+        print(f"page {digits(r)}")
         for (p, q) in sorted(page.dims):
-            print(f"  E[{p},{q}] dim {page.dims[p, q]}")
-        for (p, q), r in sorted(page.ranks.items()):
-            print(f"  d{page.number} E[{p},{q}] -> "
-                  f"E[{p - page.number},{q + page.number - 1}] rank {r}")
+            print(f"  E[{digits(p)},{digits(q)}] dim "
+                  f"{digits(page.dims[p, q])}")
+        for (p, q), rk in sorted(page.ranks.items()):
+            print(f"  d{digits(r)} E[{digits(p)},{digits(q)}] -> "
+                  f"E[{digits(p - r)},{digits(q + r - 1)}] rank {digits(rk)}")
     if res.collapsed_at is not None:
-        print(f"collapsed at page {res.collapsed_at}")
+        print(f"collapsed at page {digits(res.collapsed_at)}")
     print("limit")
     for n in sorted(res.limit):
-        print(f"  degree {n}: dim {res.limit[n]}")
+        print(f"  degree {digits(n)}: dim {digits(res.limit[n])}")
     return 0
 
 

@@ -38,6 +38,7 @@ from .homalg import (
     IntegerMatrix,
     Layout,
     block_shape_issues,
+    digits,
     dual_complex,
     homology,
     negate_complex,
@@ -223,7 +224,7 @@ def _diagnose(f: FlowCategoryData) -> CategoryDiagnostics:
     return CategoryDiagnostics(
         False,
         (f"D.D is nonzero on cell {cell} of object {name!r} "
-         f"in total degree {diag.failure_degree}",),
+         f"in total degree {digits(diag.failure_degree)}",),
         failure_object=name,
         failure_degree=diag.failure_degree,
         failure_generator=cell,

@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from math import gcd
 from typing import Any, Callable, Iterable, Mapping
@@ -475,7 +476,8 @@ class GradedChainComplex:
                 else sq.is_zero()
             if not ok:
                 raise InvariantViolation(
-                    f"d.d is nonzero out of degree {n + 1} over {self.ring}")
+                    f"d.d is nonzero out of degree {digits(n + 1)} over "
+                    f"{self.ring}")
 
     @classmethod
     def _derived(cls, ring: CoefficientRing, min_degree: int,
@@ -613,7 +615,10 @@ class Layout:
     that are nonzero there follow in the order of summands. parts[n]
     holds only those: their positions in that order, ascending, and the
     offsets where they start. ranks holds the nonzero total dimensions.
-    A direct sum, a piece of objects and Tot are layouts.
+    A direct sum, a piece of objects and Tot are layouts. Nothing here
+    lists cells: offset and locate bisect a degree's nonzero summands,
+    so what reads a layout cell by cell, as the spectral sequence reads
+    Tot's persistence pairs, pays per summand and per pair, not per cell.
     """
 
     summands: Mapping[Any, tuple[GradedChainComplex, int]]
@@ -664,13 +669,6 @@ class Layout:
         if k < 0 or cell >= self.dim(n):
             raise ShapeMismatch(f"cell {cell} outside degree {n}")
         return self.keys[at[k]], cell - starts[k]
-
-    def filtration(self, n: int) -> list[Any]:
-        """The summand key of every cell of degree n, in cell order."""
-        at, starts = self.parts.get(n, ((), ()))
-        ends = starts[1:] + (self.dim(n),)
-        return [self.keys[k] for k, a, b in zip(at, starts, ends)
-                for _ in range(b - a)]
 
     def complex(self) -> GradedChainComplex:
         """The direct sum of the shifted summands with their own
@@ -886,6 +884,16 @@ def homology(c: GradedChainComplex) -> HomologySummary:
 # Laurent polynomials and the (1+t)-order
 
 
+def digits(v: int) -> str:
+    """v in decimal, every digit: str(int) refuses more than 4,300
+    digits, and Decimal converts exactly at any size.
+
+    >>> len(digits(-10 ** 4300)), digits(-7)
+    (4302, '-7')
+    """
+    return str(Decimal(v))
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Laurent polynomial in t with integer coefficients.
@@ -976,10 +984,10 @@ class LaurentPoly:
         for e in self.support():
             v = self.coeffs[e]
             if e == 0:
-                term = str(abs(v))
+                term = digits(abs(v))
             else:
-                base = "t" if e == 1 else f"t^{e}"
-                term = base if abs(v) == 1 else f"{abs(v)}*{base}"
+                base = "t" if e == 1 else f"t^{digits(e)}"
+                term = base if abs(v) == 1 else f"{digits(abs(v))}*{base}"
             if not parts:
                 parts.append(term if v > 0 else f"-{term}")
             else:

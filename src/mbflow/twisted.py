@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import _fplinalg
 from .errors import (
@@ -49,6 +49,7 @@ from .homalg import (
     Layout,
     block_shape_issues,
     complex_from_ranks,
+    digits,
     homology,
     negate_complex,
     place_families,
@@ -245,7 +246,7 @@ def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
             return TwistedDiagnostics(
                 valid=False,
                 issues=(f"D.D is nonzero on generator {local} of piece "
-                        f"{piece} in total degree {n + 1}",),
+                        f"{piece} in total degree {digits(n + 1)}",),
                 failure_degree=n + 1,
                 failure_piece=piece,
                 failure_generator=local,
@@ -800,16 +801,37 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     d_{b-a} carries tau to sigma; unpaired cells survive to E-infinity.
     A page's generators at a spot are its surviving cells in cell
     order (the persistence basis), and d_r is the 0/1 matrix of the
-    pairs at gap r. Each page's dimensions are cross-checked against
-    the homology of the previous page (its d_r ranked by the same sparse
-    elimination, _fplinalg.rank), and pages stop at the filtration
-    width + 1, where only unpaired cells remain. The reductions are
-    those Tot's chain complex keeps, which homology over F_p and the
-    frames of quotient_sequence read too. So the audit of the E-infinity
-    total dimensions against homology(Tot) checks the filtration and spot
+    pairs at gap r. Spot (i, m) starts as the cells of piece i in degree
+    m, so each page is read off the piece ranks and the pairs alone, and
+    costs per pair and per spot, never per cell: a spot's dimension is its
+    size less its cells paired at a smaller gap, and a surviving cell's
+    place is its local index less the cells gone before it. Each page's
+    dimensions are cross-checked against the homology of the previous
+    page (its d_r ranked by the same sparse elimination,
+    _fplinalg.rank), and pages stop at the filtration width + 1, where
+    only unpaired cells remain. The reductions are those Tot's chain
+    complex keeps, which homology over F_p and the frames of
+    quotient_sequence read too. So the audit of the E-infinity total
+    dimensions against homology(Tot) checks the filtration and spot
     bookkeeping against Tot's degrees, not the reduction; the tests
     test_integer_homology_agrees_with_fp_by_universal_coefficients and
-    test_reduce_columns_exact check that.
+    test_reduce_columns_exact check that. On the 2-sphere over F_2, d_2
+    carries the first of the two poles onto the 1-cell of the
+    equator, and the second survives:
+
+    >>> from mbflow.examples import sphere_z2
+    >>> from mbflow.flowcat import realize
+    >>> f2 = CoefficientRing.prime_field(2)
+    >>> ss = spectral_sequence(realize(sphere_z2(f2)), 5)
+    >>> for page in ss.pages:
+    ...     print(page.number, dict(page.dims))
+    1 {(0, 0): 1, (0, 1): 1, (2, 0): 2}
+    2 {(0, 0): 1, (0, 1): 1, (2, 0): 2}
+    3 {(0, 0): 1, (2, 0): 1}
+    >>> ss.pages[1].differentials[2, 0].to_rows(), ss.collapsed_at
+    ([[1, 0]], 3)
+    >>> dict(ss.limit)
+    {0: 1, 2: 1}
     """
     if not t.ring.is_field:
         raise UnsupportedRing(
@@ -823,36 +845,39 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     if not order:
         return SpectralSequenceResult(t.ring, (), {}, 1)
 
-    filt = {n: lay.filtration(n) for n in lay.ranks}
-    gap: dict[tuple[int, int], int] = {}  # paired cell (n, column) -> b - a
-    # per pair: (gap, source spot, tau, target spot, sigma)
+    sizes = {(i, m): r for i, c in t.pieces.items()
+             for m, r in c.rank.items() if r}
+    # per pair: (gap, source spot, tau, target spot, sigma), cells local
     arrows: list[tuple[int, tuple[int, int], int, tuple[int, int], int]] = []
     for n, (_, _, low) in tot.column_reductions.items():
-        for tau, sigma in low.items():
-            b, a = filt[n][tau], filt[n - 1][sigma]
-            gap[(n, tau)] = gap[(n - 1, sigma)] = b - a
+        for pair in low.items():
+            (b, tau), (a, sigma) = map(lay.locate, (n, n - 1), pair)
             arrows.append((b - a, (b, n - b), tau, (a, n - 1 - a), sigma))
 
-    def generators(r: int) -> dict[tuple[int, int], dict[int, int]]:
-        """Cells alive on page r per spot: column -> position."""
-        gens: dict[tuple[int, int], dict[int, int]] = {}
-        for n, cells in filt.items():
-            for col, pidx in enumerate(cells):
-                if gap.get((n, col), r) >= r:
-                    spot = gens.setdefault((pidx, n - pidx), {})
-                    spot[col] = len(spot)
-        return gens
+    def alive(r: int) -> tuple[dict[tuple[int, int], int], Callable]:
+        """Page r's nonzero dimensions, and the place of a spot's cell in
+        its persistence basis: the local index less the spot's cells
+        paired at a gap below r."""
+        gone: dict[tuple[int, int], list[int]] = {spot: [] for spot in sizes}
+        for g, src, tau, dst, sigma in arrows:
+            if g < r:
+                gone[src].append(tau)
+                gone[dst].append(sigma)
+        for cells in gone.values():
+            cells.sort()
+        dims = {spot: size - len(gone[spot]) for spot, size in sizes.items()}
+        return ({spot: d for spot, d in dims.items() if d},
+                lambda spot, cell: cell - bisect_left(gone[spot], cell))
 
     pages: list[SpectralSequencePage] = []
     stable_after = order[-1] - order[0] + 1
     for r in range(1, min(max_page, stable_after) + 1):
-        gens = generators(r)
-        dims = {spot: len(cells) for spot, cells in gens.items()}
+        dims, place = alive(r)
         entries: dict[tuple, dict[tuple[int, int], int]] = {}
         for g, src, tau, dst, sigma in arrows:
             if g == r:
                 entries.setdefault((src, dst), {})[
-                    (gens[dst][sigma], gens[src][tau])] = 1
+                    (place(dst, sigma), place(src, tau))] = 1
         diffs = {src: IntegerMatrix(dims[dst], dims[src], e)
                  for (src, dst), e in entries.items()}
         if pages:
@@ -862,8 +887,7 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
             {src: _fplinalg.rank(d, pr) for src, d in diffs.items()}))
 
     # E-infinity: past the filtration width every pair has died
-    inf_dims = {spot: len(cells)
-                for spot, cells in generators(stable_after).items()}
+    inf_dims = alive(stable_after)[0]
     # collapse = the first computed page already equal to E-infinity;
     # dimensions only ever shrink, so equality certifies that every
     # later differential vanishes

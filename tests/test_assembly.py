@@ -143,7 +143,6 @@ def test_layout_offsets_and_locate():
     assert [lay.offset(1, k) for k in "abc"] == [0, 1, 2]
     assert [lay.locate(1, cell) for cell in range(4)] == \
         [("a", 0), ("b", 0), ("c", 0), ("c", 1)]
-    assert lay.filtration(1) == ["a", "b", "c", "c"]
     for bad in (-1, 4):
         with pytest.raises(ShapeMismatch):
             lay.locate(1, bad)

@@ -431,6 +431,84 @@ def test_million_cells_without_differentials_keep_no_cell_index(tmp_path,
     _assert_wide_homology_stays_small(tmp_path, capsys, 10 ** 6)
 
 
+@pytest.mark.parametrize("cells, cap_mib", [(10 ** 9, 2048), (10 ** 7, 256)])
+def test_ss_on_cells_without_differentials_keeps_no_cell_index(
+        tmp_path, cells, cap_mib):
+    # one object of that many cells and no differential: the spectral
+    # sequence reads piece ranks and pairs, so a child whose address
+    # space is capped answers at once instead of listing every cell
+    import resource
+
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": "x", "index": 0, "framing_rank": 0,
+                        "chain": {"ranks": [cells], "differentials": []}}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    cap = cap_mib * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    import mbflow
+
+    src = str(Path(list(mbflow.__path__)[0]).parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mbflow", "ss", str(path), "--field", "2"],
+        capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (f"page 1\n  E[0,0] dim {cells}\n"
+                           f"collapsed at page 1\nlimit\n"
+                           f"  degree 0: dim {cells}\n")
+
+
+def test_degrees_past_the_digit_limit_print_exactly(tmp_path, capsys):
+    # framing rank 10^4300 - 1 puts the object's two cells in degrees of
+    # 4,300 and 4,301 digits; str(int) refuses the second, and every
+    # command that prints a degree prints it whole
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": "x", "index": 0, "framing_rank": "@F",
+                        "chain": {"ranks": [1, 1], "differentials": [
+                            {"degree": 1, "shape": [1, 1], "data": [0]}]}}]}
+    lo, hi = "9" * 4300, "1" + "0" * 4300
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc).replace('"@F"', lo))
+    poly = f"t^{lo} + t^{hi}"
+    want = {
+        "homology": f"ring: Z\ndegree  free  torsion\n{lo}     1  -\n"
+                    f"{hi}     1  -\n",
+        "poincare": f"dim_t H(Tot) = {poly}\n",
+        "ss": f"page 1\n  E[0,{lo}] dim 1\n  E[0,{hi}] dim 1\n"
+              f"collapsed at page 1\nlimit\n  degree {lo}: dim 1\n"
+              f"  degree {hi}: dim 1\n",
+        "dual": f"ring: Z\ndegree  free  torsion\n-{hi}     1  -\n"
+                f"-{lo}     1  -\n",
+        "check-ineq": f"mode: partial_order\nlhs:  {poly}\nrhs:  {poly}\n"
+                      f"holds: yes\nwitness: 0\nequality\n",
+    }
+    for command, out in want.items():
+        extra = ["--field", "2"] if command == "ss" else []
+        assert run_cli([command, str(path)] + extra, capsys) == \
+            (0, out, ""), command
+    # a Maurer-Cartan failure in such a degree is reported whole: the
+    # three objects of broken_mc, framed 10^4300 - 3 higher, with their
+    # maps moved to degree 1
+    doc = json.loads(fixture_bytes("broken_mc"))
+    for o in doc["objects"]:
+        o["framing_rank"] = f"@F{o['framing_rank']}"
+        o["chain"] = {"ranks": [1, 1], "differentials": []}
+    for c in doc["correspondences"]:
+        c["blocks"] = [{"degree": 1, "shape": [1, 1], "data": [1]}]
+    text = json.dumps(doc)
+    for k in range(3):
+        text = text.replace(f'"@F{k}"', "9" * 4299 + str(7 + k))
+    path.write_text(text)
+    issue = f"D.D is nonzero on cell 0 of object 'e2' in total degree {hi}\n"
+    assert run_cli(["validate", str(path)], capsys) == (1, "", issue)
+    assert run_cli(["homology", str(path)], capsys) == \
+        (1, "", "error: " + issue)
+
+
 def test_ss_bad_field_exits_3(capsys):
     code, _, _ = run_cli(
         ["ss", fixture_path("rp2"), "--field", "4"], capsys)

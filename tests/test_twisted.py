@@ -211,7 +211,6 @@ def test_sparse_layout_matches_dense_offsets():
                 at += dim
             assert at == lay.ranks.get(n, 0)
             assert [lay.locate(n, c) for c in range(at)] == cols
-            assert lay.filtration(n) == [i for i, _ in cols]
             for bad in (-1, at):
                 with pytest.raises(ShapeMismatch):
                     lay.locate(n, bad)
@@ -503,8 +502,7 @@ def test_field_connecting_ranks_count_pairs_across_the_cut(seed, p):
     pairs = []
     for n in range(lay.min_degree, lay.max_degree + 1):
         _, _, low = _fplinalg.reduce_columns(lay.d(n), p)
-        filt, filt_below = lay.filtration(n), lay.filtration(n - 1)
-        pairs += [(n, filt_below[sigma], filt[tau])
+        pairs += [(n, lay.locate(n - 1, sigma)[0], lay.locate(n, tau)[0])
                   for tau, sigma in low.items()]
     for cut in range(min(t.pieces) - 1, max(t.pieces) + 1):
         audit = quotient_sequence(t, cut).audit
@@ -852,6 +850,36 @@ def test_spectral_sequence_matches_subspace_reference(seed, ring):
                 for spot, m in page.differentials.items()} == ranks
     assert ss.collapsed_at == collapsed_at
     assert dict(ss.limit) == limit
+    # the persistence basis, cell by cell: page r's generators at a spot
+    # are its cells, in cell order, that no pair of gap < r has taken,
+    # and d_r holds a 1 at (sigma's place, tau's place) for each pair
+    # (tau, sigma) of gap r and nothing else
+    lay = t._tot
+    gap, arrows = {}, []
+    for n in range(lay.min_degree, lay.max_degree + 1):
+        _, _, low = _fplinalg.reduce_columns(lay.d(n), ring.p)
+        for tau, sigma in low.items():
+            b, a = lay.locate(n, tau)[0], lay.locate(n - 1, sigma)[0]
+            gap[n, tau] = gap[n - 1, sigma] = b - a
+            arrows.append((b - a, (b, n - b), (n, tau), (a, n - 1 - a),
+                           (n - 1, sigma)))
+    for page in ss.pages:
+        r, place, alive = page.number, {}, Counter()
+        for n in range(lay.min_degree, lay.max_degree + 1):
+            for cell in range(lay.dim(n)):
+                if gap.get((n, cell), r) >= r:
+                    i = lay.locate(n, cell)[0]
+                    place[n, cell] = alive[n, i]
+                    alive[n, i] += 1
+        want = {}
+        for g, src, tau, dst, sigma in arrows:
+            if g == r:
+                want.setdefault(src, {})[place[sigma], place[tau]] = 1
+        assert {spot: dict(m.entries) for spot, m in
+                page.differentials.items()} == want, r
+        for src, m in page.differentials.items():
+            dst = (src[0] - r, src[1] + r - 1)
+            assert (m.rows, m.cols) == (page.dims[dst], page.dims[src])
 
 
 def test_spectral_sequence_at_the_largest_prime():
