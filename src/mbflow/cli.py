@@ -650,6 +650,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "equivariant", False) and args.cutoff is None:
         ap.error("--equivariant requires --cutoff")
+    if getattr(args, "cutoff", None) is not None and not args.equivariant:
+        ap.error("--cutoff requires --equivariant")
     try:
         return args.fn(args)
     except (ParseError, SchemaError) as e:

@@ -9,6 +9,7 @@ range.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .flowcat import FlowCategoryData, realize
-from .homalg import LaurentPoly, dim_t, homology, preceq
+from .homalg import LaurentPoly, digits, dim_t, homology, preceq
 from .twisted import TwistedComplex, totalize
 
 
@@ -94,11 +95,14 @@ def equivariant_inequality(b: FlowCategoryData, cutoff: int,
     Up to the cutoff, the rank of H_d(Tot) is compared with the count
     sum over levels k and fiber objects x of rk H_{d-2k-r_x}(C(x)).
     The truncation at level N only computes equivariant homology below
-    degree 2N, so cutoffs past 2N-1 are refused.
+    degree 2N, so cutoffs past 2N-1 are refused. The Borel metadata is
+    checked against the objects first: N >= 0, distinct fiber names, and
+    an object <x>@<k> for every fiber name x and every level k <= N.
     """
     if b.borel is None:
         raise ValidationError(
             "equivariant bound needs a category built by borel_product")
+    _check_borel(b)
     if cutoff < 0:
         raise InvalidRange(f"cutoff must be nonnegative, got {cutoff}")
     levels = b.borel.levels
@@ -125,3 +129,23 @@ def equivariant_inequality(b: FlowCategoryData, cutoff: int,
                                     failure_degree=d)
     return InequalityReport("equivariant", lhs, rhs, True,
                             witness=rhs - lhs)
+
+
+def _check_borel(b: FlowCategoryData) -> None:
+    """Raise ValidationError unless b.borel describes b's objects."""
+    levels, names = b.borel.levels, b.borel.fiber_names
+    if levels < 0:
+        raise ValidationError(
+            f"borel levels must be nonnegative, got {digits(levels)}")
+    repeated = next((x for x, k in Counter(names).items() if k > 1), None)
+    if repeated is not None:
+        raise ValidationError(f"borel fiber name {repeated!r} is repeated")
+    have = set(b.object_names())
+    for x in names:
+        # the first missing level raises, so a huge levels costs at most
+        # one step per object
+        for name in (f"{x}@{k}" for k in range(levels + 1)):
+            if name not in have:
+                raise ValidationError(
+                    f"borel fiber {x!r} has no object {name!r}, although "
+                    f"levels is {digits(levels)}")

@@ -12,12 +12,16 @@ value: its layout (homalg.Layout, the pieces shifted by their index),
 the total differential in every degree, and the Maurer-Cartan verdict.
 validate and totalize read that one value, as do the quotient-sequence
 audit, the spectral sequence and the morphism and homotopy checks; its
-chain complex keeps the one column reduction of each D_n that they
-read. A valid complex read over a ring its own reduces to (Z to F_p,
-see flowcat.category_with_ring) shares that Tot as well. Every block
-family, of D (the pieces' own differentials and the structure maps),
-of a morphism, of a homotopy or of a cone's pieces, is checked by
-homalg.block_shape_issues and placed by homalg.place_families.
+chain complex, derived once the verdict is valid, keeps the one column
+reduction of each D_n that they read. A valid complex read over a ring
+its own reduces to (Z to F_p, see flowcat.category_with_ring) shares
+that Tot as well. Every chain-level identity here, D.D = 0, M.D = D.M,
+D.H + H.D and the composites of the exact sequence, is decided by
+homalg.first_nonzero, which names the first offending generator.
+Every block family, of D (the pieces' own differentials and the
+structure maps), of a morphism, of a homotopy or of a cone's pieces,
+is checked by homalg.block_shape_issues and placed by
+homalg.place_families.
 
 The module also provides the operations that mirror geometric
 constructions at the chain level: index shifts, sub/quotient
@@ -48,12 +52,13 @@ from .homalg import (
     IntegerMatrix,
     Layout,
     block_shape_issues,
-    complex_from_ranks,
     digits,
+    first_nonzero,
     homology,
     negate_complex,
     place_families,
     shift_complex,
+    squares,
 )
 
 GradedMap = Mapping[int, IntegerMatrix]
@@ -154,9 +159,10 @@ class _Totalization(Layout):
     (parts; ranks holds only the nonzero degrees). differentials holds
     the nonzero total differentials D_n: Tot_n -> Tot_{n-1}. The
     Maurer-Cartan verdict and the chain complex are computed on first
-    use and kept; the verdict is the outcome of building the complex,
-    whose own check squares each D_n D_{n+1} once, so Tot is squared
-    once however many layers read it.
+    use and kept. The verdict squares each stored D_n D_{n+1} once; the
+    complex is derived from it, squares nothing and is read only after
+    a valid verdict (totalize), so Tot is squared once however many
+    layers read it.
     """
 
     ring: CoefficientRing
@@ -181,7 +187,9 @@ class _Totalization(Layout):
 
     @cached_property
     def complex(self) -> GradedChainComplex:
-        return complex_from_ranks(self.ring, self.ranks, self.differentials)
+        return GradedChainComplex._derived(
+            self.ring, min(self.ranks, default=0), max(self.ranks, default=0),
+            self.ranks, self.differentials)
 
     def with_ring(self, ring: CoefficientRing) -> "_Totalization":
         """This Tot, valid, read over ring, which its ring reduces to:
@@ -213,45 +221,17 @@ def _assemble(t: TwistedComplex) -> _Totalization:
         max((i + t.piece(i).max_degree for i in order), default=0), diffs)
 
 
-def _first_nonzero_column(m: IntegerMatrix, p: int | None) -> int | None:
-    """The first column of m with an entry that is nonzero over the ring
-    (mod p, or over Z when p is None); None if there is none."""
-    return min((c for (_, c), v in m.entries.items() if (v % p if p else v)),
-               default=None)
-
-
 def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:
-    """Check D.D = 0, reporting the first failure.
-
-    The check is the construction of tot.complex, which squares each
-    stored pair D_n D_{n+1} once and is kept for totalize. Only when it
-    fails does a scan locate the failure: over total degrees from the
-    bottom up and columns left to right, so the reported generator is
-    deterministic.
-    """
-    try:
-        tot.complex
-    except InvariantViolation:
-        pass
-    else:
+    """Check D.D = 0, squaring each stored pair D_n D_{n+1} once from the
+    bottom up; the least nonzero column of the first nonzero product is
+    the reported generator."""
+    bad = first_nonzero(squares(tot.differentials), tot.ring.p)
+    if bad is None:
         return TwistedDiagnostics(True)
-    p = tot.ring.p
-    for n in range(tot.min_degree, tot.max_degree + 1):
-        if n not in tot.differentials or n + 1 not in tot.differentials:
-            continue
-        bad = _first_nonzero_column(
-            tot.differentials[n] @ tot.differentials[n + 1], p)
-        if bad is not None:
-            piece, local = tot.locate(n + 1, bad)
-            return TwistedDiagnostics(
-                valid=False,
-                issues=(f"D.D is nonzero on generator {local} of piece "
-                        f"{piece} in total degree {digits(n + 1)}",),
-                failure_degree=n + 1,
-                failure_piece=piece,
-                failure_generator=local,
-            )
-    return TwistedDiagnostics(True)
+    piece, local = tot.locate(*bad)
+    return TwistedDiagnostics(
+        False, (f"D.D is nonzero on generator {local} of piece {piece} "
+                f"in total degree {digits(bad[0])}",), bad[0], piece, local)
 
 
 def validate(t: TwistedComplex) -> TwistedDiagnostics:
@@ -419,10 +399,6 @@ def _clear_denominators(col: Mapping[int, int | Fraction]) -> dict[int, int]:
     return {i: int(v * scale) for i, v in col.items()}
 
 
-def _is_zero_map(m: IntegerMatrix, ring: CoefficientRing) -> bool:
-    return m.is_zero_mod(ring.p) if ring.is_field else m.is_zero()
-
-
 # ---------------------------------------------------------------------------
 # quotient sequences
 
@@ -530,17 +506,17 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
         f, g, dn, dn1 = i_star[n], p_star[n], d_star[n], d_star[n + 1]
         rf, rg, rdn, rdn1 = rk_i[n], rk_p[n], rk_d[n], rk_d[n + 1]
         # exactness at H_n(tot)
-        if not _is_zero_map(g @ f, ring):
+        if first_nonzero([(n, g @ f)], ring.p) is not None:
             failures.append(f"pi.iota nonzero on H_{n}")
         if rf + rg != ht:
             failures.append(f"rank defect at H_{n}(total)")
         # exactness at H_n(quot)
-        if not _is_zero_map(dn @ g, ring):
+        if first_nonzero([(n, dn @ g)], ring.p) is not None:
             failures.append(f"connecting.pi nonzero on H_{n}")
         if rg + rdn != hq:
             failures.append(f"rank defect at H_{n}(quotient)")
         # exactness at H_n(sub)
-        if not _is_zero_map(f @ dn1, ring):
+        if first_nonzero([(n, f @ dn1)], ring.p) is not None:
             failures.append(f"iota.connecting nonzero into H_{n}")
         if rdn1 + rf != hs:
             failures.append(f"rank defect at H_{n}(sub)")
@@ -620,13 +596,16 @@ def _check_chain_map(m: TwistedMorphism) -> None:
     dst_lay = m.target._tot
     if not src_lay.keys:
         return
-    ring = m.source.ring
-    for n in range(src_lay.min_degree, src_lay.max_degree + 1):
-        lhs = morphism_total_matrix(m, n - 1) @ src_lay.d(n)
-        rhs = dst_lay.d(n) @ morphism_total_matrix(m, n)
-        if not _is_zero_map(lhs - rhs, ring):
-            raise ChainMapViolation(
-                f"morphism fails M.D = D.M out of total degree {n}")
+    bad = first_nonzero(
+        ((n, morphism_total_matrix(m, n - 1) @ src_lay.d(n)
+          - dst_lay.d(n) @ morphism_total_matrix(m, n))
+         for n in range(src_lay.min_degree, src_lay.max_degree + 1)),
+        m.source.ring.p)
+    if bad is not None:
+        piece, local = src_lay.locate(*bad)
+        raise ChainMapViolation(
+            f"morphism fails M.D = D.M on generator {local} of piece "
+            f"{piece} in total degree {digits(bad[0])}")
 
 
 def identity_morphism(t: TwistedComplex) -> TwistedMorphism:
@@ -735,7 +714,6 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
     reported by total degree, piece, and position. H is placed once, as
     the maps Tot(t1)_n -> Tot(t4)_{n+1}.
     """
-    ring = w.c12.source.ring
     src_lay = w.c12.source._tot
     dst_lay = w.c24.target._tot
     if not src_lay.keys:
@@ -748,10 +726,9 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
             morphism_total_matrix(w.c12, n) - \
             morphism_total_matrix(w.c34, n) @ \
             morphism_total_matrix(w.c13, n)
-        bad = _first_nonzero_column(lhs - rhs, ring.p)
+        bad = first_nonzero([(n, lhs - rhs)], w.c12.source.ring.p)
         if bad is not None:
-            piece, local = src_lay.locate(n, bad)
-            return HomotopyVerdict(False, n, piece, local)
+            return HomotopyVerdict(False, n, *src_lay.locate(*bad))
     return HomotopyVerdict(True)
 
 

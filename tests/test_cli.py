@@ -25,8 +25,13 @@ from mbflow.cli import (
 )
 from mbflow.errors import ParseError, SchemaError, ValidationError
 from mbflow.examples import continuation_s2, fixture_registry
-from mbflow.flowcat import BorelMetadata, FlowCategoryData, category_homology
-from mbflow.homalg import ZZ
+from mbflow.flowcat import (
+    BorelMetadata,
+    FlowCategoryData,
+    category_homology,
+    validate_category,
+)
+from mbflow.homalg import ZZ, IntegerMatrix
 
 
 def fixture_path(name):
@@ -172,6 +177,23 @@ def test_broken_fixture_loads_without_validation():
         parse_category(fixture_bytes("broken_mc"))
 
 
+def test_broken_fixture_squares_its_failing_pair_once(monkeypatch):
+    # the Maurer-Cartan verdict and the failing generator come from the
+    # same product D_1 D_2
+    f = parse_category(fixture_bytes("broken_mc"), validate=False)
+    calls = []
+    product = IntegerMatrix.__matmul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+    monkeypatch.setattr(IntegerMatrix, "__matmul__", counted)
+    diag = validate_category(f)
+    assert len(calls) == 1
+    assert diag.issues == ("D.D is nonzero on cell 0 of object 'e2' in total "
+                           "degree 2",)
+
+
 def test_bimodule_unknown_object():
     b = continuation_s2()
     doc = json.loads(serialize_bimodule(b))
@@ -227,6 +249,28 @@ def test_bad_ring_exits_3(capsys):
     code, _, err = run_cli(
         ["homology", fixture_path("rp2"), "--ring", "Fp:6"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("spec", ["Fp:+7", "Fp: 7", "Fp:\u096d", "Fp:7 ",
+                                  "Fp:", "Fp:" + "1" * 5000])
+def test_ring_spec_takes_ascii_digits_only(tmp_path, capsys, spec):
+    # int() reads the first four as 7; the wire form is "Fp:" and ASCII
+    # digits, as many as int() converts, in a file as on the command line
+    code, out, err = run_cli(
+        ["homology", fixture_path("rp2"), "--ring", spec], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: bad ring spec {spec!r}\n"
+    doc = json.loads(fixture_bytes("rp2"))
+    doc["ring"] = spec
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["homology", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: bad ring spec {spec!r}\n"
+    # leading zeros are still digits
+    code, out, _ = run_cli(
+        ["homology", fixture_path("rp2"), "--ring", "Fp:07"], capsys)
+    assert code == 0 and out.startswith("ring: Fp:7\n")
 
 
 def _one_circle_file(tmp_path, ring: str, entry: int):
@@ -554,6 +598,63 @@ def test_equivariant_requires_cutoff(capsys):
         main(["check-ineq", fixture_path("borel_s2_rotation_3"),
               "--equivariant"])
     assert exc.value.code == 2
+
+
+def test_cutoff_requires_equivariant(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-ineq", fixture_path("sphere_z2"), "--cutoff", "3"])
+    assert exc.value.code == 2
+    assert "--cutoff requires --equivariant" in capsys.readouterr().err
+
+
+def _borel_circle(tmp_path, levels, fiber_names):
+    """borel_free_circle_3 (objects orbit@0 .. orbit@3) with its Borel
+    metadata replaced."""
+    doc = json.loads(fixture_bytes("borel_free_circle_3"))
+    doc["borel"] = {"levels": levels, "fiber_names": fiber_names}
+    path = tmp_path / "borel.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _check_equivariant(path, cutoff, capsys):
+    return run_cli(
+        ["check-ineq", path, "--equivariant", "--cutoff", str(cutoff)], capsys)
+
+
+def test_borel_fiber_name_without_objects_exits_1(tmp_path, capsys):
+    code, out, err = _check_equivariant(
+        _borel_circle(tmp_path, 3, ["zz"]), 1, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: borel fiber 'zz' has no object 'zz@0', although "
+                   "levels is 3\n")
+
+
+def test_borel_levels_past_the_objects_exits_1(tmp_path, capsys):
+    # the true levels, 3, refuse cutoff 7; an inflated one must not allow it
+    code, out, err = _check_equivariant(
+        _borel_circle(tmp_path, 1000000, ["orbit"]), 7, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: borel fiber 'orbit' has no object 'orbit@4', "
+                   "although levels is 1000000\n")
+
+
+def test_borel_negative_levels_exits_1(tmp_path, capsys):
+    code, out, err = _check_equivariant(
+        _borel_circle(tmp_path, -1, ["orbit"]), 1, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: borel levels must be nonnegative, got -1\n"
+
+
+def test_borel_repeated_fiber_name_exits_1(tmp_path, capsys):
+    # counted twice, each fiber would double the right-hand side
+    code, out, err = _check_equivariant(
+        _borel_circle(tmp_path, 3, ["orbit", "orbit"]), 1, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: borel fiber name 'orbit' is repeated\n"
+    code, out, _ = _check_equivariant(
+        _borel_circle(tmp_path, 3, ["orbit"]), 1, capsys)
+    assert code == 0 and "holds: yes" in out
 
 
 def test_ss_output(capsys):

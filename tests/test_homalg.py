@@ -454,6 +454,38 @@ def test_integer_homology_agrees_with_fp_by_universal_coefficients(seed):
             assert hp.free_rank(n) == want, (n, p)
 
 
+def _dense_first_nonzero(terms, p):
+    for n, m in terms:
+        rows = m.to_rows()
+        for j in range(m.cols):
+            if any(row[j] % p if p else row[j] for row in rows):
+                return n, j
+    return None
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((None, 2, 3, LARGEST_PRIME)))
+@settings(max_examples=200, deadline=None)
+def test_first_nonzero_matches_a_dense_scan(seed, p):
+    # entries are often multiples of p, so a matrix nonzero over Z is
+    # often zero over F_p
+    rng = random.Random(seed)
+    q = p or 5
+    terms = []
+    for n in rng.sample(range(-3, 6), rng.randint(0, 4)):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        terms.append((n, mat([[rng.choice((0, 0, 0, q, -q, 2 * q, 1, -1,
+                                           rng.randrange(-q, q)))
+                               for _ in range(cols)] for _ in range(rows)])
+                      if rows else IntegerMatrix.zero(0, cols)))
+    assert homalg.first_nonzero(terms, p) == _dense_first_nonzero(terms, p)
+    # a generator is read up to the first failure only
+    it = iter(terms)
+    got = homalg.first_nonzero(it, p)
+    rest = len(list(it))
+    assert rest == (0 if got is None else
+                    len(terms) - 1 - [n for n, _ in terms].index(got[0]))
+
+
 def test_chain_complex_check_multiplies_stored_pairs_only(monkeypatch):
     calls = []
     product = IntegerMatrix.__matmul__

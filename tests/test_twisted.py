@@ -592,6 +592,23 @@ def test_morphism_must_be_chain_map():
         TwistedMorphism(t, t, {(0, 0): {0: mat([[1]]), 1: mat([[0]])}})
 
 
+def test_chain_map_violation_names_the_generator():
+    # M_0 D_1 - D_1 M_1 = 1 on the 1-cell of the segment
+    seg = segment()
+    t = twisted_from_parts(ZZ, {0: seg}, {})
+    with pytest.raises(ChainMapViolation) as exc:
+        TwistedMorphism(t, t, {(0, 0): {0: mat([[1]]), 1: mat([[0]])}})
+    assert str(exc.value) == ("morphism fails M.D = D.M on generator 0 of "
+                              "piece 0 in total degree 1")
+    # over F_3, 1 - 4 vanishes on piece 0 and 1 - 3 does not on piece 1,
+    # whose 1-cell sits in total degree 2
+    two = twisted_from_parts(F3, {0: segment(F3), 1: segment(F3)}, {})
+    with pytest.raises(ChainMapViolation) as exc:
+        TwistedMorphism(two, two, {(0, 0): {0: mat([[1]]), 1: mat([[4]])},
+                                   (1, 1): {0: mat([[1]]), 1: mat([[3]])}})
+    assert str(exc.value).endswith("generator 0 of piece 1 in total degree 2")
+
+
 def test_morphism_monotonicity_gate():
     pt = point_complex(ZZ)
     lo = twisted_from_parts(ZZ, {0: pt}, {})
