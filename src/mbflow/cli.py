@@ -75,7 +75,7 @@ def _blocks_to_json(blocks: Mapping[int, IntegerMatrix]) -> list[dict]:
 
 
 def _chain_to_json(c: GradedChainComplex) -> dict[str, Any]:
-    top = max((n for n in c.degrees() if c.dim(n)), default=-1)
+    top = max((n for n, r in c.rank.items() if r), default=-1)
     ranks = [c.dim(n) for n in range(top + 1)]
     diffs = [{"degree": n, **_matrix_to_json(c.d(n))}
              for n in range(1, top + 1) if c.dim(n) and c.dim(n - 1)]
@@ -192,6 +192,8 @@ def _decode(data: bytes) -> Any:
     except json.JSONDecodeError as e:
         raise ParseError(
             f"line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _want(doc: Any, path: str, type_: type, what: str) -> Any:

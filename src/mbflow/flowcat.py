@@ -316,11 +316,8 @@ def category_homology(f: FlowCategoryData) -> HomologySummary:
 
 def category_euler_characteristic(f: FlowCategoryData) -> int:
     """Alternating sum (-1)^r chi(X) over objects, matching chi(Tot)."""
-    total = 0
-    for o in f.objects:
-        chi = sum((-1) ** n * o.chain.dim(n) for n in o.chain.degrees())
-        total += (-1) ** o.framing_rank * chi
-    return total
+    return sum((-1) ** (o.framing_rank + n) * r for o in f.objects
+               for n, r in o.chain.rank.items())
 
 
 # ---------------------------------------------------------------------------

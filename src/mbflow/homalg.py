@@ -253,9 +253,6 @@ class IntegerMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def is_zero_mod(self, p: int) -> bool:
-        return all(v % p == 0 for v in self.entries.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
@@ -545,7 +542,7 @@ class GradedChainComplex:
         return range(self.min_degree, self.max_degree + 1)
 
     def total_dim(self) -> int:
-        return sum(self.dim(n) for n in self.degrees())
+        return sum(self.rank.values())
 
     @cached_property
     def column_reductions(self) -> dict[int, tuple]:
@@ -607,11 +604,8 @@ def dual_complex(c: GradedChainComplex) -> GradedChainComplex:
     with no extra signs.
     """
     ranks = {-n: r for n, r in c.rank.items()}
-    diffs = {}
-    for n in c.degrees():
-        d = c.d(n)
-        if not d.is_zero():
-            diffs[-n + 1] = d.transpose()
+    diffs = {-n + 1: d.transpose() for n, d in sorted(c.differential.items())
+             if not d.is_zero()}
     return GradedChainComplex._derived(c.ring, -c.max_degree, -c.min_degree,
                                        ranks, diffs)
 
@@ -771,8 +765,6 @@ class HomologySummary:
     """
 
     ring: CoefficientRing
-    min_degree: int
-    max_degree: int
     free: Mapping[int, int] = field(default_factory=dict)
     torsion_factors: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
@@ -781,9 +773,6 @@ class HomologySummary:
 
     def torsion(self, n: int) -> tuple[int, ...]:
         return self.torsion_factors.get(n, ())
-
-    def degrees(self) -> range:
-        return range(self.min_degree, self.max_degree + 1)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** n * r for n, r in self.free.items())
@@ -862,7 +851,9 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     the number of lows of the column reduction c keeps
     (GradedChainComplex.column_reductions), which the spectral sequence
     and the exactness audit of a Tot read too. Over either ring every
-    free rank is checked to be nonnegative.
+    free rank is checked to be nonnegative. Only the degrees c stores
+    are read, so cells in degrees 0 and 10^12 cost two degrees, not a
+    walk of the range between them.
 
     The real projective plane, one cell in each degree with d_2 = 2:
 
@@ -892,13 +883,13 @@ def homology(c: GradedChainComplex) -> HomologySummary:
             if diag and diag[-1] > 1:
                 torsion[n - 1] = tuple(x for x in diag if x > 1)
     free: dict[int, int] = {}
-    for n in c.degrees():
-        f = c.dim(n) - rk.get(n, 0) - rk.get(n + 1, 0)
+    for n, r in sorted(c.rank.items()):
+        f = r - rk.get(n, 0) - rk.get(n + 1, 0)
         if f < 0:
             raise InvariantViolation(f"negative free rank in degree {n}")
         if f:
             free[n] = f
-    return HomologySummary(c.ring, c.min_degree, c.max_degree, free, torsion)
+    return HomologySummary(c.ring, free, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,6 +1041,10 @@ def preceq(p: LaurentPoly, q: LaurentPoly) -> PreceqVerdict:
     Since 1 + t is monic the candidate quotient is unique; it is built
     from the lowest exponent upward by a_d = r_d - a_{d-1} and the
     comparison fails at the first negative a_d or at a nonzero tail.
+    Only the support of r = q - p is walked: in a gap after degree e,
+    r is 0, so a nonzero a_e (positive, or it failed) makes a_{e+1}
+    negative and a zero one stays zero; either way the first failure
+    is at a support degree or one past it, as in a walk of every degree.
 
     >>> p = LaurentPoly.from_coeffs({0: 1, 2: 1})
     >>> q = LaurentPoly.from_coeffs({0: 1, 1: 1, 2: 2})
@@ -1062,20 +1057,18 @@ def preceq(p: LaurentPoly, q: LaurentPoly) -> PreceqVerdict:
     (False, 3)
     """
     r = q - p
-    if r.is_zero():
-        return PreceqVerdict(True, LaurentPoly.zero(), None)
-    lo, hi = r.support()[0], r.support()[-1]
     acc: dict[int, int] = {}
-    prev = 0
-    for d in range(lo, hi + 1):
+    prev = last = 0
+    for d in r.support():
+        if prev and d != last + 1:
+            break  # a_{last+1} = -prev < 0
         a_d = r.coefficient(d) - prev
         if a_d < 0:
             return PreceqVerdict(False, None, d)
         if a_d:
             acc[d] = a_d
-        prev = a_d
-    if prev != 0:
-        # the quotient would need a term at hi with nothing to cancel it
-        return PreceqVerdict(False, None, hi + 1)
-    witness = LaurentPoly(acc)
-    return PreceqVerdict(True, witness, None)
+        prev, last = a_d, d
+    if prev:
+        # the quotient would need a term past last with nothing to cancel it
+        return PreceqVerdict(False, None, last + 1)
+    return PreceqVerdict(True, LaurentPoly(acc), None)

@@ -95,7 +95,12 @@ def equivariant_inequality(b: FlowCategoryData, cutoff: int,
     Up to the cutoff, the rank of H_d(Tot) is compared with the count
     sum over levels k and fiber objects x of rk H_{d-2k-r_x}(C(x)).
     The truncation at level N only computes equivariant homology below
-    degree 2N, so cutoffs past 2N-1 are refused. The Borel metadata is
+    degree 2N, so cutoffs past 2N-1 are refused. Both sides are read
+    from the degrees they store: each stored degree n of H(C(x)) counts
+    at n + r_x + 2k for k = 0..N, where that lies in [0, cutoff], and
+    the first failure is the least stored degree of the left-hand side
+    in [0, cutoff] whose rank exceeds the count, as the right-hand side
+    is never negative. The Borel metadata is
     checked against the objects first: N >= 0, distinct fiber names, and
     an object <x>@<k> for every fiber name x and every level k <= N.
     """
@@ -114,17 +119,15 @@ def equivariant_inequality(b: FlowCategoryData, cutoff: int,
     lhs = _truncate(dim_t(h), cutoff)
     fiber = [b.object(f"{name}@0") for name in b.borel.fiber_names]
     fiber_h = [(x.framing_rank, homology(x.chain)) for x in fiber]
-    rhs_coeffs: dict[int, int] = {}
-    for d in range(cutoff + 1):
-        total = 0
-        for k in range(levels + 1):
-            for r, hx in fiber_h:
-                total += hx.free_rank(d - 2 * k - r)
-        if total:
-            rhs_coeffs[d] = total
+    rhs_coeffs: Counter[int] = Counter()
+    for r, hx in fiber_h:
+        for n, rank in hx.free.items():
+            for d in range(n + r, n + r + 2 * levels + 1, 2):
+                if 0 <= d <= cutoff:
+                    rhs_coeffs[d] += rank
     rhs = LaurentPoly.from_coeffs(rhs_coeffs)
-    for d in range(cutoff + 1):
-        if lhs.coefficient(d) > rhs.coefficient(d):
+    for d in lhs.support():
+        if d >= 0 and lhs.coefficient(d) > rhs.coefficient(d):
             return InequalityReport("equivariant", lhs, rhs, False,
                                     failure_degree=d)
     return InequalityReport("equivariant", lhs, rhs, True,

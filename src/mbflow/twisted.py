@@ -344,7 +344,7 @@ class _FieldFrame:
         # per degree: top row in the window -> (the basis vector, 1 / its
         # top entry, its representative's position or None for a boundary)
         self._tops: dict[int, dict[int, tuple]] = {}
-        for n in c.degrees():
+        for n in c.rank:
             (a, b), below = _window(c, lo, hi, n), _window(c, lo, hi, n - 1)[0]
             above, above_end = _window(c, lo, hi, n + 1)
             # a missing d_n is zero: no column of R, and V = 1
@@ -418,7 +418,10 @@ class ExactnessAudit:
     ranked once. The connecting map is computed from the snake lemma on
     representatives, and connecting_rank[n] is the rank of
     H_n(quotient) -> H_{n-1}(sub). positions_checked is 3 per degree of
-    the total complex, even where the sub or the quotient is empty.
+    the total complex's range, even where the sub or the quotient is
+    empty. It is counted, not walked: a degree with no cell of Tot has
+    zero homology in all three, so the audit reads only the degrees
+    with cells, and the next one for the connecting map into them.
     """
 
     exact: bool
@@ -485,13 +488,13 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
     # the sub, Tot and the quotient are windows of Tot's column reductions
     fr_sub, fr_tot = _FieldFrame(tot, hi=cut), _FieldFrame(tot)
     fr_quot = _FieldFrame(tot, lo=cut)
-    lo, hi = tot.min_degree, tot.max_degree
 
     # every chain is one of Tot: the connecting map H_n(quot) ->
     # H_{n-1}(sub) applies D to the quotient representatives, lifts to
     # Tot; a map between zero homologies is an empty matrix
+    degrees = sorted(lay.ranks)
     i_star, p_star, d_star = {}, {}, {}
-    for n in range(lo, hi + 2):
+    for n in sorted({*degrees, *(n + 1 for n in degrees)}):
         i_star[n] = fr_tot.coords(n, fr_sub.reps(n))
         p_star[n] = fr_quot.coords(n, fr_tot.reps(n))
         d_star[n] = fr_sub.coords(n - 1, lay.d(n) @ fr_quot.reps(n))
@@ -501,7 +504,7 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
                         for table in (i_star, p_star, d_star))
 
     failures: list[str] = []
-    for n in range(lo, hi + 1):
+    for n in degrees:
         hs, ht, hq = fr_sub.rank(n), fr_tot.rank(n), fr_quot.rank(n)
         f, g, dn, dn1 = i_star[n], p_star[n], d_star[n], d_star[n + 1]
         rf, rg, rdn, rdn1 = rk_i[n], rk_p[n], rk_d[n], rk_d[n + 1]
@@ -594,12 +597,10 @@ def morphism_total_matrix(m: TwistedMorphism, n: int) -> IntegerMatrix:
 def _check_chain_map(m: TwistedMorphism) -> None:
     src_lay = m.source._tot
     dst_lay = m.target._tot
-    if not src_lay.keys:
-        return
     bad = first_nonzero(
         ((n, morphism_total_matrix(m, n - 1) @ src_lay.d(n)
           - dst_lay.d(n) @ morphism_total_matrix(m, n))
-         for n in range(src_lay.min_degree, src_lay.max_degree + 1)),
+         for n in sorted(src_lay.ranks)),
         m.source.ring.p)
     if bad is not None:
         piece, local = src_lay.locate(*bad)
@@ -610,12 +611,9 @@ def _check_chain_map(m: TwistedMorphism) -> None:
 
 def identity_morphism(t: TwistedComplex) -> TwistedMorphism:
     """The identity of t as a twisted morphism (diagonal unit blocks)."""
-    blocks = {}
-    for i, c in t.pieces.items():
-        fam = {m: IntegerMatrix.identity(c.dim(m))
-               for m in c.degrees() if c.dim(m)}
-        blocks[(i, i)] = fam
-    return TwistedMorphism(t, t, blocks)
+    return TwistedMorphism(t, t, {
+        (i, i): {m: IntegerMatrix.identity(r) for m, r in c.rank.items() if r}
+        for i, c in t.pieces.items()})
 
 
 def cone(m: TwistedMorphism) -> TwistedComplex:
@@ -716,10 +714,8 @@ def verify_homotopy_square(w: HomotopySquareWitness) -> HomotopyVerdict:
     """
     src_lay = w.c12.source._tot
     dst_lay = w.c24.target._tot
-    if not src_lay.keys:
-        return HomotopyVerdict(True)
     h = place_families(w.diagonal_blocks.items(), src_lay, dst_lay, 1)
-    for n in range(src_lay.min_degree, src_lay.max_degree + 1):
+    for n in sorted(src_lay.ranks):
         lhs = dst_lay.d(n + 1) @ _graded(h, src_lay, dst_lay, n, 1) + \
             _graded(h, src_lay, dst_lay, n - 1, 1) @ src_lay.d(n)
         rhs = morphism_total_matrix(w.c24, n) @ \
@@ -902,8 +898,5 @@ def _check_page_turn(prev: SpectralSequencePage,
 
 def twisted_euler_characteristic(t: TwistedComplex) -> int:
     """Alternating sum over pieces, matching chi of the totalization."""
-    total = 0
-    for i, c in t.pieces.items():
-        chi = sum((-1) ** n * c.dim(n) for n in c.degrees())
-        total += (-1) ** i * chi
-    return total
+    return sum((-1) ** (i + n) * r for i, c in t.pieces.items()
+               for n, r in c.rank.items())

@@ -18,13 +18,18 @@ import numpy as np
 
 from mbflow import _fplinalg
 from mbflow.cli import category_to_json, parse_category
-from mbflow.flowcat import FlowCategoryData
+from mbflow.flowcat import FlowCategoryData, realize
 from mbflow.homalg import (
     CoefficientRing,
     GradedChainComplex,
     IntegerMatrix,
+    LaurentPoly,
+    PreceqVerdict,
     complex_from_ranks,
+    dim_t,
+    homology,
 )
+from mbflow.inequalities import InequalityReport
 from mbflow.twisted import TwistedComplex, totalize, twisted_from_parts
 
 
@@ -584,3 +589,54 @@ def dense_realized_differential(f: FlowCategoryData, n: int,
             placed.append((rows[corr.target], cols[corr.source],
                            corr.blocks[m]))
     return _dense_matrix(r, c, placed)
+
+
+def dense_preceq(p: LaurentPoly, q: LaurentPoly) -> PreceqVerdict:
+    """The (1+t)-order by the recursion a_d = r_d - a_{d-1} at every
+    degree from the lowest to the highest exponent of r = q - p, gaps
+    included: the reference for homalg.preceq, which walks the support."""
+    r = q - p
+    if r.is_zero():
+        return PreceqVerdict(True, LaurentPoly.zero(), None)
+    lo, hi = r.support()[0], r.support()[-1]
+    acc: dict[int, int] = {}
+    prev = 0
+    for d in range(lo, hi + 1):
+        a_d = r.coefficient(d) - prev
+        if a_d < 0:
+            return PreceqVerdict(False, None, d)
+        if a_d:
+            acc[d] = a_d
+        prev = a_d
+    if prev != 0:
+        return PreceqVerdict(False, None, hi + 1)
+    return PreceqVerdict(True, LaurentPoly(acc), None)
+
+
+def grid_equivariant_inequality(b: FlowCategoryData, cutoff: int,
+                                ) -> InequalityReport:
+    """The equivariant bound by a walk of every degree d in [0, cutoff],
+    every level k and every fiber x, counting rk H_{d-2k-r_x}(C(x)): the
+    reference for inequalities.equivariant_inequality, for a Borel
+    category whose metadata holds and a cutoff in its stability range."""
+    levels = b.borel.levels
+    h = dim_t(homology(totalize(realize(b))))
+    lhs = LaurentPoly.from_coeffs(
+        {e: c for e, c in h.coeffs.items() if e <= cutoff})
+    fiber_h = [(b.object(f"{x}@0").framing_rank, homology(b.object(
+        f"{x}@0").chain)) for x in b.borel.fiber_names]
+    rhs_coeffs: dict[int, int] = {}
+    for d in range(cutoff + 1):
+        total = 0
+        for k in range(levels + 1):
+            for r, hx in fiber_h:
+                total += hx.free_rank(d - 2 * k - r)
+        if total:
+            rhs_coeffs[d] = total
+    rhs = LaurentPoly.from_coeffs(rhs_coeffs)
+    for d in range(cutoff + 1):
+        if lhs.coefficient(d) > rhs.coefficient(d):
+            return InequalityReport("equivariant", lhs, rhs, False,
+                                    failure_degree=d)
+    return InequalityReport("equivariant", lhs, rhs, True,
+                            witness=rhs - lhs)

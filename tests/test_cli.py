@@ -24,14 +24,20 @@ from mbflow.cli import (
     serialize_category,
 )
 from mbflow.errors import ParseError, SchemaError, ValidationError
-from mbflow.examples import continuation_s2, fixture_registry
+from mbflow.examples import (
+    continuation_s2,
+    fixture_registry,
+    free_circle_borel,
+)
 from mbflow.flowcat import (
     BorelMetadata,
     FlowCategoryData,
     category_homology,
+    realize,
     validate_category,
 )
 from mbflow.homalg import ZZ, IntegerMatrix
+from mbflow.twisted import quotient_sequence
 
 
 def fixture_path(name):
@@ -551,6 +557,101 @@ def test_degrees_past_the_digit_limit_print_exactly(tmp_path, capsys):
     assert run_cli(["validate", str(path)], capsys) == (1, "", issue)
     assert run_cli(["homology", str(path)], capsys) == \
         (1, "", "error: " + issue)
+
+
+def _child(argv, timeout=10):
+    """mbflow argv in a child process, killed (and the test failed) if
+    it does not answer within timeout seconds."""
+    import mbflow
+
+    src = str(Path(list(mbflow.__path__)[0]).parent)
+    return subprocess.run(
+        [sys.executable, "-m", "mbflow", *argv], capture_output=True,
+        text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": src})
+
+
+def _far_apart_doc(index):
+    # two point objects framed 0 and 10^12: cells in total degrees 0 and
+    # 10^12 and none between
+    point = {"ranks": [1], "differentials": []}
+    return {"format_version": "1", "ring": "Z", "correspondences": [],
+            "objects": [{"name": "a", "index": 0, "framing_rank": 0,
+                         "chain": point},
+                        {"name": "b", "index": index,
+                         "framing_rank": 10 ** 12, "chain": point}]}
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_far_apart_degrees_answer_at_once(tmp_path, index):
+    # graded values are walked by the degrees they store: with a shared
+    # index validate walked one piece's range, and with index 1 every
+    # other command walked Tot's
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_far_apart_doc(index)))
+    far = "1000000000000"
+    table = f"degree  free  torsion\n     0     1  -\n{far}     1  -\n"
+    poly = f"1 + t^{far}"
+    if index == 0:
+        ss = (f"page 1\n  E[0,0] dim 1\n  E[0,{far}] dim 1\n"
+              f"collapsed at page 1\n")
+    else:
+        spots = f"  E[0,0] dim 1\n  E[1,{10 ** 12 - 1}] dim 1\n"
+        ss = f"page 1\n{spots}page 2\n{spots}collapsed at page 1\n"
+    want = {
+        ("validate",): "valid: 2 objects, 0 correspondences\n",
+        ("homology",): "ring: Z\n" + table,
+        ("homology", "--ring", "Fp:2"): "ring: Fp:2\n" + table,
+        ("poincare",): f"dim_t H(Tot) = {poly}\n",
+        ("check-ineq",): f"mode: partial_order\nlhs:  {poly}\nrhs:  {poly}\n"
+                         f"holds: yes\nwitness: 0\nequality\n",
+        ("ss", "--field", "2"): ss + f"limit\n  degree 0: dim 1\n"
+                                     f"  degree {far}: dim 1\n",
+        ("dual",): f"ring: Z\ndegree  free  torsion\n-{far}     1  -\n"
+                   f"     0     1  -\n",
+    }
+    for (command, *extra), out in want.items():
+        proc = _child([command, str(path), *extra])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), \
+            command
+
+
+def test_quotient_sequence_across_far_apart_degrees():
+    # Tot has cells in degrees 0 and 10^12 only; the cut at 0 splits
+    # them, and no connecting map can join degrees that far apart
+    f = parse_category(json.dumps(_far_apart_doc(1)).encode())
+    audit = quotient_sequence(realize(f), 0).audit
+    assert audit.exact
+    assert dict(audit.connecting_rank) == {}
+    assert audit.positions_checked == 3 * (10 ** 12 + 1)
+
+
+def test_equivariant_bound_at_ten_thousand_levels(tmp_path):
+    # the free circle's Borel model truncated at N = 10,000 levels, at
+    # the top of its stability range: both sides are read from the
+    # degrees they store, not from a degree x level x fiber grid
+    path = tmp_path / "borel.json"
+    path.write_bytes(serialize_category(free_circle_borel(10_000)))
+    proc = _child(["check-ineq", str(path), "--equivariant",
+                   "--cutoff", "19999"])
+    slack = "t + " + " + ".join(f"t^{d}" for d in range(2, 20_000))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (f"mode: equivariant\nlhs:  1\nrhs:  1 + {slack}\n"
+                           f"holds: yes\nwitness: {slack}\n")
+
+
+@pytest.mark.parametrize("unit", ["[", '{"a":'])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, unit):
+    # 200 KB of openings overflow the decoder's recursion limit, in a
+    # category file and in a bimodule file alike
+    path = tmp_path / "deep.json"
+    path.write_text(unit * (200_000 // len(unit)))
+    for argv in (["homology", str(path)],
+                 ["cone", fixture_path("s2_two_point"),
+                  fixture_path("sphere_z2"), str(path)]):
+        proc = _child(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: JSON nested too deeply\n"), argv[0]
+        assert "Traceback" not in proc.stderr
 
 
 def test_ss_bad_field_exits_3(capsys):

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from support import (
     _integer_kernel_basis,
     columns_array,
+    dense_preceq,
     dense_reduce_columns,
     fp_array,
     grid_surface,
@@ -33,6 +34,7 @@ from mbflow.homalg import (
     GradedChainComplex,
     IntegerMatrix,
     LaurentPoly,
+    PreceqVerdict,
     complex_from_ranks,
     dim_t,
     direct_sum,
@@ -667,3 +669,35 @@ def test_preceq_antisymmetry(pc, qc):
     q = LaurentPoly.from_coeffs(qc)
     if preceq(p, q).holds and preceq(q, p).holds:
         assert p.coeffs == q.coeffs
+
+
+_gapped = st.dictionaries(st.integers(-20, 20), st.integers(-3, 3),
+                          max_size=6).map(LaurentPoly.from_coeffs)
+
+
+@given(_gapped, _gapped, _gapped)
+@example(LaurentPoly.zero(), LaurentPoly.zero(),
+         LaurentPoly.from_coeffs({0: 1, 5: 1}))
+@example(LaurentPoly.zero(), LaurentPoly.from_coeffs({0: 1, 5: 2}),
+         LaurentPoly.from_coeffs({9: -1}))
+@settings(max_examples=500, deadline=None)
+def test_preceq_on_the_support_matches_the_dense_recursion(p, a, noise):
+    # q = p + (1+t)|a| holds; adding a sparse noise term mostly breaks
+    # it, by a negative coefficient, by a carry into a gap or past the
+    # last degree
+    one_plus_t = LaurentPoly.from_coeffs({0: 1, 1: 1})
+    a = LaurentPoly({e: abs(v) for e, v in a.coeffs.items()})
+    for q in (p + one_plus_t * a, p + one_plus_t * a + noise, noise):
+        assert preceq(p, q) == dense_preceq(p, q)
+
+
+def test_preceq_across_a_gap_of_ten_to_the_twelve():
+    # the dense recursion would walk 10^12 degrees
+    far = 10 ** 12
+    ends = LaurentPoly.from_coeffs({0: 1, far: 1})
+    one_plus_t = LaurentPoly.from_coeffs({0: 1, 1: 1})
+    assert preceq(LaurentPoly.zero(), ends) == PreceqVerdict(False, None, 1)
+    assert preceq(LaurentPoly.zero(), one_plus_t * ends) == \
+        PreceqVerdict(True, ends, None)
+    assert preceq(ends, ends + one_plus_t * LaurentPoly.t_power(far)) == \
+        PreceqVerdict(True, LaurentPoly.t_power(far), None)

@@ -1,23 +1,28 @@
 """Morse-Bott bounds on the fixtures and on random twisted complexes."""
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbflow.errors import (
     CutoffBeyondStabilityRange,
     InvalidRange,
+    InvariantViolation,
     OrientationRequired,
     ValidationError,
 )
 from mbflow.examples import (
+    BorelSpec,
+    borel_product,
     free_circle_borel,
     s2_rotation_borel,
     sphere_z2,
     standard_fixtures,
     torus_flat,
 )
-from mbflow.flowcat import FlowCategoryData, FlowObject
+from mbflow.flowcat import BorelMetadata, FlowCategoryData, FlowObject
 from mbflow.homalg import F2, ZZ, LaurentPoly, complex_from_ranks
 from mbflow.inequalities import (
     equivariant_inequality,
@@ -25,7 +30,12 @@ from mbflow.inequalities import (
     twisted_inequality,
 )
 
-from support import point_complex, random_twisted
+from support import (
+    grid_equivariant_inequality,
+    point_complex,
+    random_integral_complex,
+    random_twisted,
+)
 
 
 def poly(coeffs):
@@ -150,3 +160,51 @@ def test_report_independent_of_object_order():
     g = FlowCategoryData(f.ring, tuple(reversed(f.objects)),
                          f.correspondences)
     assert mb_inequality(f) == mb_inequality(g)
+
+
+def _random_borel(rng, ring):
+    """A Borel product of 0-3 random fiber objects at 0-3 levels, with
+    the default level links where they satisfy D.D = 0 and none
+    otherwise; half the time its metadata names only some fibers, in a
+    random order, so that the objects left out can break the bound."""
+    fiber = []
+    for j in range(rng.randint(0, 3)):
+        chain = random_integral_complex(rng, top=2, max_parts=4)[0]
+        fiber.append(FlowObject(f"x{j}", rng.randint(0, 3),
+                                rng.randint(-2, 3), chain.with_ring(ring)))
+    fiber = FlowCategoryData(ring, tuple(fiber))
+    levels = rng.randint(0, 3)
+    try:
+        b = borel_product(BorelSpec(levels, fiber))
+    except InvariantViolation:
+        b = borel_product(BorelSpec(levels, fiber, level_links={}))
+    if rng.random() < 0.5:
+        names = list(b.borel.fiber_names)
+        names = rng.sample(names, rng.randint(0, len(names)))
+        b = replace(b, borel=BorelMetadata(levels, tuple(names)))
+    return b
+
+
+def _equivariant_at_every_cutoff(b):
+    # the stability range is [0, 2N - 1]; -1 and 2N are refused
+    levels = b.borel.levels
+    for cutoff in range(-1, 2 * levels + 1):
+        if 0 <= cutoff <= 2 * levels - 1:
+            assert equivariant_inequality(b, cutoff) == \
+                grid_equivariant_inequality(b, cutoff), cutoff
+        else:
+            with pytest.raises((InvalidRange, CutoffBeyondStabilityRange)):
+                equivariant_inequality(b, cutoff)
+
+
+@given(st.integers(0, 2 ** 32), st.sampled_from((ZZ, F2)))
+@settings(max_examples=200, deadline=None)
+def test_equivariant_bound_matches_the_grid_walk(seed, ring):
+    _equivariant_at_every_cutoff(_random_borel(random.Random(seed), ring))
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2])
+def test_equivariant_bound_on_the_borel_fixtures_matches_the_grid_walk(ring):
+    for name, f in standard_fixtures(ring):
+        if f.borel is not None:
+            _equivariant_at_every_cutoff(f)

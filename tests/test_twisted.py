@@ -31,6 +31,7 @@ from mbflow.homalg import (
     CoefficientRing,
     IntegerMatrix,
     complex_from_ranks,
+    first_nonzero,
     homology,
     integer_rank,
     shift_complex,
@@ -308,7 +309,7 @@ def _mod(v, p):
 
 
 def _is_zero(m, p):
-    return m.is_zero_mod(p) if p else m.is_zero()
+    return first_nonzero([(0, m)], p) is None
 
 
 def _check_field_frame(c, fr=None, lo=None):
