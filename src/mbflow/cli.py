@@ -7,7 +7,9 @@ shapes regardless of in-memory sparsity; that keeps fixture files
 readable and diffable.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or schema error
-(also argparse usage errors), 3 unsupported ring, 4 inequality failed.
+(also argparse usage errors), 3 unsupported ring, 4 inequality failed,
+141 stdout closed before the output ended (as a shell reports a process
+that SIGPIPE ended).
 MBFLOW_COLOR=0 disables ANSI styling; styling is also off when stdout
 is not a terminal, so piped output is byte-stable.
 """
@@ -18,7 +20,6 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -113,44 +114,30 @@ def category_to_json(f: FlowCategoryData,
 
 
 def _canonical_bytes(doc: Mapping[str, Any]) -> bytes:
-    """doc as sorted, indented JSON, integers of any size included.
+    """doc as json.dumps(doc, sort_keys=True, indent=2) lays it out, and
+    a newline, in one frame per level. Keys are strings. homalg.digits
+    prints integers, which json.dumps refuses past 4,300 digits."""
+    out: list[str] = []
 
-    json.dumps refuses an integer past Python's limit on decimal digits
-    for str(int), such as a matrix entry that parse_category has read.
-    Each such integer goes in as a string longer than every string of
-    doc, so equal to none, and its digits (homalg.digits, exact at any
-    size) then replace that string and its quotes.
-    """
-    big: list[int] = []
-    width = [0]
+    def put(v: Any, pad: str) -> None:
+        if isinstance(v, dict) and v:
+            ends = "{}"
+            members = [(json.dumps(k) + ": ", v[k]) for k in sorted(v)]
+        elif isinstance(v, (list, tuple)) and v:
+            ends, members = "[]", zip([""] * len(v), v)
+        else:
+            out.append(digits(v) if type(v) is int else json.dumps(v))
+            return
+        # each member ends in a comma, and the closer replaces the last
+        out.append(ends[0])
+        for key, x in members:
+            out.append(f"\n{pad}  {key}")
+            put(x, pad + "  ")
+            out.append(",")
+        out[-1] = f"\n{pad}{ends[1]}"
 
-    def swap(v: Any) -> Any:
-        if isinstance(v, dict):
-            width.extend(len(k) for k in v if isinstance(k, str))
-            return {k: swap(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [swap(x) for x in v]
-        if isinstance(v, str):
-            width.append(len(v))
-        elif type(v) is int and not -_DIGITS_BOUND < v < _DIGITS_BOUND:
-            big.append(v)
-            return _Placeholder(len(big) - 1)
-        return v
-
-    swapped = swap(doc)
-    pad = "#" * (max(width) + 1)
-    text = json.dumps(swapped, sort_keys=True, indent=2,
-                      default=lambda h: f"{pad}{h.k}")
-    text = re.sub(f'"{pad}([0-9]+)"', lambda m: digits(big[int(m[1])]),
-                  text)
-    return (text + "\n").encode("utf-8")
-
-
-class _Placeholder:
-    """Stands in for the k-th integer json cannot print."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
+    put(doc, "")
+    return ("".join(out) + "\n").encode("utf-8")
 
 
 def serialize_category(f: FlowCategoryData,
@@ -655,7 +642,14 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "cutoff", None) is not None and not args.equivariant:
         ap.error("--cutoff requires --equivariant")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes nowhere,
+        # and the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, SchemaError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -16,9 +16,10 @@ long-exact-sequence audit read the same reductions of Tot.
 Integer homology works in two stages (Dumas, Heckenbach, Saunders and
 Welker 2003): unit_sweep, a sparse column elimination of each
 differential that pivots only on +-1, splits off its unit pivots, and
-only the leftover goes through the dense Smith form, one per degree and
-without transforms. That Smith form runs modulo a nonzero rank x rank
-minor D of the leftover, which a fraction-free elimination (Bareiss
+only the leftover goes through the Smith form, one per degree and
+without transforms, dense on each block of leftover columns that share
+no row. Each block's Smith form runs modulo a nonzero rank x rank
+minor D of the block, which a fraction-free elimination (Bareiss
 1968) gives along with the rank. Every nonzero invariant factor divides
 D, so working mod D loses none of them and keeps every entry below D
 (Domich, Kannan and Trotter 1987; Hafner and McCurley 1991). Every
@@ -329,6 +330,54 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     homology over Z reads nothing else (Dumas, Heckenbach, Saunders and
     Welker 2003).
 
+    Columns that share no row, even through other columns, make
+    independent blocks: m is equivalent to their direct sum, so each
+    block takes its own Smith form (_block_factors), and the factors of
+    all blocks are put in divisibility order together. A leftover of
+    many small blocks, such as one torsion summand per object, so costs
+    per block rather than one dense elimination of the whole.
+
+    >>> m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+    >>> smith_normal_form(m)
+    ((2, 4), 2)
+    >>> smith_normal_form(IntegerMatrix.from_rows([[4, 6], [6, 4]]))
+    ((2, 10), 2)
+    >>> smith_normal_form(IntegerMatrix.from_rows([[0, 3], [2, 0]]))
+    ((1, 6), 2)
+    >>> smith_normal_form(IntegerMatrix.zero(2, 3))
+    ((), 0)
+    """
+    cols: dict[int, dict[int, int]] = {}
+    row_cols: dict[int, list[int]] = {}
+    for (i, j), v in m.entries.items():
+        cols.setdefault(j, {})[i] = v
+        row_cols.setdefault(i, []).append(j)
+    factors: list[int] = []
+    rank = 0
+    while cols:
+        # a block: the columns reached from one through shared rows,
+        # each row followed once
+        block, todo = [], [next(iter(cols))]
+        while todo:
+            col = cols.pop(todo.pop(), None)
+            if col is not None:
+                block.append(col)
+                for i in col:
+                    todo += row_cols.pop(i, ())
+        rows = {i: k for k, i in enumerate(sorted({i for c in block
+                                                    for i in c}))}
+        f, r = _block_factors(IntegerMatrix(len(rows), len(block), {
+            (rows[i], j): v for j, c in enumerate(block)
+            for i, v in c.items()}))
+        factors += f
+        rank += r
+    return tuple(_divisibility_order(factors)), rank
+
+
+def _block_factors(m: IntegerMatrix) -> tuple[list[int], int]:
+    """(invariant factors, rank) of a nonzero matrix, by one dense
+    elimination.
+
     The elimination runs modulo D, the nonzero rank x rank minor that
     _bareiss ends on (Domich, Kannan and Trotter 1987; Hafner and
     McCurley 1991). The product of the factors is the gcd of the
@@ -337,18 +386,8 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
     mod D is D. Every step on two lines is unimodular, and the
     extended-gcd step shrinks the pivot. Column t is cleared, then row
     t by clearing the transpose, which has the same Smith form, until
-    both are zero. gcd/lcm swaps put the factors in divisibility order.
-
-    >>> m = IntegerMatrix.from_rows([[2, 4], [6, 8]])
-    >>> smith_normal_form(m)
-    ((2, 4), 2)
-    >>> smith_normal_form(IntegerMatrix.from_rows([[4, 6], [6, 4]]))
-    ((2, 10), 2)
-    >>> smith_normal_form(IntegerMatrix.zero(2, 3))
-    ((), 0)
+    both are zero.
     """
-    if not m.entries:
-        return (), 0
     rank, det = _bareiss(m)
     a = [[v % det for v in row] for row in m.to_rows()]
     factors = []
@@ -370,11 +409,19 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[tuple[int, ...], int]:
             a = [list(col) for col in zip(*a)]
         factors.append(gcd(a[t][t], det))
     factors += [det] * (rank - len(factors))
+    # pivots nonzero mod D can outnumber the rank; the swaps turn each
+    # extra one into D, which sorts last
+    return _divisibility_order(factors)[:rank], rank
+
+
+def _divisibility_order(factors: list[int]) -> list[int]:
+    """Positive factors in place, put in divisibility order by gcd/lcm
+    swaps, which keep the product and the diagonal's Smith form."""
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[j])
             factors[i], factors[j] = g, factors[i] // g * factors[j]
-    return tuple(factors[:rank]), rank
+    return factors
 
 
 def _unimodular_step(top: list[int], row: list[int], t: int, mod: int,

@@ -27,11 +27,13 @@ from .twisted import TwistedComplex, totalize
 class InequalityReport:
     """Outcome of a Morse-Bott bound.
 
-    In partial_order mode, holds means preceq(lhs, rhs) and witness is
-    the nonnegative A with rhs - lhs = (1+t)A; in rank_bound and
-    equivariant modes, holds means lhs <= rhs coefficientwise and
-    witness is the slack rhs - lhs. failure_degree locates the first
-    violated degree when the bound fails.
+    mode is "partial_order" (mb_inequality, twisted_inequality) or
+    "equivariant" (equivariant_inequality). In partial_order mode,
+    holds means preceq(lhs, rhs) and witness is the nonnegative A with
+    rhs - lhs = (1+t)A; in equivariant mode, holds means lhs <= rhs
+    coefficientwise up to the cutoff and witness is the slack rhs - lhs.
+    failure_degree locates the first violated degree when the bound
+    fails.
     """
 
     mode: str

@@ -576,9 +576,6 @@ class TwistedMorphism:
         return IntegerMatrix.zero(self.target.pieces[j].dim(m + i - j),
                                   self.source.pieces[i].dim(m))
 
-    def ring(self) -> CoefficientRing:
-        return self.source.ring
-
     @cached_property
     def _cone(self) -> TwistedComplex:
         return _mapping_cone(self)

@@ -11,9 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbflow.cli import (
     CategoryFile,
+    _canonical_bytes,
+    _decode,
     fixture_bytes,
     fixture_names,
     load_category_file,
@@ -28,6 +31,7 @@ from mbflow.examples import (
     continuation_s2,
     fixture_registry,
     free_circle_borel,
+    sphere_z2,
 )
 from mbflow.flowcat import (
     BorelMetadata,
@@ -111,6 +115,55 @@ def test_bimodule_round_trip():
     data = serialize_bimodule(b)
     again = parse_bimodule(data, b.source, b.target)
     assert again == b
+
+
+# JSON values as json.loads returns them, and tuples, which json.dumps
+# writes as arrays; integers stay within the 4,300 digits that
+# json.dumps prints
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(10 ** 4299, 10 ** 4300 - 1)
+    | st.integers(-10 ** 4300 + 1, -10 ** 4299),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@given(_json_docs)
+@settings(max_examples=300, deadline=None)
+def test_canonical_bytes_lay_out_json_as_json_dumps(doc):
+    assert _canonical_bytes(doc) == \
+        (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def test_integers_past_the_digit_limit_round_trip():
+    # json.dumps refuses these unless the interpreter's limit is lifted;
+    # the writer prints every digit and the reader takes them back
+    big = 10 ** 4300
+    doc = {"entries": [big, -big - 7, [3 * big + 1, {"k": -(big ** 2)}]],
+           "small": [0, -1, True, None, 2.5], "z": {}}
+    data = _canonical_bytes(doc)
+    assert _decode(data) == doc
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert data == want.encode("utf-8")
+
+
+def test_deeply_nested_oracle_serializes():
+    # one frame per nesting level: 950 levels of arrays inside the
+    # oracle are written and read back
+    nested = []
+    for _ in range(949):
+        nested = [nested]
+    data = serialize_category(sphere_z2(), {"deep": nested})
+    cf = load_category_file(data)
+    assert cf.oracle == {"deep": nested}
+    assert cf.category == sphere_z2()
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +705,54 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, unit):
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (2, "", "error: JSON nested too deeply\n"), argv[0]
         assert "Traceback" not in proc.stderr
+
+
+def test_torsion_in_two_thousand_blocks_answers_at_once(tmp_path):
+    # 2,000 copies of RP^2's cell chain (d_2 = 2) at one index: the
+    # leftover of unit_sweep is a 2,000 x 2,000 diagonal, whose Smith
+    # form runs per block of columns that share no row
+    rp2 = {"ranks": [1, 1, 1],
+           "differentials": [{"degree": 2, "shape": [1, 1], "data": [2]}]}
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": f"x{i}", "index": 0, "framing_rank": 0,
+                        "chain": rp2} for i in range(2000)]}
+    path = tmp_path / "rp2s.json"
+    path.write_text(json.dumps(doc))
+    proc = _child(["homology", str(path)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("ring: Z\ndegree  free  torsion\n"
+                           f"     0  2000  -\n     1     0  "
+                           f"{','.join(['2'] * 2000)}\n")
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # 8,000 point objects at index i and framing 2i print 128 KB, more
+    # than a pipe holds; the reader takes the first 20 bytes and closes
+    import mbflow
+
+    point = {"ranks": [1], "differentials": []}
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": f"p{i}", "index": i, "framing_rank": 2 * i,
+                        "chain": point} for i in range(8000)]}
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(list(mbflow.__path__)[0]).parent)
+    with open(tmp_path / "stderr", "w+b") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mbflow", "homology", str(path)],
+            stdout=subprocess.PIPE, stderr=err, bufsize=0,
+            env={**os.environ, "PYTHONPATH": src})
+        head = b""
+        while len(head) < 20:
+            head += proc.stdout.read(20 - len(head)) or b"EOF"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        stderr = err.read().decode()
+    assert head == b"ring: Z\ndegree  free"
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+    assert (code, stderr) == (141, "")
 
 
 def test_ss_bad_field_exits_3(capsys):

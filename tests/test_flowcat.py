@@ -1,7 +1,10 @@
 """Flow category data model, realization, splits, duals, bimodules."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from mbflow import flowcat
 from mbflow.errors import (
     ChainMapViolation,
     InvariantViolation,
@@ -282,6 +285,34 @@ def test_split_returns_categories_without_self_check_caches():
                                              0).sub
 
 
+def test_split_audits_dimension_additivity(monkeypatch):
+    # Tot of the whole category reports one cell too many in degree 0
+    calls = []
+
+    def skewed(t):
+        tot = totalize(t)
+        calls.append(t)
+        if len(calls) > 1:
+            return tot
+        return SimpleNamespace(rank={**tot.rank, 0: tot.dim(0) + 1})
+    monkeypatch.setattr(flowcat, "totalize", skewed)
+    with pytest.raises(InvariantViolation) as exc:
+        include_and_quotient(equator_sphere(), ["eq"])
+    assert str(exc.value) == \
+        "realization does not commute with the split in degree 0"
+
+
+def test_split_audits_the_index_cut(monkeypatch):
+    # the twisted split comes back with sub and quotient swapped
+    split = flowcat.index_split
+    monkeypatch.setattr(flowcat, "index_split",
+                        lambda t, p: split(t, p)[::-1])
+    with pytest.raises(InvariantViolation) as exc:
+        include_and_quotient(equator_sphere(), ["eq"])
+    assert str(exc.value) == \
+        "index-cut split disagrees with the twisted quotient"
+
+
 def test_split_on_mixed_index_subset():
     # {eq, n} splits the index-2 piece; only dimension additivity holds
     sub, quot = include_and_quotient(equator_sphere(), ["eq", "n"])
@@ -386,6 +417,15 @@ def test_continuation_is_a_chain_map():
 def test_continuation_cone_is_acyclic():
     m = bimodule_to_map(continuation_bimodule())
     assert homology(totalize(cone(m))).is_trivial()
+
+
+def test_bimodule_audits_the_cone_category(monkeypatch):
+    # the twisted cone is replaced by the morphism's target
+    monkeypatch.setattr(flowcat, "cone", lambda m: m.target)
+    with pytest.raises(InvariantViolation) as exc:
+        bimodule_to_map(continuation_bimodule())
+    assert str(exc.value) == \
+        "cone category realization disagrees with the twisted cone"
 
 
 def test_bimodule_rejects_non_chain_map():

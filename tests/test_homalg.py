@@ -163,6 +163,35 @@ def _minor_gcds(rows, k):
     return g
 
 
+def _permuted_block_diagonal(blocks, rng):
+    """The blocks on the diagonal, one zero row and column more, with
+    rows and columns shuffled: columns of different blocks share no
+    row, but they interleave."""
+    rows = sum(len(b) for b in blocks) + 1
+    cols = sum(len(b[0]) for b in blocks) + 1
+    out = [[0] * cols for _ in range(rows)]
+    r = c = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[r + i][c:c + len(row)] = row
+        r, c = r + len(b), c + len(b[0])
+    rng.shuffle(out)
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in out]
+
+
+# up to three blocks of at most 2 x 2, which the Smith form splits apart
+_permuted_blocks = st.builds(
+    _permuted_block_diagonal,
+    st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-6, 6), min_size=shape[1],
+                     max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0])), min_size=1, max_size=3),
+    st.randoms(use_true_random=False))
+
+
 def _dense_without_units(shape):
     # no entry is a unit: what unit_sweep hands over whole
     rows, cols = shape
@@ -192,6 +221,22 @@ def test_snf_matches_minor_gcds(rows):
     if rank < min(m.rows, m.cols):
         assert _minor_gcds(rows, rank + 1) == 0
     assert all(diag[i] > 0 for i in range(rank))
+    assert all(diag[i + 1] % diag[i] == 0 for i in range(rank - 1))
+
+
+@given(_permuted_blocks)
+@example([[0, 2, 0], [3, 0, 0], [0, 0, 2]])
+@example([[0, 4, 0, 6], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 6, 0]])
+@settings(max_examples=150, deadline=None)
+def test_snf_of_permuted_blocks_matches_minor_gcds(rows):
+    # the Smith form splits the matrix into blocks of columns that share
+    # no row; the factors of all blocks together must be its own
+    diag, rank = smith_normal_form(mat(rows))
+    prod = 1
+    for k, d in enumerate(diag, start=1):
+        prod *= d
+        assert prod == _minor_gcds(rows, k)
+    assert _minor_gcds(rows, rank + 1) == 0
     assert all(diag[i + 1] % diag[i] == 0 for i in range(rank - 1))
 
 
@@ -558,6 +603,22 @@ def test_integer_rank_cross_check_sees_a_corrupted_reduction(monkeypatch):
     monkeypatch.setattr(homalg, "unit_sweep", lambda d: (0, sweep(d)[1]))
     with pytest.raises(InvariantViolation, match="rank of d_1 mod"):
         homology(circle_cw())
+
+
+def test_negative_free_rank_is_caught(monkeypatch):
+    # a Smith form that reports one rank too many, with a factor the
+    # check prime divides, passes the rank cross-check; RP^2's free
+    # rank in degree 1 then comes out negative
+    snf = homalg.smith_normal_form
+
+    def inflated(m):
+        diag, rank = snf(m)
+        return diag + (homalg.CHECK_PRIME,), rank + 1
+    monkeypatch.setattr(homalg, "smith_normal_form", inflated)
+    rp2 = complex_from_ranks(ZZ, {0: 1, 1: 1, 2: 1}, {2: mat([[2]])})
+    with pytest.raises(InvariantViolation) as exc:
+        homology(rp2)
+    assert str(exc.value) == "negative free rank in degree 1"
 
 
 def test_integral_homology_of_a_dense_unit_level_link():

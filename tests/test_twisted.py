@@ -23,12 +23,14 @@ from mbflow.errors import (
     ShapeMismatch,
     UnsupportedRing,
 )
-from mbflow import _fplinalg
-from mbflow.examples import homotopy_square_fixture
+from mbflow import _fplinalg, twisted
+from mbflow.examples import homotopy_square_fixture, sphere_z2
+from mbflow.flowcat import FlowCategoryData, FlowObject, realize
 from mbflow.homalg import (
     F2,
     ZZ,
     CoefficientRing,
+    HomologySummary,
     IntegerMatrix,
     complex_from_ranks,
     first_nonzero,
@@ -582,6 +584,52 @@ def test_integral_audit_of_a_dense_differential_with_no_unit():
     assert audit.positions_checked == 6 and not audit.connecting_rank
 
 
+def _sphere_circle_point():
+    # S^2 as an equator and two poles, with a circle at index 0 and a
+    # point at index 1 besides; cut at 0, H_0 and H_1 of the sub, H_0
+    # and H_2 of the quotient are all nonzero, and the connecting map
+    # sends H_2 of the quotient onto the equator's loop
+    s = sphere_z2()
+    return realize(FlowCategoryData(ZZ, s.objects + (
+        FlowObject("c", 0, 0, circle_complex(ZZ)),
+        FlowObject("q", 1, 0, point_complex(ZZ))), s.correspondences))
+
+
+@pytest.mark.parametrize("frame, n, rows, failures", [
+    # H_0(sub) -> H_0(tot) hits the point of the quotient
+    ("tot", 0, [[1, 0], [0, 1], [1, 0]], ("pi.iota nonzero on H_0",)),
+    # ... or loses the circle's component
+    ("tot", 0, [[1, 0], [0, 0], [0, 0]],
+     ("rank defect at H_0(total)", "rank defect at H_0(sub)")),
+    # H_2(tot) -> H_2(quot) meets the pole the connecting map sees
+    ("quot", 2, [[1], [1]], ("connecting.pi nonzero on H_2",)),
+    # the connecting map H_2(quot) -> H_1(sub) vanishes
+    ("sub", 1, [[0, 0], [0, 0]],
+     ("rank defect at H_1(sub)", "rank defect at H_2(quotient)")),
+    # H_1(sub) -> H_1(tot) keeps the equator's loop, which bounds
+    ("tot", 1, [[1, 1]], ("iota.connecting nonzero into H_1",)),
+])
+def test_exactness_audit_reports_corrupted_coordinates(monkeypatch, frame,
+                                                       n, rows, failures):
+    # each audit line fires once: one frame's coordinates in one degree
+    # are replaced by a matrix of the same shape
+    t = _sphere_circle_point()
+    assert quotient_sequence(t, 0).audit.exact
+    coords = _FieldFrame.coords
+
+    def corrupted(self, degree, cycles):
+        got = coords(self, degree, cycles)
+        role = ("quot" if self._lo is not None else
+                "sub" if self._hi is not None else "tot")
+        if (role, degree) != (frame, n):
+            return got
+        assert (got.rows, got.cols) == (len(rows), len(rows[0]))
+        return mat(rows)
+    monkeypatch.setattr(_FieldFrame, "coords", corrupted)
+    audit = quotient_sequence(t, 0).audit
+    assert (audit.exact, audit.failures) == (False, failures)
+
+
 # ---------------------------------------------------------------------------
 # morphisms and cones
 
@@ -898,6 +946,33 @@ def test_spectral_sequence_matches_subspace_reference(seed, ring):
         for src, m in page.differentials.items():
             dst = (src[0] - r, src[1] + r - 1)
             assert (m.rows, m.cols) == (page.dims[dst], page.dims[src])
+
+
+def test_spectral_sequence_audits_a_corrupted_page_rank(monkeypatch):
+    # on S^2 over F_2, d_2 has rank 1; reported as 2, page 3 cannot be
+    # the homology of page 2
+    t = realize(sphere_z2(F2))
+    rank = _fplinalg.rank
+    monkeypatch.setattr(_fplinalg, "rank", lambda d, p: rank(d, p) + 1)
+    with pytest.raises(InvariantViolation) as exc:
+        spectral_sequence(t, 5)
+    assert str(exc.value) == \
+        "page 3 at (2,0) has dimension 1, homology of page 2 gives 0"
+
+
+def test_spectral_sequence_audits_e_infinity_against_homology(monkeypatch):
+    # a homology of Tot with one class too many in degree 0
+    t = realize(sphere_z2(F2))
+    real = twisted.homology
+
+    def skewed(c):
+        h = real(c)
+        return HomologySummary(h.ring, {**h.free, 0: h.free_rank(0) + 1})
+    monkeypatch.setattr(twisted, "homology", skewed)
+    with pytest.raises(InvariantViolation) as exc:
+        spectral_sequence(t, 5)
+    assert str(exc.value) == \
+        "E-infinity columns sum to 1 in degree 0, homology has 2"
 
 
 def test_spectral_sequence_at_the_largest_prime():
