@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import (
     MBFlowError,
@@ -50,6 +50,7 @@ from .homalg import (
     GradedChainComplex,
     HomologySummary,
     IntegerMatrix,
+    block_shape,
     complex_from_ranks,
     digits,
     dim_t,
@@ -115,28 +116,41 @@ def category_to_json(f: FlowCategoryData,
 
 def _canonical_bytes(doc: Mapping[str, Any]) -> bytes:
     """doc as json.dumps(doc, sort_keys=True, indent=2) lays it out, and
-    a newline, in one frame per level. Keys are strings. homalg.digits
-    prints integers, which json.dumps refuses past 4,300 digits."""
+    a newline, walked with a stack of open containers rather than one
+    Python frame per level, so any depth the reader returns is written.
+    Keys are strings. homalg.digits prints integers, which json.dumps
+    refuses past 4,300 digits."""
     out: list[str] = []
-
-    def put(v: Any, pad: str) -> None:
+    # each open container's closer, padding and members left
+    stack: list[tuple[str, str, Iterator]] = []
+    v, pad = doc, ""
+    while True:
         if isinstance(v, dict) and v:
-            ends = "{}"
-            members = [(json.dumps(k) + ": ", v[k]) for k in sorted(v)]
+            out.append("{")
+            stack.append(("}", pad, iter([(json.dumps(k) + ": ", v[k])
+                                          for k in sorted(v)])))
         elif isinstance(v, (list, tuple)) and v:
-            ends, members = "[]", zip([""] * len(v), v)
+            out.append("[")
+            stack.append(("]", pad, zip([""] * len(v), v)))
         else:
             out.append(digits(v) if type(v) is int else json.dumps(v))
-            return
-        # each member ends in a comma, and the closer replaces the last
-        out.append(ends[0])
-        for key, x in members:
-            out.append(f"\n{pad}  {key}")
-            put(x, pad + "  ")
             out.append(",")
-        out[-1] = f"\n{pad}{ends[1]}"
-
-    put(doc, "")
+        # a comma follows every value; a container with no member left
+        # puts its closer in place of its last member's comma
+        while stack:
+            ends, pad, members = stack[-1]
+            member = next(members, None)
+            if member is not None:
+                key, v = member
+                out.append(f"\n{pad}  {key}")
+                pad += "  "
+                break
+            stack.pop()
+            out[-1] = f"\n{pad}{ends}"
+            out.append(",")
+        else:
+            break
+    out.pop()  # the comma after the document
     return ("".join(out) + "\n").encode("utf-8")
 
 
@@ -211,9 +225,23 @@ def _parse_int(v: Any, path: str) -> int:
     return v
 
 
-def _parse_matrix(obj: Any, path: str, rows: int, cols: int,
+def _int_field(doc: Mapping, key: str, path: str) -> int:
+    return _parse_int(_field(doc, key, path, object, "an integer"),
+                      f"{path}.{key}")
+
+
+def _header(data: bytes) -> dict:
+    """The decoded file: a JSON object in the supported format."""
+    doc = _want(_decode(data), "file", dict, "a JSON object")
+    version = _field(doc, "format_version", "file", str, "a string")
+    if version != FORMAT_VERSION:
+        raise SchemaError(
+            f"file.format_version: unsupported version {version!r}")
+    return doc
+
+
+def _parse_matrix(obj: Mapping, path: str, rows: int, cols: int,
                   ) -> IntegerMatrix:
-    _want(obj, path, dict, "an object")
     shape = _field(obj, "shape", path, list, "an array")
     if len(shape) != 2 or any(not isinstance(s, int) or isinstance(s, bool)
                               or not 0 <= s < _DIGITS_BOUND for s in shape):
@@ -235,35 +263,34 @@ def _parse_matrix(obj: Any, path: str, rows: int, cols: int,
     return IntegerMatrix(rows, cols, entries)
 
 
-def _parse_blocks(arr: Any, path: str, dims_from, dims_to,
-                  ) -> dict[int, IntegerMatrix]:
+def _parse_blocks(doc: Mapping, key: str, path: str,
+                  shape: Callable[[int], tuple[int, int]],
+                  default: Any = ...) -> dict[int, IntegerMatrix]:
+    """The blocks listed under doc[key], by degree; the block at degree
+    m has shape(m) = (rows, cols)."""
     out: dict[int, IntegerMatrix] = {}
+    arr = _field(doc, key, path, list, "an array", default)
     for i, item in enumerate(arr):
-        here = f"{path}[{i}]"
+        here = f"{path}.{key}[{i}]"
         _want(item, here, dict, "an object")
-        m = _parse_int(_field(item, "degree", here, object, "an integer"),
-                       f"{here}.degree")
+        m = _int_field(item, "degree", here)
         if m in out:
             raise SchemaError(f"{here}.degree: duplicate degree {m}")
-        out[m] = _parse_matrix(item, here, dims_to(m), dims_from(m))
+        out[m] = _parse_matrix(item, here, *shape(m))
     return out
 
 
-def _parse_chain(obj: Any, path: str, ring: CoefficientRing,
+def _parse_chain(obj: Mapping, path: str, ring: CoefficientRing,
                  ) -> GradedChainComplex:
-    _want(obj, path, dict, "an object")
-    ranks_arr = _field(obj, "ranks", path, list, "an array")
     ranks = {}
-    for i, r in enumerate(ranks_arr):
-        _parse_int(r, f"{path}.ranks[{i}]")
-        if r < 0:
+    for i, r in enumerate(_field(obj, "ranks", path, list, "an array")):
+        if _parse_int(r, f"{path}.ranks[{i}]") < 0:
             raise SchemaError(f"{path}.ranks[{i}]: negative rank")
         if r:
             ranks[i] = r
-    dim = lambda n: ranks.get(n, 0)
     diffs = _parse_blocks(
-        _field(obj, "differentials", path, list, "an array", default=[]),
-        f"{path}.differentials", dims_from=dim, dims_to=lambda n: dim(n - 1))
+        obj, "differentials", path,
+        lambda n: (ranks.get(n - 1, 0), ranks.get(n, 0)), default=[])
     return complex_from_ranks(ring, ranks, diffs)
 
 
@@ -282,44 +309,30 @@ def load_category_file(data: bytes) -> CategoryFile:
     Shapes are cross-checked against declared ranks; D.D = 0 is not
     checked here, so deliberately broken fixtures load fine.
     """
-    doc = _decode(data)
-    _want(doc, "file", dict, "a JSON object")
-    version = _field(doc, "format_version", "file", str, "a string")
-    if version != FORMAT_VERSION:
-        raise SchemaError(
-            f"file.format_version: unsupported version {version!r}")
+    doc = _header(data)
     ring = CoefficientRing.parse(_field(doc, "ring", "file", str, "a string"))
-    objects = []
-    seen = set()
-    arr = _field(doc, "objects", "file", list, "an array")
-    for i, item in enumerate(arr):
+    by_name: dict[str, FlowObject] = {}
+    for i, item in enumerate(_field(doc, "objects", "file", list,
+                                    "an array")):
         here = f"objects[{i}]"
         _want(item, here, dict, "an object")
         name = _field(item, "name", here, str, "a string")
-        if name in seen:
+        if name in by_name:
             raise SchemaError(f"{here}.name: duplicate object name {name!r}")
-        seen.add(name)
         chain = _parse_chain(_field(item, "chain", here, dict, "an object"),
                              f"{here}.chain", ring)
         try:
-            objects.append(FlowObject(
-                name=name,
-                index=_parse_int(_field(item, "index", here, object,
-                                        "an integer"), f"{here}.index"),
-                framing_rank=_parse_int(
-                    _field(item, "framing_rank", here, object, "an integer"),
-                    f"{here}.framing_rank"),
-                chain=chain,
-                orientable_flag=_field(item, "orientable", here, bool,
-                                       "a boolean", default=True),
-            ))
+            by_name[name] = FlowObject(
+                name, _int_field(item, "index", here),
+                _int_field(item, "framing_rank", here), chain,
+                _field(item, "orientable", here, bool, "a boolean",
+                       default=True))
         except ValidationError as e:
             raise SchemaError(f"{here}: {e}") from None
-    by_name = {o.name: o for o in objects}
+    summands = {n: (o.chain, o.framing_rank) for n, o in by_name.items()}
     corrs = []
-    arr = _field(doc, "correspondences", "file", list, "an array",
-                 default=[])
-    for i, item in enumerate(arr):
+    for i, item in enumerate(_field(doc, "correspondences", "file", list,
+                                    "an array", default=[])):
         here = f"correspondences[{i}]"
         _want(item, here, dict, "an object")
         src = _field(item, "from", here, str, "a string")
@@ -328,31 +341,24 @@ def load_category_file(data: bytes) -> CategoryFile:
             raise SchemaError(f"{here}.from: unknown object {src!r}")
         if dst not in by_name:
             raise SchemaError(f"{here}.to: unknown object {dst!r}")
-        shift = by_name[src].framing_rank - by_name[dst].framing_rank - 1
-        blocks = _parse_blocks(
-            _field(item, "blocks", here, list, "an array"),
-            f"{here}.blocks",
-            dims_from=lambda m, s=src: by_name[s].chain.dim(m),
-            dims_to=lambda m, d=dst, sh=shift: by_name[d].chain.dim(m + sh),
-        )
-        corrs.append(CorrespondenceMap(src, dst, blocks))
+        shape = functools.partial(block_shape, summands[src], summands[dst],
+                                  -1)
+        corrs.append(CorrespondenceMap(
+            src, dst, _parse_blocks(item, "blocks", here, shape)))
     borel = None
     if "borel" in doc:
-        here = "borel"
-        item = _want(doc["borel"], here, dict, "an object")
-        names = _field(item, "fiber_names", here, list, "an array")
+        item = _want(doc["borel"], "borel", dict, "an object")
+        names = _field(item, "fiber_names", "borel", list, "an array")
         for i, nm in enumerate(names):
-            _want(nm, f"{here}.fiber_names[{i}]", str, "a string")
-        borel = BorelMetadata(
-            levels=_parse_int(_field(item, "levels", here, object,
-                                     "an integer"), f"{here}.levels"),
-            fiber_names=tuple(names),
-        )
+            _want(nm, f"borel.fiber_names[{i}]", str, "a string")
+        borel = BorelMetadata(_int_field(item, "levels", "borel"),
+                              tuple(names))
     oracle = None
     if "oracle" in doc:
         oracle = _want(doc["oracle"], "oracle", dict, "an object")
-    category = FlowCategoryData(ring, tuple(objects), tuple(corrs), borel)
-    return CategoryFile(category, version, oracle)
+    category = FlowCategoryData(ring, tuple(by_name.values()), tuple(corrs),
+                                borel)
+    return CategoryFile(category, oracle=oracle)
 
 
 def parse_category(data: bytes, validate: bool = True) -> FlowCategoryData:
@@ -368,34 +374,23 @@ def parse_category(data: bytes, validate: bool = True) -> FlowCategoryData:
 def parse_bimodule(data: bytes, source: FlowCategoryData,
                    target: FlowCategoryData) -> BimoduleData:
     """Parse bimodule blocks between two already-loaded categories."""
-    doc = _decode(data)
-    _want(doc, "file", dict, "a JSON object")
-    version = _field(doc, "format_version", "file", str, "a string")
-    if version != FORMAT_VERSION:
-        raise SchemaError(
-            f"file.format_version: unsupported version {version!r}")
+    doc = _header(data)
     blocks = {}
-    arr = _field(doc, "blocks", "file", list, "an array")
-    for i, item in enumerate(arr):
+    for i, item in enumerate(_field(doc, "blocks", "file", list,
+                                    "an array")):
         here = f"blocks[{i}]"
         _want(item, here, dict, "an object")
         x = _field(item, "from", here, str, "a string")
         y = _field(item, "to", here, str, "a string")
         try:
-            xo = source.object(x)
-            yo = target.object(y)
+            shape = functools.partial(block_shape, source._summands[x],
+                                      target._summands[y], 0)
         except KeyError as e:
             raise SchemaError(f"{here}: unknown object {e.args[0]!r}") \
                 from None
-        shift = xo.framing_rank - yo.framing_rank
         if (x, y) in blocks:
             raise SchemaError(f"{here}: duplicate pair {x!r} -> {y!r}")
-        blocks[(x, y)] = _parse_blocks(
-            _field(item, "blocks", here, list, "an array"),
-            f"{here}.blocks",
-            dims_from=lambda m, o=xo: o.chain.dim(m),
-            dims_to=lambda m, o=yo, s=shift: o.chain.dim(m + s),
-        )
+        blocks[(x, y)] = _parse_blocks(item, "blocks", here, shape)
     return BimoduleData(source, target, blocks)
 
 

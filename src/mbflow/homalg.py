@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import cached_property
@@ -59,44 +60,38 @@ from .errors import (
 
 @dataclass(frozen=True)
 class CoefficientRing:
-    """Either the integers or a prime field F_p.
-
-    kind is "Z" or "Fp"; p is None exactly when kind is "Z". p is capped
-    at MAX_PRIME_BOUND = 3037000499 (the largest accepted prime is
-    3037000493) so that p*p fits in an int64, which only the dense
-    routines of _fplinalg (rref and those on it) need; the sparse F_p
-    elimination that every computation runs works in Python ints.
+    """Either the integers or a prime field F_p, told apart by p: None
+    for Z, else the prime. p is capped at MAX_PRIME_BOUND = 3037000499
+    (the largest accepted prime is 3037000493) so that p*p fits in an
+    int64, which only the dense routines of _fplinalg (rref and those on
+    it) need; the sparse F_p elimination that every computation runs
+    works in Python ints.
     """
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "Z":
-            if self.p is not None:
-                raise UnsupportedRing("Z carries no characteristic parameter")
-        elif self.kind == "Fp":
-            if self.p is not None and self.p > MAX_PRIME_BOUND:
-                # checked first: trial division stays below ~55k steps
-                raise UnsupportedRing(
-                    f"Fp:{self.p} is too large: p*p must fit in a 64-bit "
-                    f"integer, so p <= {MAX_PRIME_BOUND}")
-            if self.p is None or self.p < 2 or not _is_prime(self.p):
-                raise UnsupportedRing(f"Fp requires a prime, got {self.p!r}")
-        else:
-            raise UnsupportedRing(f"unknown ring kind {self.kind!r}")
+        if self.p is None:
+            return
+        if self.p > MAX_PRIME_BOUND:
+            # checked first: trial division stays below ~55k steps
+            raise UnsupportedRing(
+                f"Fp:{self.p} is too large: p*p must fit in a 64-bit "
+                f"integer, so p <= {MAX_PRIME_BOUND}")
+        if self.p < 2 or not _is_prime(self.p):
+            raise UnsupportedRing(f"Fp requires a prime, got {self.p!r}")
 
     @property
     def is_field(self) -> bool:
-        return self.kind == "Fp"
+        return self.p is not None
 
     @staticmethod
     def integers() -> "CoefficientRing":
-        return CoefficientRing("Z")
+        return CoefficientRing()
 
     @staticmethod
     def prime_field(p: int) -> "CoefficientRing":
-        return CoefficientRing("Fp", p)
+        return CoefficientRing(p)
 
     @staticmethod
     def parse(text: str) -> "CoefficientRing":
@@ -118,7 +113,7 @@ class CoefficientRing:
         return self == ring or not self.is_field
 
     def __str__(self) -> str:
-        return "Z" if self.kind == "Z" else f"Fp:{self.p}"
+        return "Z" if self.p is None else f"Fp:{self.p}"
 
 
 # the largest p with p*p < 2^63 (int64 products in _fplinalg.rref)
@@ -415,13 +410,55 @@ def _block_factors(m: IntegerMatrix) -> tuple[list[int], int]:
 
 
 def _divisibility_order(factors: list[int]) -> list[int]:
-    """Positive factors in place, put in divisibility order by gcd/lcm
-    swaps, which keep the product and the diagonal's Smith form."""
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            g = gcd(factors[i], factors[j])
-            factors[i], factors[j] = g, factors[i] // g * factors[j]
-    return factors
+    """Positive factors in divisibility order, with the Smith form of
+    their diagonal.
+
+    Each factor is a product of powers of a pairwise coprime base (see
+    _coprime_base), and the Smith form of a diagonal is read off one
+    base element b at a time: the k-th smallest exponent of b among the
+    factors is its exponent in the k-th invariant factor. So the cost
+    grows with the number of distinct factors and base elements, not
+    with the number of pairs of factors.
+    """
+    counts = Counter(factors)
+    out = [1] * len(factors)
+    for b in _coprime_base(counts):
+        exps = []
+        for v, k in counts.items():
+            e = 0
+            while v % b == 0:
+                v //= b
+                e += 1
+            if e:
+                exps += [e] * k
+        exps.sort()
+        for i, e in enumerate(exps, len(out) - len(exps)):
+            out[i] *= b ** e
+    return out
+
+
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers multiply to each of
+    the positive values, by gcd refinement: b and x with g = gcd(b, x)
+    > 1 give way to b / g, g and x / g, which lowers the product of all
+    pending numbers (Bernstein, "Factoring into coprimes in essentially
+    linear time", J. Algorithms 2005, bounds the general problem)."""
+    base: list[int] = []
+    for x in values:
+        todo = [x]
+        while todo:
+            x = todo.pop()
+            if x == 1:
+                continue
+            for i, b in enumerate(base):
+                g = gcd(b, x)
+                if g > 1:
+                    del base[i]
+                    todo += (b // g, g, x // g)
+                    break
+            else:
+                base.append(x)
+    return base
 
 
 def _unimodular_step(top: list[int], row: list[int], t: int, mod: int,
@@ -748,25 +785,32 @@ class Layout:
             max(c.max_degree + s for c, s in parts), dict(self.ranks), diffs)
 
 
+def block_shape(src: tuple, dst: tuple, lift: int, m: int,
+                ) -> tuple[int, int]:
+    """(rows, cols) of the block at degree m of summand src = (complex,
+    shift) in a map to summand dst that raises the layout's degree by
+    lift: it lands at degree m + shift_src + lift - shift_dst of dst."""
+    (c, s), (e, t) = src, dst
+    return e.dim(m + s + lift - t), c.dim(m)
+
+
 def block_shape_issues(families: Iterable, src: Mapping, dst: Mapping,
                        lift: int, label: Callable) -> list[str]:
     """What keeps block families from fitting between their summands.
 
     A family ((a, b), {m: block}) maps summand a of src to summand b of
     dst, each given as (complex, shift) as in Layout.summands, and
-    raises the layout's degree by lift: its block at degree m of a must
-    land at degree m + shift_a + lift - shift_b of b. A family naming a
-    summand that is not there is reported once; label(a, b) names the
-    family in every message.
+    raises the layout's degree by lift; its blocks must have the shapes
+    of block_shape. A family naming a summand that is not there is
+    reported once; label(a, b) names the family in every message.
     """
     issues = []
     for (a, b), fam in families:
         if a not in src or b not in dst:
             issues.append(f"{label(a, b)} references a missing summand")
             continue
-        (c, s), (e, t) = src[a], dst[b]
         for m, blk in fam.items():
-            want = (e.dim(m + s + lift - t), c.dim(m))
+            want = block_shape(src[a], dst[b], lift, m)
             if (blk.rows, blk.cols) != want:
                 issues.append(
                     f"{label(a, b)} at degree {m} is {blk.rows}x{blk.cols}, "
@@ -1052,9 +1096,6 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {term}" if v > 0 else f"- {term}")
         return " ".join(parts)
-
-
-ONE_PLUS_T = LaurentPoly({0: 1, 1: 1})
 
 
 def dim_t(h: HomologySummary) -> LaurentPoly:

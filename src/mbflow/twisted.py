@@ -51,6 +51,7 @@ from .homalg import (
     GradedChainComplex,
     IntegerMatrix,
     Layout,
+    block_shape,
     block_shape_issues,
     digits,
     first_nonzero,
@@ -571,10 +572,10 @@ class TwistedMorphism:
         got = None if fam is None else fam.get(m)
         if got is not None:
             return got
-        if i not in self.source.pieces or j not in self.target.pieces:
+        src, dst = self.source._tot.summands, self.target._tot.summands
+        if i not in src or j not in dst:
             raise ShapeMismatch(f"block ({i},{j}) references a missing piece")
-        return IntegerMatrix.zero(self.target.pieces[j].dim(m + i - j),
-                                  self.source.pieces[i].dim(m))
+        return IntegerMatrix.zero(*block_shape(src[i], dst[j], 0, m))
 
     @cached_property
     def _cone(self) -> TwistedComplex:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import gcd
 from typing import Mapping
 
 import numpy as np
@@ -253,6 +254,17 @@ def invariant_factors(orders: list[int]) -> tuple[int, ...]:
         for i, q in enumerate(sorted(v, reverse=True)):
             out[width - 1 - i] *= q
     return tuple(out)
+
+
+def pairwise_divisibility_order(factors: list[int]) -> list[int]:
+    """Positive factors in divisibility order by gcd/lcm swaps of every
+    pair, which keep the product and the diagonal's Smith form."""
+    factors = list(factors)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] // g * factors[j]
+    return factors
 
 
 def random_integral_complex(rng: random.Random, top: int = 3,

@@ -26,7 +26,14 @@ from mbflow.cli import (
     serialize_bimodule,
     serialize_category,
 )
-from mbflow.errors import ParseError, SchemaError, ValidationError
+from mbflow.errors import (
+    MBFlowError,
+    ParseError,
+    SchemaError,
+    ShapeMismatch,
+    UnsupportedRing,
+    ValidationError,
+)
 from mbflow.examples import (
     continuation_s2,
     fixture_registry,
@@ -36,6 +43,7 @@ from mbflow.examples import (
 from mbflow.flowcat import (
     BorelMetadata,
     FlowCategoryData,
+    FlowObject,
     category_homology,
     realize,
     validate_category,
@@ -166,6 +174,32 @@ def test_deeply_nested_oracle_serializes():
     assert cf.category == sphere_z2()
 
 
+@pytest.mark.parametrize("depth", [1000, 1400, 5000])
+def test_nesting_the_reader_takes_is_written_back(depth):
+    # an empty category whose oracle holds depth - 2 nested arrays. How
+    # deep the reader goes depends on the Python version: 3.12 and later
+    # read past the recursion limit. Whatever it takes, the writer
+    # writes back in canonical form, with no RecursionError
+    arrays = depth - 2
+    data = ('{"format_version": "1", "ring": "Z", "objects": [], '
+            '"oracle": {"deep": ' + "[" * arrays + "]" * arrays + "}}")
+    try:
+        cf = load_category_file(data.encode())
+    except ParseError as e:
+        assert str(e) == "JSON nested too deeply"
+        return
+    pad = [" " * (4 + 2 * k) for k in range(arrays)]
+    deep = ("".join(f"[\n{p}  " for p in pad[:-1]) + "[]"
+            + "".join(f"\n{p}]" for p in reversed(pad[:-1])))
+    want = ('{\n  "correspondences": [],\n  "format_version": "1",\n'
+            '  "objects": [],\n  "oracle": {\n    "deep": ' + deep
+            + '\n  },\n  "ring": "Z"\n}\n').encode()
+    assert cf.category == FlowCategoryData(ZZ)
+    assert serialize_category(cf.category, cf.oracle) == want
+    again = load_category_file(want)
+    assert serialize_category(again.category, again.oracle) == want
+
+
 # ---------------------------------------------------------------------------
 # parse and schema errors
 
@@ -259,6 +293,267 @@ def test_bimodule_unknown_object():
     doc["blocks"][0]["from"] = "ghost"
     with pytest.raises(SchemaError):
         parse_bimodule(json.dumps(doc).encode(), b.source, b.target)
+
+
+# Every error the reader raises, as a mutation of a shipped file: the
+# file, the path of the value to replace (DROP deletes it; the empty path
+# replaces the whole document), the new value, and the exact class and
+# message. "@BIG" stands for an integer of 4,301 digits, which json.dumps
+# refuses to print. "bimodule" is continuation_s2's file, read between
+# s2_two_point (a, b) and sphere_z2 (eq, n, s). _O, _D, _C and _B are the
+# paths of the first object, its first differential, the first
+# correspondence and the first bimodule entry.
+DROP = object()
+_O = ("objects", 0)
+_D = ("objects", 0, "chain", "differentials", 0)
+_C = ("correspondences", 0)
+_B = ("blocks", 0)
+_DEG0 = {"degree": 0, "shape": [1, 1], "data": [1]}
+_DEG1 = {"degree": 1, "shape": [1, 1], "data": [0]}
+_READER_ERRORS = [
+    ("sphere_z2", (), [], SchemaError, "file: expected a JSON object"),
+    ("sphere_z2", ("format_version",), DROP, SchemaError,
+     "file.format_version: missing"),
+    ("sphere_z2", ("format_version",), 1, SchemaError,
+     "file.format_version: expected a string"),
+    ("sphere_z2", ("format_version",), "99", SchemaError,
+     "file.format_version: unsupported version '99'"),
+    ("sphere_z2", ("ring",), DROP, SchemaError, "file.ring: missing"),
+    ("sphere_z2", ("ring",), 2, SchemaError, "file.ring: expected a string"),
+    ("sphere_z2", ("ring",), "Q", UnsupportedRing, "bad ring spec 'Q'"),
+    ("sphere_z2", ("objects",), DROP, SchemaError, "file.objects: missing"),
+    ("sphere_z2", ("objects",), {}, SchemaError,
+     "file.objects: expected an array"),
+    ("sphere_z2", _O, 7, SchemaError, "objects[0]: expected an object"),
+    ("sphere_z2", (*_O, "name"), DROP, SchemaError,
+     "objects[0].name: missing"),
+    ("sphere_z2", (*_O, "name"), None, SchemaError,
+     "objects[0].name: expected a string"),
+    ("sphere_z2", ("objects", 2, "name"), "n", SchemaError,
+     "objects[2].name: duplicate object name 'n'"),
+    ("sphere_z2", (*_O, "chain"), DROP, SchemaError,
+     "objects[0].chain: missing"),
+    ("sphere_z2", (*_O, "chain"), [], SchemaError,
+     "objects[0].chain: expected an object"),
+    ("sphere_z2", (*_O, "chain", "ranks"), DROP, SchemaError,
+     "objects[0].chain.ranks: missing"),
+    ("sphere_z2", (*_O, "chain", "ranks"), "11", SchemaError,
+     "objects[0].chain.ranks: expected an array"),
+    ("sphere_z2", (*_O, "chain", "ranks", 1), 1.5, SchemaError,
+     "objects[0].chain.ranks[1]: expected an integer"),
+    ("sphere_z2", (*_O, "chain", "ranks", 1), True, SchemaError,
+     "objects[0].chain.ranks[1]: expected an integer"),
+    ("sphere_z2", (*_O, "chain", "ranks", 1), -1, SchemaError,
+     "objects[0].chain.ranks[1]: negative rank"),
+    ("sphere_z2", (*_O, "chain", "ranks", 1), "@BIG", SchemaError,
+     "objects[0].chain.ranks[1]: more than 4300 digits"),
+    ("sphere_z2", (*_O, "chain", "differentials"), "d", SchemaError,
+     "objects[0].chain.differentials: expected an array"),
+    ("sphere_z2", _D, 5, SchemaError,
+     "objects[0].chain.differentials[0]: expected an object"),
+    ("sphere_z2", (*_D, "degree"), DROP, SchemaError,
+     "objects[0].chain.differentials[0].degree: missing"),
+    ("sphere_z2", (*_D, "degree"), "1", SchemaError,
+     "objects[0].chain.differentials[0].degree: expected an integer"),
+    ("sphere_z2", (*_D, "degree"), "@BIG", SchemaError,
+     "objects[0].chain.differentials[0].degree: more than 4300 digits"),
+    ("sphere_z2", (*_O, "chain", "differentials"), [_DEG1, _DEG1],
+     SchemaError,
+     "objects[0].chain.differentials[1].degree: duplicate degree 1"),
+    ("sphere_z2", (*_D, "shape"), DROP, SchemaError,
+     "objects[0].chain.differentials[0].shape: missing"),
+    ("sphere_z2", (*_D, "shape"), {}, SchemaError,
+     "objects[0].chain.differentials[0].shape: expected an array"),
+    ("sphere_z2", (*_D, "shape"), [1], SchemaError,
+     "objects[0].chain.differentials[0].shape: expected [rows, cols]"),
+    ("sphere_z2", (*_D, "shape"), [1, -1], SchemaError,
+     "objects[0].chain.differentials[0].shape: expected [rows, cols]"),
+    ("sphere_z2", (*_D, "shape"), [1, True], SchemaError,
+     "objects[0].chain.differentials[0].shape: expected [rows, cols]"),
+    ("sphere_z2", (*_D, "shape"), [1, "@BIG"], SchemaError,
+     "objects[0].chain.differentials[0].shape: expected [rows, cols]"),
+    ("sphere_z2", (*_D, "shape"), [2, 1], SchemaError,
+     "objects[0].chain.differentials[0].shape: is 2x1, declared ranks "
+     "demand 1x1"),
+    ("sphere_z2", (*_D, "degree"), 2, SchemaError,
+     "objects[0].chain.differentials[0].shape: is 1x1, declared ranks "
+     "demand 1x0"),
+    ("sphere_z2", (*_D, "data"), DROP, SchemaError,
+     "objects[0].chain.differentials[0].data: missing"),
+    ("sphere_z2", (*_D, "data"), 0, SchemaError,
+     "objects[0].chain.differentials[0].data: expected an array"),
+    ("sphere_z2", (*_D, "data"), [0, 0], SchemaError,
+     "objects[0].chain.differentials[0].data: 2 entries for a 1x1 matrix"),
+    ("sphere_z2", (*_D, "data", 0), "0", SchemaError,
+     "objects[0].chain.differentials[0].data[0]: expected an integer"),
+    ("sphere_z2", (*_D, "data", 0), False, SchemaError,
+     "objects[0].chain.differentials[0].data[0]: expected an integer"),
+    ("sphere_z2", (*_O, "index"), DROP, SchemaError,
+     "objects[0].index: missing"),
+    ("sphere_z2", (*_O, "index"), 1.0, SchemaError,
+     "objects[0].index: expected an integer"),
+    ("sphere_z2", (*_O, "index"), "@BIG", SchemaError,
+     "objects[0].index: more than 4300 digits"),
+    ("sphere_z2", (*_O, "framing_rank"), DROP, SchemaError,
+     "objects[0].framing_rank: missing"),
+    ("sphere_z2", (*_O, "framing_rank"), "0", SchemaError,
+     "objects[0].framing_rank: expected an integer"),
+    ("sphere_z2", (*_O, "orientable"), "yes", SchemaError,
+     "objects[0].orientable: expected a boolean"),
+    ("sphere_z2", ("correspondences",), {}, SchemaError,
+     "file.correspondences: expected an array"),
+    ("sphere_z2", _C, [], SchemaError,
+     "correspondences[0]: expected an object"),
+    ("sphere_z2", (*_C, "from"), DROP, SchemaError,
+     "correspondences[0].from: missing"),
+    ("sphere_z2", (*_C, "from"), 1, SchemaError,
+     "correspondences[0].from: expected a string"),
+    ("sphere_z2", (*_C, "to"), DROP, SchemaError,
+     "correspondences[0].to: missing"),
+    ("sphere_z2", (*_C, "from"), "ghost", SchemaError,
+     "correspondences[0].from: unknown object 'ghost'"),
+    ("sphere_z2", (*_C, "to"), "ghost", SchemaError,
+     "correspondences[0].to: unknown object 'ghost'"),
+    ("sphere_z2", (*_C, "blocks"), DROP, SchemaError,
+     "correspondences[0].blocks: missing"),
+    ("sphere_z2", (*_C, "blocks"), {}, SchemaError,
+     "correspondences[0].blocks: expected an array"),
+    ("sphere_z2", (*_C, "blocks", 0), None, SchemaError,
+     "correspondences[0].blocks[0]: expected an object"),
+    ("sphere_z2", (*_C, "blocks", 0, "shape"), [1, 2], SchemaError,
+     "correspondences[0].blocks[0].shape: is 1x2, declared ranks "
+     "demand 1x1"),
+    # n (framing 2) in degree 1 -> eq (framing 0) in degree 1 + 2 - 0 - 1
+    ("sphere_z2", (*_C, "blocks", 0, "degree"), 1, SchemaError,
+     "correspondences[0].blocks[0].shape: is 1x1, declared ranks "
+     "demand 0x0"),
+    ("sphere_z2", (*_C, "blocks"), [_DEG0, _DEG0], SchemaError,
+     "correspondences[0].blocks[1].degree: duplicate degree 0"),
+    ("borel_s2_rotation_3", ("borel",), [], SchemaError,
+     "borel: expected an object"),
+    ("borel_s2_rotation_3", ("borel", "fiber_names"), DROP, SchemaError,
+     "borel.fiber_names: missing"),
+    ("borel_s2_rotation_3", ("borel", "fiber_names"), "n", SchemaError,
+     "borel.fiber_names: expected an array"),
+    ("borel_s2_rotation_3", ("borel", "fiber_names", 1), 1, SchemaError,
+     "borel.fiber_names[1]: expected a string"),
+    ("borel_s2_rotation_3", ("borel", "levels"), DROP, SchemaError,
+     "borel.levels: missing"),
+    ("borel_s2_rotation_3", ("borel", "levels"), 2.5, SchemaError,
+     "borel.levels: expected an integer"),
+    ("sphere_z2", ("oracle",), "S^2", SchemaError,
+     "oracle: expected an object"),
+    ("bimodule", (), 1, SchemaError, "file: expected a JSON object"),
+    ("bimodule", ("format_version",), DROP, SchemaError,
+     "file.format_version: missing"),
+    ("bimodule", ("format_version",), "2", SchemaError,
+     "file.format_version: unsupported version '2'"),
+    ("bimodule", ("blocks",), DROP, SchemaError, "file.blocks: missing"),
+    ("bimodule", ("blocks",), {}, SchemaError,
+     "file.blocks: expected an array"),
+    ("bimodule", _B, "a", SchemaError, "blocks[0]: expected an object"),
+    ("bimodule", (*_B, "from"), DROP, SchemaError, "blocks[0].from: missing"),
+    ("bimodule", (*_B, "to"), 3, SchemaError,
+     "blocks[0].to: expected a string"),
+    ("bimodule", (*_B, "from"), "eq", SchemaError,
+     "blocks[0]: unknown object 'eq'"),
+    ("bimodule", (*_B, "to"), "a", SchemaError,
+     "blocks[0]: unknown object 'a'"),
+    ("bimodule", ("blocks", 2, "to"), "n", SchemaError,
+     "blocks[2]: duplicate pair 'b' -> 'n'"),
+    ("bimodule", (*_B, "blocks"), DROP, SchemaError,
+     "blocks[0].blocks: missing"),
+    ("bimodule", (*_B, "blocks", 0, "shape"), [2, 1], SchemaError,
+     "blocks[0].blocks[0].shape: is 2x1, declared ranks demand 1x1"),
+    # a (framing 0) in degree 1 -> eq (framing 0) in degree 1
+    ("bimodule", (*_B, "blocks", 0, "degree"), 1, SchemaError,
+     "blocks[0].blocks[0].shape: is 1x1, declared ranks demand 1x0"),
+    ("bimodule", (*_B, "blocks"), [_DEG0, _DEG0], SchemaError,
+     "blocks[0].blocks[1].degree: duplicate degree 0"),
+    ("bimodule", (*_B, "blocks", 0, "data"), [1.0], SchemaError,
+     "blocks[0].blocks[0].data[0]: expected an integer"),
+    ("bimodule", _B, {"from": "a", "to": "n", "blocks": []}, ShapeMismatch,
+     "bimodule block 'a' -> 'n' is not monotone (0 < 2)"),
+]
+
+
+def _mutated(name, path, value) -> bytes:
+    if name == "bimodule":
+        doc = json.loads(serialize_bimodule(continuation_s2()))
+    else:
+        doc = json.loads(fixture_bytes(name))
+    if not path:
+        doc = value
+    else:
+        *head, last = path
+        node = doc
+        for key in head:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return json.dumps(doc).replace('"@BIG"', "1" * 4301).encode()
+
+
+def _read_file(name, data):
+    if name != "bimodule":
+        return load_category_file(data)
+    b = continuation_s2()
+    return parse_bimodule(data, b.source, b.target)
+
+
+@pytest.mark.parametrize("name, path, value, cls, message", _READER_ERRORS)
+def test_reader_error_is_exact(name, path, value, cls, message):
+    with pytest.raises(MBFlowError) as exc:
+        _read_file(name, _mutated(name, path, value))
+    assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"{broken", "line 1 column 2: Expecting property name enclosed in "
+                 "double quotes"),
+    (b"", "line 1 column 1: Expecting value"),
+    (b'{"a": 1}\n[', "line 2 column 1: Extra data"),
+    (b"\xff{}", "not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                "position 0: invalid start byte"),
+])
+def test_undecodable_file_error_is_exact(data, message):
+    for name in ("sphere_z2", "bimodule"):
+        with pytest.raises(ParseError) as exc:
+            _read_file(name, data)
+        assert str(exc.value) == message
+
+
+def test_object_rejection_names_the_object(monkeypatch):
+    # a parsed chain starts at degree 0, so FlowObject accepts every one
+    # the reader builds; should it refuse one, the reader names the
+    # object's path and the refusal stays a schema error
+    def refuse(o):
+        raise ValidationError(f"object {o.name!r} is refused")
+    monkeypatch.setattr(FlowObject, "__post_init__", refuse)
+    with pytest.raises(SchemaError) as exc:
+        load_category_file(fixture_bytes("sphere_z2"))
+    assert str(exc.value) == "objects[0]: object 'eq' is refused"
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["homology"], b"\xff{}", "not UTF-8: 'utf-8' codec can't decode byte "
+                              "0xff in position 0: invalid start byte"),
+    (["homology"], _mutated("sphere_z2", (*_C, "from"), "ghost"),
+     "correspondences[0].from: unknown object 'ghost'"),
+    (["cone", "@s2_two_point", "@sphere_z2"],
+     _mutated("bimodule", ("blocks", 2, "to"), "n"),
+     "blocks[2]: duplicate pair 'b' -> 'n'"),
+])
+def test_reader_error_exits_2_with_its_message(tmp_path, argv, data,
+                                               message):
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    argv = [fixture_path(a[1:]) if a.startswith("@") else a for a in argv]
+    proc = _child([*argv, str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +1018,24 @@ def test_torsion_in_two_thousand_blocks_answers_at_once(tmp_path):
     assert proc.stdout == ("ring: Z\ndegree  free  torsion\n"
                            f"     0  2000  -\n     1     0  "
                            f"{','.join(['2'] * 2000)}\n")
+
+
+def test_torsion_factors_in_order_from_their_coprime_base(tmp_path):
+    # 16,000 copies of RP^2's cell chain at one index: the 16,000
+    # factors 2 are ordered per element of their coprime base {2}, not
+    # by a gcd of every pair of them
+    rp2 = {"ranks": [1, 1, 1],
+           "differentials": [{"degree": 2, "shape": [1, 1], "data": [2]}]}
+    doc = {"format_version": "1", "ring": "Z", "correspondences": [],
+           "objects": [{"name": f"x{i}", "index": 0, "framing_rank": 0,
+                        "chain": rp2} for i in range(16_000)]}
+    path = tmp_path / "rp2s.json"
+    path.write_text(json.dumps(doc))
+    proc = _child(["homology", str(path)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("ring: Z\ndegree  free  torsion\n"
+                           f"     0  16000  -\n     1     0  "
+                           f"{','.join(['2'] * 16_000)}\n")
 
 
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path):

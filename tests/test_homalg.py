@@ -16,6 +16,7 @@ from support import (
     dense_reduce_columns,
     fp_array,
     grid_surface,
+    pairwise_divisibility_order,
     random_integral_complex,
     random_twisted,
 )
@@ -238,6 +239,25 @@ def test_snf_of_permuted_blocks_matches_minor_gcds(rows):
         assert prod == _minor_gcds(rows, k)
     assert _minor_gcds(rows, rank + 1) == 0
     assert all(diag[i + 1] % diag[i] == 0 for i in range(rank - 1))
+
+
+# factors drawn from a few values that share primes, so that the list
+# repeats them, and from anything up to 10^6
+_factor_lists = st.lists(st.integers(1, 6), min_size=1, max_size=3).flatmap(
+    lambda exps: st.lists(
+        st.sampled_from([2 ** e * 3 ** (e % 3) * 5 ** (e // 4)
+                         for e in exps] + [1, 2 ** 40, 6 ** 9 * 35])
+        | st.integers(1, 10 ** 6), max_size=40))
+
+
+@given(_factor_lists, st.randoms(use_true_random=False))
+@example([4, 2, 2, 8, 2], random.Random(0))
+@example([12, 18, 12, 30, 1], random.Random(0))
+@settings(max_examples=300, deadline=None)
+def test_divisibility_order_matches_the_pairwise_pass(factors, rng):
+    want = pairwise_divisibility_order(factors)
+    rng.shuffle(factors)
+    assert homalg._divisibility_order(factors) == want
 
 
 @given(st.integers(0, 2 ** 32))
