@@ -344,33 +344,25 @@ def homotopy_square_fixture(ring: CoefficientRing = ZZ,
 # registry
 
 
-def fixture_registry() -> dict[str, Callable[[], FlowCategoryData]]:
+def fixture_registry() -> dict[str, Callable[..., FlowCategoryData]]:
     """Named builders for every shipped category fixture, including the
-    deliberately broken one."""
+    deliberately broken one; each takes an optional ring, Z by default."""
     return {
         "s2_two_point": s2_two_point,
         "sphere_z2": sphere_z2,
         "torus_flat": torus_flat,
         "rp2": rp2,
-        "cpn_act_2": lambda: cpn_act(2),
-        "cp_circle_2": lambda: cp_circle_model(2),
-        "borel_free_circle_3": lambda: free_circle_borel(3),
-        "borel_s2_rotation_3": lambda: s2_rotation_borel(3),
+        "cpn_act_2": lambda ring=ZZ: cpn_act(2, ring),
+        "cp_circle_2": lambda ring=ZZ: cp_circle_model(2, ring),
+        "borel_free_circle_3": lambda ring=ZZ: free_circle_borel(3, ring),
+        "borel_s2_rotation_3": lambda ring=ZZ: s2_rotation_borel(3, ring),
         "broken_mc": broken_mc,
     }
 
 
 def standard_fixtures(ring: CoefficientRing = ZZ,
                       ) -> tuple[tuple[str, FlowCategoryData], ...]:
-    """The valid fixtures, for property tests quantified over all of
-    them."""
-    return (
-        ("s2_two_point", s2_two_point(ring)),
-        ("sphere_z2", sphere_z2(ring)),
-        ("torus_flat", torus_flat(ring)),
-        ("rp2", rp2(ring)),
-        ("cpn_act_2", cpn_act(2, ring)),
-        ("cp_circle_2", cp_circle_model(2, ring)),
-        ("borel_free_circle_3", free_circle_borel(3, ring)),
-        ("borel_s2_rotation_3", s2_rotation_borel(3, ring)),
-    )
+    """The valid fixtures over ring, in registry order, for property
+    tests quantified over all of them."""
+    return tuple((name, build(ring)) for name, build
+                 in fixture_registry().items() if name != "broken_mc")

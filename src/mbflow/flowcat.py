@@ -4,11 +4,11 @@ A flow category is recorded combinatorially: objects carry an integer
 index mu, a framing rank r, and a cellular chain model of the critical
 manifold; correspondences carry chain-level block maps whose degree
 shift r_from - r_to - 1 is the shadow of the framing equation. The
-realization packs objects of equal index into one twisted piece (a
-homalg.Layout of their chains), shifting each object's chain by r - mu
-so that a generator in chain degree k lands in total degree k + r.
-Correspondence, bimodule and relative-module blocks are checked and
-placed between those layouts by homalg's one shape rule and placement.
+realization packs objects of equal index into one twisted piece with
+twisted's piece builder, shifting each object's chain by r - mu so that
+a generator in chain degree k lands in total degree k + r.
+Correspondence, bimodule and relative-module blocks are checked by
+homalg's one shape rule and placed between those pieces by the builder.
 
 Everything downstream (inclusion/quotient splits, index shifts, the
 Atiyah-style dual, bimodule-induced maps, relative modules) is phrased
@@ -18,7 +18,6 @@ assert rather than assume.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -36,18 +35,17 @@ from .homalg import (
     GradedChainComplex,
     HomologySummary,
     IntegerMatrix,
-    Layout,
     block_shape_issues,
     digits,
     dual_complex,
     homology,
     negate_complex,
-    place_families,
     shift_complex,
 )
 from .twisted import (
     TwistedComplex,
     TwistedMorphism,
+    _PieceLayout,
     cone,
     index_split,
     totalize,
@@ -158,7 +156,7 @@ class FlowCategoryData:
     # category_with_ring may hand over those of the category it reads.
 
     @cached_property
-    def _realized(self) -> tuple[TwistedComplex, "_PieceLayout"]:
+    def _realized(self) -> tuple[TwistedComplex, _PieceLayout]:
         # only well-formed after the structural checks of _diagnose pass
         return _realize_unchecked(self)
 
@@ -233,44 +231,6 @@ def _diagnose(f: FlowCategoryData) -> CategoryDiagnostics:
 
 # ---------------------------------------------------------------------------
 # realization
-
-
-class _PieceLayout:
-    """Objects packed into twisted pieces, one Layout per piece.
-
-    Objects of equal index are summed in their declaration order, keyed
-    by name; each object's chain enters shifted by r - mu, so chain
-    degree k sits at internal degree k + r - mu. A single-object piece
-    is the shifted chain itself, sharing its matrices.
-    """
-
-    def __init__(self, summands: Sequence[tuple]) -> None:
-        """summands lists (name, piece index, chain, shift)."""
-        groups: dict[int, list] = {}
-        for name, i, c, s in summands:
-            groups.setdefault(i, []).append((name, c, s))
-        self.piece_of = {name: i for name, i, _, _ in summands}
-        self.layouts = {i: Layout.of(g) for i, g in groups.items()}
-        self.pieces = {i: lay.complex() for i, lay in self.layouts.items()}
-
-    def with_ring(self, ring: CoefficientRing) -> "_PieceLayout":
-        """This layout with its pieces read over another ring."""
-        out = copy(self)
-        out.pieces = {i: c.with_ring(ring) for i, c in self.pieces.items()}
-        return out
-
-    def place(self, blocks, dst: "_PieceLayout", lift: int) -> dict:
-        """Blocks ((x, y), {m: block}) from objects of this layout to
-        objects of dst, as piece families (i, j): the maps (piece i)_n ->
-        (dst piece j)_{n + i - j + lift}."""
-        groups: dict[tuple[int, int], list] = {}
-        for (x, y), fam in blocks:
-            groups.setdefault((self.piece_of[x], dst.piece_of[y]), []).append(
-                ((x, y), fam))
-        placed = {(i, j): place_families(fams, self.layouts[i],
-                                         dst.layouts[j], i - j + lift)
-                  for (i, j), fams in groups.items()}
-        return {key: fam for key, fam in placed.items() if fam}
 
 
 def _realize_unchecked(f: FlowCategoryData,

@@ -64,16 +64,13 @@ def _partial_order_report(lhs: LaurentPoly, rhs: LaurentPoly,
 def mb_inequality(f: FlowCategoryData) -> InequalityReport:
     """dim_t H(Tot) against sum of t^r dim_t H(X) in the (1+t)-order.
 
-    Equality (witness 0) certifies a perfect Morse-Bott situation.
-    Raises OrientationRequired away from characteristic 2 when a
-    twisted object is not marked orientable.
+    Piece i of the realization sums C(X)[r_X - i] over the objects of
+    index i, so this is twisted_inequality(realize(f)). Equality
+    (witness 0) certifies a perfect Morse-Bott situation. Raises
+    OrientationRequired away from characteristic 2 when a twisted
+    object is not marked orientable.
     """
-    lhs = dim_t(homology(totalize(realize(f))))
-    rhs = LaurentPoly.zero()
-    for o in f.objects:
-        rhs = rhs + LaurentPoly.t_power(o.framing_rank) * \
-            dim_t(homology(o.chain))
-    return _partial_order_report(lhs, rhs)
+    return twisted_inequality(realize(f))
 
 
 def twisted_inequality(t: TwistedComplex) -> InequalityReport:

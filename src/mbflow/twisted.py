@@ -19,9 +19,10 @@ that Tot as well. Every chain-level identity here, D.D = 0, M.D = D.M,
 D.H + H.D and the composites of the exact sequence, is decided by
 homalg.first_nonzero, which names the first offending generator.
 Every block family, of D (the pieces' own differentials and the
-structure maps), of a morphism, of a homotopy or of a cone's pieces,
-is checked by homalg.block_shape_issues and placed by
-homalg.place_families.
+structure maps), of a morphism or of a homotopy, is checked by
+homalg.block_shape_issues and placed by homalg.place_families; one
+piece builder, _PieceLayout, sums the pieces of a realization or of a
+cone and places the blocks between them.
 
 The module also provides the operations that mirror geometric
 constructions at the chain level: index shifts, sub/quotient
@@ -33,11 +34,12 @@ sequence of the index filtration over a prime field.
 from __future__ import annotations
 
 from bisect import bisect_left
+from copy import copy
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import _fplinalg
 from .errors import (
@@ -128,6 +130,45 @@ def twisted_from_parts(ring: CoefficientRing,
         if clean and key[0] in kept and key[1] in kept:
             maps[key] = clean
     return TwistedComplex(ring, kept, maps)
+
+
+class _PieceLayout:
+    """Keyed, shifted summands grouped into pieces, one Layout each.
+
+    Summands of equal piece index are summed in the order given: a flow
+    category's objects keyed by name, each chain shifted by r - mu
+    (flowcat.realize), or a cone's target and negated source pieces
+    (_mapping_cone). A single-summand piece is the shifted complex
+    itself, sharing its matrices.
+    """
+
+    def __init__(self, summands: Sequence[tuple]) -> None:
+        """summands lists (key, piece index, chain, shift)."""
+        groups: dict[int, list] = {}
+        for key, i, c, s in summands:
+            groups.setdefault(i, []).append((key, c, s))
+        self.piece_of = {key: i for key, i, _, _ in summands}
+        self.layouts = {i: Layout.of(g) for i, g in groups.items()}
+        self.pieces = {i: lay.complex() for i, lay in self.layouts.items()}
+
+    def with_ring(self, ring: CoefficientRing) -> "_PieceLayout":
+        """This layout with its pieces read over another ring."""
+        out = copy(self)
+        out.pieces = {i: c.with_ring(ring) for i, c in self.pieces.items()}
+        return out
+
+    def place(self, blocks, dst: "_PieceLayout", lift: int) -> dict:
+        """Blocks ((x, y), {m: block}) from summands of this layout to
+        summands of dst, as piece families (i, j): the maps (piece i)_n ->
+        (dst piece j)_{n + i - j + lift}."""
+        groups: dict[tuple[int, int], list] = {}
+        for (x, y), fam in blocks:
+            groups.setdefault((self.piece_of[x], dst.piece_of[y]), []).append(
+                ((x, y), fam))
+        placed = {(i, j): place_families(fams, self.layouts[i],
+                                         dst.layouts[j], i - j + lift)
+                  for (i, j), fams in groups.items()}
+        return {key: fam for key, fam in placed.items() if fam}
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +459,11 @@ class ExactnessAudit:
     Every chain is a chain of the total complex, and each induced map is
     ranked once. The connecting map is computed from the snake lemma on
     representatives, and connecting_rank[n] is the rank of
-    H_n(quotient) -> H_{n-1}(sub). positions_checked is 3 per degree of
-    the total complex's range, even where the sub or the quotient is
-    empty. It is counted, not walked: a degree with no cell of Tot has
-    zero homology in all three, so the audit reads only the degrees
-    with cells, and the next one for the connecting map into them.
+    H_n(quotient) -> H_{n-1}(sub). positions_checked is 3 per degree
+    where the total complex has cells, even where the sub or the
+    quotient has none. Those are the degrees the audit visits, as a
+    degree with no cell of Tot has zero homology in all three; the next
+    degree up is read too, for the connecting map into them.
     """
 
     exact: bool
@@ -527,8 +568,8 @@ def _les_audit(t: TwistedComplex, p: int) -> ExactnessAudit:
 
     # three positions per degree; a map is zero exactly when its rank is
     connecting = {n: r for n, r in rk_d.items() if r}
-    return ExactnessAudit(not failures, 3 * len(tot.degrees()),
-                          tuple(failures), connecting)
+    return ExactnessAudit(not failures, 3 * len(degrees), tuple(failures),
+                          connecting)
 
 
 # ---------------------------------------------------------------------------
@@ -629,30 +670,20 @@ def cone(m: TwistedMorphism) -> TwistedComplex:
 
 
 def _mapping_cone(m: TwistedMorphism) -> TwistedComplex:
+    # pieces in index order, each with its target part before its source part
     a = m.shift
-    src_at = {i + a + 1: i for i in m.source.pieces}
-    # each piece lays out its target part (key 0) before its source part
-    # (key 1), which enters negated and shifted down by a
-    lays = {}
-    for idx in sorted(set(m.target.pieces) | set(src_at)):
-        parts = []
-        if idx in m.target.pieces:
-            parts.append((0, m.target.pieces[idx], 0))
-        if idx in src_at:
-            parts.append((1, negate_complex(m.source.pieces[src_at[idx]]), -a))
-        lays[idx] = Layout.of(parts)
-    families: dict[tuple[int, int], list] = {}
-    for (i, j), fam in m.target.structure_maps.items():
-        families.setdefault((i, j), []).append(((0, 0), fam))
-    for (i, j), fam in m.source.structure_maps.items():
-        families.setdefault((i + a + 1, j + a + 1), []).append(
-            ((1, 1), {mdeg: -blk for mdeg, blk in fam.items()}))
-    for (i, j), fam in m.blocks.items():
-        families.setdefault((i + a + 1, j), []).append(((1, 0), fam))
-    return twisted_from_parts(
-        m.source.ring, {idx: lay.complex() for idx, lay in lays.items()},
-        {(i, j): place_families(fams, lays[i], lays[j], i - j - 1)
-         for (i, j), fams in families.items()})
+    lay = _PieceLayout(sorted(
+        [((0, j), j, c, 0) for j, c in m.target.pieces.items()]
+        + [((1, i), i + a + 1, negate_complex(c), -a)
+           for i, c in m.source.pieces.items()], key=lambda s: s[1]))
+    families = [
+        *((((0, i), (0, j)), fam)
+          for (i, j), fam in m.target.structure_maps.items()),
+        *((((1, i), (1, j)), {mdeg: -blk for mdeg, blk in fam.items()})
+          for (i, j), fam in m.source.structure_maps.items()),
+        *((((1, i), (0, j)), fam) for (i, j), fam in m.blocks.items())]
+    return twisted_from_parts(m.source.ring, lay.pieces,
+                              lay.place(families, lay, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,13 @@ from mbflow.flowcat import (
     category_homology,
     validate_category,
 )
-from mbflow.homalg import F2, ZZ, complex_from_ranks, homology
+from mbflow.homalg import (
+    F2,
+    ZZ,
+    CoefficientRing,
+    complex_from_ranks,
+    homology,
+)
 from mbflow.twisted import cone, totalize, verify_homotopy_square
 
 from support import mat
@@ -335,6 +341,19 @@ def test_registry_covers_standard_fixtures():
     assert "broken_mc" in reg
     built = reg["torus_flat"]()
     assert dict(category_homology(built).free) == {0: 1, 1: 2, 2: 1}
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2, CoefficientRing.prime_field(3)],
+                         ids=["Z", "F2", "F3"])
+def test_standard_fixtures_are_the_registry_over_each_ring(ring):
+    # one list of shipped fixtures: every registry builder takes a ring
+    reg = fixture_registry()
+    got = standard_fixtures(ring)
+    assert [name for name, _ in got] == [n for n in reg if n != "broken_mc"]
+    for name, f in got:
+        built = reg[name](ring)
+        assert f.ring == built.ring == ring, name
+        assert f == built, name
 
 
 def test_euler_characteristic_on_all_fixtures():

@@ -520,7 +520,7 @@ def test_audit_checks_three_positions_per_degree_of_tot():
         rng = random.Random(29)
         for _ in range(20):
             t = random_twisted(rng, ring, max_generators=14, max_pieces=5)
-            want = 3 * len(totalize(t).degrees())
+            want = 3 * len(totalize(t).rank)
             for cut in range(min(t.pieces) - 1, max(t.pieces) + 1):
                 audit = quotient_sequence(t, cut).audit
                 assert audit.exact, audit.failures
