@@ -321,14 +321,10 @@ def load_category_file(data: bytes) -> CategoryFile:
             raise SchemaError(f"{here}.name: duplicate object name {name!r}")
         chain = _parse_chain(_field(item, "chain", here, dict, "an object"),
                              f"{here}.chain", ring)
-        try:
-            by_name[name] = FlowObject(
-                name, _int_field(item, "index", here),
-                _int_field(item, "framing_rank", here), chain,
-                _field(item, "orientable", here, bool, "a boolean",
-                       default=True))
-        except ValidationError as e:
-            raise SchemaError(f"{here}: {e}") from None
+        by_name[name] = FlowObject(
+            name, _int_field(item, "index", here),
+            _int_field(item, "framing_rank", here), chain,
+            _field(item, "orientable", here, bool, "a boolean", default=True))
     summands = {n: (o.chain, o.framing_rank) for n, o in by_name.items()}
     corrs = []
     for i, item in enumerate(_field(doc, "correspondences", "file", list,

@@ -62,7 +62,7 @@ from .twisted import (
 class FlowObject:
     """One critical manifold: index mu, framing rank r, chain model.
 
-    The chain complex is bounded below at degree 0 (cellular model of a
+    The chain complex has no cells below degree 0 (cellular model of a
     compact manifold). orientable_flag is the user's assertion that the
     framing bundle is orientable, consulted only away from
     characteristic 2.
@@ -75,8 +75,7 @@ class FlowObject:
     orientable_flag: bool = True
 
     def __post_init__(self) -> None:
-        if self.chain.min_degree < 0 or any(
-                n < 0 and r > 0 for n, r in self.chain.rank.items()):
+        if any(n < 0 and r > 0 for n, r in self.chain.rank.items()):
             raise ValidationError(
                 f"object {self.name!r} has chains below degree 0")
 
@@ -400,9 +399,10 @@ def dualize(f: FlowCategoryData) -> FlowCategoryData:
     every object must be marked orientable.
     """
     _orientation_gate(f, require_all=True)
+    top = {o.name: o.top_degree() for o in f.objects}
     objects = []
     for o in f.objects:
-        d = o.top_degree()
+        d = top[o.name]
         dual_chain = shift_complex(dual_complex(o.chain), d)
         objects.append(FlowObject(
             name=o.name,
@@ -411,16 +411,12 @@ def dualize(f: FlowCategoryData) -> FlowCategoryData:
             chain=dual_chain,
             orientable_flag=o.orientable_flag,
         ))
-    by_name = {o.name: o for o in f.objects}
     corrs = []
     for c in f.correspondences:
-        src = by_name[c.source]
-        dst = by_name[c.target]
-        shift = src.framing_rank - dst.framing_rank - 1
-        blocks = {}
-        for m, blk in c.blocks.items():
-            k = dst.top_degree() - (m + shift)
-            blocks[k] = blk.transpose()
+        shift = f.object(c.source).framing_rank \
+            - f.object(c.target).framing_rank - 1
+        blocks = {top[c.target] - (m + shift): blk.transpose()
+                  for m, blk in c.blocks.items()}
         corrs.append(CorrespondenceMap(c.target, c.source, blocks))
     return FlowCategoryData(f.ring, tuple(objects), tuple(corrs))
 

@@ -533,11 +533,13 @@ def integer_rank(m: IntegerMatrix) -> int:
 class GradedChainComplex:
     """Bounded chain complex with integer matrices as differentials.
 
-    rank maps each degree in [min_degree, max_degree] to a nonnegative
-    dimension; differential[n] is the map out of degree n, shaped
-    rank(n-1) x rank(n). Missing differentials mean zero.
+    rank maps degrees to nonnegative dimensions, and a degree it does
+    not store has none; differential[n] is the map out of degree n,
+    shaped rank(n-1) x rank(n). Missing differentials mean zero. The
+    complex stores nothing else: its degrees are where its cells are,
+    however far apart, and no range is declared around them.
 
-    Every constructor checks the degree range and the shapes. Those that
+    Every constructor checks the ranks and the shapes. Those that
     take matrices from outside verify d_n . d_{n+1} = 0 over the stated
     ring and raise InvariantViolation otherwise: GradedChainComplex(...)
     itself, complex_from_ranks and so the file parser, and with_ring to
@@ -568,8 +570,6 @@ class GradedChainComplex:
     """
 
     ring: CoefficientRing
-    min_degree: int
-    max_degree: int
     rank: Mapping[int, int] = field(default_factory=dict)
     differential: Mapping[int, IntegerMatrix] = field(default_factory=dict)
 
@@ -582,30 +582,20 @@ class GradedChainComplex:
                 f"{self.ring}")
 
     @classmethod
-    def _derived(cls, ring: CoefficientRing, min_degree: int,
-                 max_degree: int, rank: Mapping[int, int],
+    def _derived(cls, ring: CoefficientRing, rank: Mapping[int, int],
                  differential: Mapping[int, IntegerMatrix],
                  ) -> "GradedChainComplex":
         """A complex whose d.d = 0 follows from complexes already
-        checked: the range and shapes are checked, nothing is squared."""
+        checked: the ranks and shapes are checked, nothing is squared."""
         c = object.__new__(cls)
-        c.__dict__.update(ring=ring, min_degree=min_degree,
-                          max_degree=max_degree, rank=rank,
-                          differential=differential)
+        c.__dict__.update(ring=ring, rank=rank, differential=differential)
         c._check_shapes()
         return c
 
     def _check_shapes(self) -> None:
-        if self.min_degree > self.max_degree:
-            raise InvalidRange(
-                f"degree range [{self.min_degree}, {self.max_degree}] is empty")
         for n, r in self.rank.items():
             if r < 0:
                 raise ShapeMismatch(f"negative rank {r} in degree {n}")
-            if r > 0 and not (self.min_degree <= n <= self.max_degree):
-                raise InvalidRange(
-                    f"rank in degree {n} outside "
-                    f"[{self.min_degree}, {self.max_degree}]")
         for n, d in self.differential.items():
             want = (self.dim(n - 1), self.dim(n))
             if (d.rows, d.cols) != want:
@@ -621,9 +611,6 @@ class GradedChainComplex:
         if got is not None:
             return got
         return IntegerMatrix.zero(self.dim(n - 1), self.dim(n))
-
-    def degrees(self) -> range:
-        return range(self.min_degree, self.max_degree + 1)
 
     def total_dim(self) -> int:
         return sum(self.rank.values())
@@ -647,28 +634,23 @@ class GradedChainComplex:
         """
         build = GradedChainComplex._derived if self.ring.reduces_to(ring) \
             else GradedChainComplex
-        return build(ring, self.min_degree, self.max_degree,
-                     dict(self.rank), dict(self.differential))
+        return build(ring, dict(self.rank), dict(self.differential))
 
 
 def complex_from_ranks(ring: CoefficientRing, ranks: Mapping[int, int],
                        diffs: Mapping[int, IntegerMatrix] | None = None,
                        ) -> GradedChainComplex:
-    """Build a complex, inferring the degree range from its support."""
-    support = [n for n, r in ranks.items() if r > 0]
-    if not support:
-        return GradedChainComplex(ring, 0, 0, {}, {})
-    lo, hi = min(support), max(support)
-    clean = {n: r for n, r in ranks.items() if r > 0}
-    dmap = {n: d for n, d in (diffs or {}).items() if not d.is_zero()}
-    return GradedChainComplex(ring, lo, hi, clean, dmap)
+    """Build a complex from ranks and differentials, dropping the zero
+    ranks and the zero differentials, so it stores only its cells."""
+    return GradedChainComplex(
+        ring, {n: r for n, r in ranks.items() if r > 0},
+        {n: d for n, d in (diffs or {}).items() if not d.is_zero()})
 
 
 def shift_complex(c: GradedChainComplex, s: int) -> GradedChainComplex:
     """Degree shift: the new complex has C'_n = C_{n-s}, same maps."""
     return GradedChainComplex._derived(
-        c.ring, c.min_degree + s, c.max_degree + s,
-        {n + s: r for n, r in c.rank.items()},
+        c.ring, {n + s: r for n, r in c.rank.items()},
         {n + s: d for n, d in c.differential.items()},
     )
 
@@ -676,8 +658,7 @@ def shift_complex(c: GradedChainComplex, s: int) -> GradedChainComplex:
 def negate_complex(c: GradedChainComplex) -> GradedChainComplex:
     """The same complex with every differential negated."""
     return GradedChainComplex._derived(
-        c.ring, c.min_degree, c.max_degree, dict(c.rank),
-        {n: -d for n, d in c.differential.items()})
+        c.ring, dict(c.rank), {n: -d for n, d in c.differential.items()})
 
 
 def dual_complex(c: GradedChainComplex) -> GradedChainComplex:
@@ -690,8 +671,7 @@ def dual_complex(c: GradedChainComplex) -> GradedChainComplex:
     ranks = {-n: r for n, r in c.rank.items()}
     diffs = {-n + 1: d.transpose() for n, d in sorted(c.differential.items())
              if not d.is_zero()}
-    return GradedChainComplex._derived(c.ring, -c.max_degree, -c.min_degree,
-                                       ranks, diffs)
+    return GradedChainComplex._derived(c.ring, ranks, diffs)
 
 
 def direct_sum(parts: list[GradedChainComplex]) -> GradedChainComplex:
@@ -780,9 +760,8 @@ class Layout:
             raise UnsupportedRing("direct sum over mixed rings")
         diffs = place_families((((key, key), c.differential) for key, (c, _)
                                 in self.summands.items()), self, self, -1)
-        return GradedChainComplex._derived(
-            parts[0][0].ring, min(c.min_degree + s for c, s in parts),
-            max(c.max_degree + s for c, s in parts), dict(self.ranks), diffs)
+        return GradedChainComplex._derived(parts[0][0].ring,
+                                           dict(self.ranks), diffs)
 
 
 def block_shape(src: tuple, dst: tuple, lift: int, m: int,

@@ -199,17 +199,16 @@ class _Totalization(Layout):
     it, so piece i contributes its internal degree n - i to total degree
     n, and each degree lists its nonzero pieces in ascending index order
     (parts; ranks holds only the nonzero degrees). differentials holds
-    the nonzero total differentials D_n: Tot_n -> Tot_{n-1}. The
-    Maurer-Cartan verdict and the chain complex are computed on first
-    use and kept. The verdict squares each stored D_n D_{n+1} once; the
-    complex is derived from it, squares nothing and is read only after
-    a valid verdict (totalize), so Tot is squared once however many
-    layers read it.
+    the nonzero total differentials D_n: Tot_n -> Tot_{n-1}. With the
+    ring, that is all it stores: Tot's degrees are those ranks holds,
+    and no range is kept around them. The Maurer-Cartan verdict and the
+    chain complex are computed on first use and kept. The verdict
+    squares each stored D_n D_{n+1} once; the complex is derived from
+    it, squares nothing and is read only after a valid verdict
+    (totalize), so Tot is squared once however many layers read it.
     """
 
     ring: CoefficientRing
-    min_degree: int
-    max_degree: int
     differentials: Mapping[int, IntegerMatrix]
 
     def position(self, i: int) -> int:
@@ -229,9 +228,8 @@ class _Totalization(Layout):
 
     @cached_property
     def complex(self) -> GradedChainComplex:
-        return GradedChainComplex._derived(
-            self.ring, min(self.ranks, default=0), max(self.ranks, default=0),
-            self.ranks, self.differentials)
+        return GradedChainComplex._derived(self.ring, self.ranks,
+                                           self.differentials)
 
     def with_ring(self, ring: CoefficientRing) -> "_Totalization":
         """This Tot, valid, read over ring, which its ring reduces to:
@@ -257,10 +255,7 @@ def _assemble(t: TwistedComplex) -> _Totalization:
     diffs = place_families(
         [*(((i, i), t.piece(i).differential) for i in order),
          *t.structure_maps.items()], lay, lay, -1)
-    return _Totalization(
-        lay.summands, lay.ranks, lay.parts, t.ring,
-        min((i + t.piece(i).min_degree for i in order), default=0),
-        max((i + t.piece(i).max_degree for i in order), default=0), diffs)
+    return _Totalization(lay.summands, lay.ranks, lay.parts, t.ring, diffs)
 
 
 def _maurer_cartan(tot: _Totalization) -> TwistedDiagnostics:

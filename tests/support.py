@@ -46,6 +46,15 @@ def circle_complex(ring) -> GradedChainComplex:
     return complex_from_ranks(ring, {0: 1, 1: 1})
 
 
+def padded_degrees(ranks: Mapping[int, int]) -> range:
+    """Every degree from one below the lowest stored nonzero degree of
+    ranks to one above the highest (-1 .. 1 when there is none): the
+    dense walk a test makes on purpose, to check the empty degrees
+    between and around the cells as well as the cells."""
+    stored = [n for n, r in ranks.items() if r]
+    return range(min(stored, default=0) - 1, max(stored, default=0) + 2)
+
+
 def redeclared(f: FlowCategoryData, ring: CoefficientRing,
                ) -> FlowCategoryData:
     """f declared over ring from scratch: its file with "ring" swapped,
@@ -498,9 +507,7 @@ def subspace_spectral_sequence(t: TwistedComplex, max_page: int):
             np.zeros((z.shape[0], 0), dtype=np.int64)
         return reps_m, span
 
-    qlo = min(c.min_degree for c in t.pieces.values())
-    qhi = max(c.max_degree for c in t.pieces.values())
-    spots = [(f, q) for f in order for q in range(qlo, qhi + 1)
+    spots = [(f, q) for f in order for q in sorted(t.pieces[f].rank)
              if t.pieces[f].dim(q) > 0]
     pages = []
     for r in range(1, min(max_page, width + 1) + 1):

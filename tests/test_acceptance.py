@@ -215,7 +215,7 @@ def identity_bimodule(f):
     blocks = {}
     for o in f.objects:
         fam = {m: IntegerMatrix.identity(o.chain.dim(m))
-               for m in o.chain.degrees() if o.chain.dim(m)}
+               for m in o.chain.rank if o.chain.dim(m)}
         blocks[(o.name, o.name)] = fam
     return BimoduleData(f, f, blocks)
 

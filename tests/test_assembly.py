@@ -4,13 +4,16 @@ cones and realizations, checked against dense assembly in
 support.py, which uses none of them."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from support import (
     dense_morphism_matrix,
     dense_realized_differential,
     dense_total_differential,
     mat,
+    padded_degrees,
     point_complex,
     random_twisted,
 )
@@ -22,16 +25,20 @@ from mbflow.flowcat import realize
 from mbflow.homalg import (
     F2,
     ZZ,
+    GradedChainComplex,
     IntegerMatrix,
     Layout,
     block_shape_issues,
     complex_from_ranks,
     direct_sum,
+    dual_complex,
+    homology,
     negate_complex,
     shift_complex,
 )
 from mbflow.twisted import (
     TwistedMorphism,
+    _PieceLayout,
     identity_morphism,
     index_split,
     morphism_total_matrix,
@@ -42,18 +49,13 @@ from mbflow.twisted import (
 )
 
 
-def _degrees(t):
-    lay = t._tot
-    return range(lay.min_degree - 1, lay.max_degree + 2)
-
-
 def shifted_identity(t, a):
     """The identity of Tot(t) as a morphism to shift(t, a): blocks
     (i, i + a) of shift a, so every target layout differs."""
     s, _ = shift(t, a)
     return TwistedMorphism(t, s, {
         (i, i + a): {m: IntegerMatrix.identity(c.dim(m))
-                     for m in c.degrees() if c.dim(m)}
+                     for m in c.rank if c.dim(m)}
         for i, c in t.pieces.items()}, shift=a)
 
 
@@ -81,7 +83,7 @@ def test_tot_and_morphisms_match_dense_assembly(ring):
     for _ in range(110):
         t = random_twisted(rng, ring, max_generators=14, max_pieces=5)
         tot = totalize(t)
-        for n in _degrees(t):
+        for n in padded_degrees(t._tot.ranks):
             assert tot.d(n) == dense_total_differential(t, n), n
         morphisms = [shifted_identity(t, rng.choice((-2, 1, 3)))]
         for p in range(min(t.pieces), max(t.pieces)):
@@ -90,7 +92,7 @@ def test_tot_and_morphisms_match_dense_assembly(ring):
                 morphisms.append(m)
                 crossing += bool(m.blocks)
         for m in morphisms:
-            for n in _degrees(m.source):
+            for n in padded_degrees(m.source._tot.ranks):
                 assert morphism_total_matrix(m, n) == \
                     dense_morphism_matrix(m, n), n
     assert crossing > 50
@@ -99,7 +101,7 @@ def test_tot_and_morphisms_match_dense_assembly(ring):
 @pytest.mark.parametrize("name, f", standard_fixtures())
 def test_realization_matches_object_level_assembly(name, f):
     t = realize(f)
-    for n in _degrees(t):
+    for n in padded_degrees(t._tot.ranks):
         assert t._tot.d(n) == dense_realized_differential(f, n), n
 
 
@@ -130,7 +132,7 @@ def test_morphism_places_its_blocks_once(monkeypatch):
     monkeypatch.setattr(twisted, "place_families", counted)
     m = identity_morphism(t)
     assert calls == [0]
-    for n in _degrees(t):
+    for n in padded_degrees(t._tot.ranks):
         morphism_total_matrix(m, n)
     assert calls == [0]
 
@@ -179,3 +181,81 @@ def test_block_shape_issues_reports_shapes_and_missing_summands():
     assert block_shape_issues([((0, 1), {1: mat([[1]])})], src, dst, -1,
                               label) == [
         "block (0,1) at degree 1 is 1x1, expected 0x1"]
+
+
+# ---------------------------------------------------------------------------
+# sparse, far-apart degrees: a complex stores only where its cells are
+
+# small chains placed at a base degree: a point, a circle, RP^2 and an
+# interval, as (ranks, differentials) relative to the base
+_CLUSTERS = [
+    ({0: 1}, {}),
+    ({0: 1, 1: 1}, {}),
+    ({0: 1, 1: 1, 2: 1}, {2: [[2]]}),
+    ({0: 2, 1: 1}, {1: [[1], [-1]]}),
+]
+_FAR = st.one_of(st.sampled_from([-3, 7, 10 ** 12, -10 ** 12]),
+                 st.integers(-10 ** 12, 10 ** 12))
+
+
+def _apart(bases):
+    b = sorted(bases)
+    return all(y - x >= 3 for x, y in zip(b, b[1:]))
+
+
+@st.composite
+def _sparse_complex(draw):
+    """(ranks, differentials, zero degrees): clusters at far-apart bases,
+    and degrees outside them that the input lists with rank 0."""
+    bases = draw(st.sets(_FAR, min_size=1, max_size=4).filter(_apart))
+    ranks, diffs = {}, {}
+    for b in bases:
+        rk, ds = draw(st.sampled_from(_CLUSTERS))
+        ranks.update({b + n: r for n, r in rk.items()})
+        diffs.update({b + n: mat(rows) for n, rows in ds.items()})
+    zeros = draw(st.sets(_FAR, max_size=3)) - set(ranks)
+    return ranks, diffs, zeros
+
+
+def _shifted(ranks, s):
+    return {n + s: r for n, r in ranks.items()}
+
+
+def _summed(*rank_maps):
+    return dict(sum((Counter(r) for r in rank_maps), Counter()))
+
+
+def _keeps(c, want):
+    """c stores exactly the nonzero degrees of want, with no zero rank,
+    and a differential only between two of them."""
+    assert dict(c.rank) == want
+    assert all(r > 0 for r in c.rank.values())
+    assert all(n in c.rank and n - 1 in c.rank for n in c.differential)
+
+
+@given(_sparse_complex(), _FAR, st.sets(_FAR, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_sparse_degrees_are_kept_exactly(data, s, indices):
+    ranks, diffs, zeros = data
+    c = complex_from_ranks(ZZ, {**ranks, **dict.fromkeys(zeros, 0)}, diffs)
+    _keeps(c, ranks)
+    _keeps(shift_complex(c, s), _shifted(ranks, s))
+    _keeps(negate_complex(c), ranks)
+    _keeps(dual_complex(c), {-n: r for n, r in ranks.items()})
+    _keeps(direct_sum([c, shift_complex(c, s)]),
+           _summed(ranks, _shifted(ranks, s)))
+    _keeps(c.with_ring(F2), ranks)
+    t = twisted_from_parts(ZZ, {i: c for i in indices})
+    _keeps(totalize(t), _summed(*(_shifted(ranks, i) for i in indices)))
+    lay = _PieceLayout([("a", 0, c, 0), ("b", 0, c, s), ("c", 1, c, -s)])
+    _keeps(lay.pieces[0], _summed(ranks, _shifted(ranks, s)))
+    _keeps(lay.pieces[1], _shifted(ranks, -s))
+
+
+@given(st.dictionaries(st.integers(-10 ** 15, 10 ** 15), st.integers(0, 3),
+                       max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_constructor_accepts_a_rank_in_any_degree(ranks):
+    c = GradedChainComplex(ZZ, ranks)
+    assert c.rank == ranks
+    assert dict(homology(c).free) == {n: r for n, r in ranks.items() if r}

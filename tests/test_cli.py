@@ -43,7 +43,6 @@ from mbflow.examples import (
 from mbflow.flowcat import (
     BorelMetadata,
     FlowCategoryData,
-    FlowObject,
     category_homology,
     realize,
     validate_category,
@@ -523,18 +522,6 @@ def test_undecodable_file_error_is_exact(data, message):
         with pytest.raises(ParseError) as exc:
             _read_file(name, data)
         assert str(exc.value) == message
-
-
-def test_object_rejection_names_the_object(monkeypatch):
-    # a parsed chain starts at degree 0, so FlowObject accepts every one
-    # the reader builds; should it refuse one, the reader names the
-    # object's path and the refusal stays a schema error
-    def refuse(o):
-        raise ValidationError(f"object {o.name!r} is refused")
-    monkeypatch.setattr(FlowObject, "__post_init__", refuse)
-    with pytest.raises(SchemaError) as exc:
-        load_category_file(fixture_bytes("sphere_z2"))
-    assert str(exc.value) == "objects[0]: object 'eq' is refused"
 
 
 @pytest.mark.parametrize("argv, data, message", [

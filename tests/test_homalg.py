@@ -411,7 +411,7 @@ def test_complex_rejects_bad_square():
 
 def test_complex_rejects_bad_shape():
     with pytest.raises(ShapeMismatch):
-        GradedChainComplex(ZZ, 0, 1, {0: 1, 1: 1}, {1: mat([[1, 0]])})
+        GradedChainComplex(ZZ, {0: 1, 1: 1}, {1: mat([[1, 0]])})
 
 
 def test_mod_p_relaxes_square_check():
@@ -461,7 +461,7 @@ def test_homology_torsion_divisibility():
 def test_euler_characteristic_matches_alternating_ranks():
     c = rp2_cw()
     h = homology(c)
-    chi_cells = sum((-1) ** n * c.dim(n) for n in c.degrees())
+    chi_cells = sum((-1) ** n * c.dim(n) for n in c.rank)
     assert h.euler_characteristic() == chi_cells
 
 
@@ -513,7 +513,7 @@ def test_integer_homology_agrees_with_fp_by_universal_coefficients(seed):
     # column reduction that F_p homology reads its ranks from
     for p in (2, 3, 5, LARGEST_PRIME):
         hp = homology(c.with_ring(CoefficientRing.prime_field(p)))
-        for n in c.degrees():
+        for n in c.rank:
             # dim H_n(C; F_p) = free_n + p-torsion of H_n and of H_{n-1}
             want = h.free_rank(n) + \
                 sum(1 for x in h.torsion(n) if x % p == 0) + \
@@ -562,11 +562,11 @@ def test_chain_complex_check_multiplies_stored_pairs_only(monkeypatch):
         return product(a, b)
     monkeypatch.setattr(IntegerMatrix, "__matmul__", counted)
     # six degrees and one differential: no pair to multiply
-    GradedChainComplex(ZZ, 0, 5, {n: 1 for n in range(6)}, {1: mat([[1]])})
+    GradedChainComplex(ZZ, {n: 1 for n in range(6)}, {1: mat([[1]])})
     assert calls == []
     # every stored pair is still checked, and the lowest failure reported
     with pytest.raises(InvariantViolation, match="out of degree 2 "):
-        GradedChainComplex(ZZ, 0, 3, {n: 1 for n in range(4)},
+        GradedChainComplex(ZZ, {n: 1 for n in range(4)},
                            {n: mat([[1]]) for n in (1, 2, 3)})
     assert len(calls) == 1
 

@@ -95,4 +95,4 @@ def test_readme_library_block():
             checked += 1
         else:
             exec(code, scope)
-    assert checked == 3
+    assert checked == 4

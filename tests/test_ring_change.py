@@ -116,7 +116,7 @@ def test_ring_change_from_f2_to_z_squares_again():
 def test_squaring_constructors_reject_a_complex_exact_only_mod_2():
     ranks, diffs = {0: 1, 1: 1, 2: 1}, {1: mat([[1]]), 2: mat([[2]])}
     c = complex_from_ranks(F2, ranks, diffs)
-    for build in (lambda: GradedChainComplex(ZZ, 0, 2, ranks, diffs),
+    for build in (lambda: GradedChainComplex(ZZ, ranks, diffs),
                   lambda: complex_from_ranks(ZZ, ranks, diffs),
                   lambda: c.with_ring(ZZ), lambda: c.with_ring(F3)):
         with pytest.raises(InvariantViolation):

@@ -10,7 +10,7 @@ import io
 import random
 
 import pytest
-from support import random_twisted
+from support import padded_degrees, random_twisted
 
 from mbflow import _fplinalg, flowcat, homalg, twisted
 from mbflow.cli import fixture_bytes, main, parse_category
@@ -248,7 +248,7 @@ def test_split_matches_totalized_sub_and_quotient(ring):
         lay = t._tot
         for p in range(min(t.pieces) - 1, max(t.pieces) + 1):
             sub, quot = (totalize(s) for s in index_split(t, p))
-            for n in range(lay.min_degree - 1, lay.max_degree + 2):
+            for n in padded_degrees(lay.ranks):
                 s0, s1 = lay.prefix_dim(n - 1, p), lay.prefix_dim(n, p)
                 r0, r1 = lay.ranks.get(n - 1, 0), lay.ranks.get(n, 0)
                 assert (sub.dim(n), quot.dim(n)) == (s1, r1 - s1)
