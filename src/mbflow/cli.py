@@ -299,7 +299,6 @@ class CategoryFile:
     """A parsed category file: the data plus its oracle annotation."""
 
     category: FlowCategoryData
-    format_version: str = FORMAT_VERSION
     oracle: Mapping[str, Any] | None = None
 
 

@@ -4,13 +4,14 @@ manifolds, Schubert index enumeration, and truncated Borel products.
 Chain-level correspondence blocks carry signs that no geometric input
 determines here; every nontrivial block was fixed offline by solving
 D.D = 0 against the expected homology and is certified by the oracle
-tests. The builders are pure and deterministic.
+tests. The builders are pure, deterministic functions that take their
+inputs as plain arguments, as morse_category(points, counts) and
+borel_product(levels, fiber) do.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import (
@@ -53,37 +54,30 @@ def _circle(ring: CoefficientRing):
 # Morse categories
 
 
-@dataclass(frozen=True)
-class MorseSpec:
-    """Critical points with indices and signed trajectory counts.
-
-    counts[(a, b)] is the signed number of rigid trajectories from a
-    down to b; only index differences of exactly one are allowed.
-    """
-
-    points: tuple[tuple[str, int], ...]
-    counts: Mapping[tuple[str, str], int] = field(default_factory=dict)
-
-
-def morse_category(spec: MorseSpec, ring: CoefficientRing = ZZ,
-                   ) -> FlowCategoryData:
+def morse_category(points: tuple[tuple[str, int], ...],
+                   counts: Mapping[tuple[str, str], int] | None = None,
+                   ring: CoefficientRing = ZZ) -> FlowCategoryData:
     """Flow category of a Morse function: point objects with r = mu.
 
-    The counts become 1x1 correspondence blocks in the unique allowed
-    degree; the induced differential must square to zero.
+    points are the critical points with their indices; counts[(a, b)]
+    is the signed number of rigid trajectories from a down to b, and
+    only index differences of exactly one are allowed. The counts become
+    1x1 correspondence blocks in the unique allowed degree; the induced
+    differential must square to zero.
     """
-    index = dict(spec.points)
-    for (a, b), _ in spec.counts.items():
+    counts = counts or {}
+    index = dict(points)
+    for (a, b), _ in counts.items():
         if a not in index or b not in index:
             raise ValidationError(f"count for unknown point {a!r} or {b!r}")
         if index[a] != index[b] + 1:
             raise ValidationError(
                 f"count {a!r} -> {b!r} does not drop the index by one")
     objects = tuple(FlowObject(name, mu, mu, _point(ring))
-                    for name, mu in spec.points)
+                    for name, mu in points)
     corrs = tuple(
         CorrespondenceMap(a, b, {0: IntegerMatrix(1, 1, {(0, 0): c})})
-        for (a, b), c in spec.counts.items() if c != 0)
+        for (a, b), c in counts.items() if c != 0)
     out = FlowCategoryData(ring, objects, corrs)
     diag = validate_category(out)
     if not diag.valid:
@@ -97,7 +91,7 @@ def morse_category(spec: MorseSpec, ring: CoefficientRing = ZZ,
 
 def s2_two_point(ring: CoefficientRing = ZZ) -> FlowCategoryData:
     """Perfect Morse function on S^2: a minimum and a maximum."""
-    return morse_category(MorseSpec((("a", 0), ("b", 2))), ring)
+    return morse_category((("a", 0), ("b", 2)), ring=ring)
 
 
 def sphere_z2(ring: CoefficientRing = ZZ) -> FlowCategoryData:
@@ -129,10 +123,8 @@ def torus_flat(ring: CoefficientRing = ZZ) -> FlowCategoryData:
 
 def rp2(ring: CoefficientRing = ZZ) -> FlowCategoryData:
     """Standard Morse function on RP^2: counts 2 and 0."""
-    return morse_category(MorseSpec(
-        (("e0", 0), ("e1", 1), ("e2", 2)),
-        {("e2", "e1"): 2, ("e1", "e0"): 0},
-    ), ring)
+    return morse_category((("e0", 0), ("e1", 1), ("e2", 2)),
+                          {("e2", "e1"): 2, ("e1", "e0"): 0}, ring)
 
 
 def cpn_act(n: int, ring: CoefficientRing = ZZ) -> FlowCategoryData:
@@ -217,22 +209,6 @@ def cp_circle_model(levels: int, ring: CoefficientRing = ZZ,
     return FlowCategoryData(ring, objects, corrs)
 
 
-@dataclass(frozen=True)
-class BorelSpec:
-    """Input to the truncated Borel product.
-
-    fiber is the critical data of the invariant function upstairs (a
-    free orbit appears as a circle object, a fixed point as a point
-    object). level_links, keyed by fiber object name, overrides the
-    degree-1 blocks linking level k to level k-1; the default pairs the
-    bottom cell with the cell above it and vanishes on point objects.
-    """
-
-    levels: int
-    fiber: FlowCategoryData
-    level_links: Mapping[str, Mapping[int, IntegerMatrix]] | None = None
-
-
 def _default_link(o: FlowObject) -> dict[int, IntegerMatrix]:
     lo, hi = o.chain.dim(0), o.chain.dim(1)
     if lo and hi:
@@ -240,21 +216,27 @@ def _default_link(o: FlowObject) -> dict[int, IntegerMatrix]:
     return {}
 
 
-def borel_product(spec: BorelSpec) -> FlowCategoryData:
+def borel_product(levels: int, fiber: FlowCategoryData,
+                  level_links: Mapping[str, Mapping[int, IntegerMatrix]]
+                  | None = None) -> FlowCategoryData:
     """The finite Borel approximation: fiber data replicated over the
-    cells of CP^N with index-2 jumps.
+    cells of CP^N (N = levels) with index-2 jumps.
 
-    Object (k, x) sits at index and framing 2k above x with the same
-    chain; fiber correspondences recur levelwise and the level links
-    model multiplication by the degree-2 generator. The result carries
+    fiber is the critical data of the invariant function upstairs (a
+    free orbit appears as a circle object, a fixed point as a point
+    object). Object (k, x) sits at index and framing 2k above x with the
+    same chain; fiber correspondences recur levelwise and the level
+    links model multiplication by the degree-2 generator. level_links,
+    keyed by fiber object name, overrides the degree-1 blocks linking
+    level k to level k-1; the default pairs the bottom cell with the
+    cell above it and vanishes on point objects. The result carries
     metadata for the equivariant rank bound.
     """
-    if spec.levels < 0:
-        raise InvalidRange(f"borel_product needs N >= 0, got {spec.levels}")
-    fiber = spec.fiber
+    if levels < 0:
+        raise InvalidRange(f"borel_product needs N >= 0, got {levels}")
     objects = []
     corrs = []
-    for k in range(spec.levels + 1):
+    for k in range(levels + 1):
         for o in fiber.objects:
             objects.append(FlowObject(
                 f"{o.name}@{k}", o.index + 2 * k, o.framing_rank + 2 * k,
@@ -262,18 +244,17 @@ def borel_product(spec: BorelSpec) -> FlowCategoryData:
         for c in fiber.correspondences:
             corrs.append(CorrespondenceMap(
                 f"{c.source}@{k}", f"{c.target}@{k}", dict(c.blocks)))
-    for k in range(1, spec.levels + 1):
+    for k in range(1, levels + 1):
         for o in fiber.objects:
-            link = _default_link(o) if spec.level_links is None \
-                else dict(spec.level_links.get(o.name, {}))
+            link = _default_link(o) if level_links is None \
+                else dict(level_links.get(o.name, {}))
             link = {m: blk for m, blk in link.items() if not blk.is_zero()}
             if link:
                 corrs.append(CorrespondenceMap(
                     f"{o.name}@{k}", f"{o.name}@{k - 1}", link))
     out = FlowCategoryData(
         fiber.ring, tuple(objects), tuple(corrs),
-        borel=BorelMetadata(spec.levels,
-                            tuple(o.name for o in fiber.objects)))
+        borel=BorelMetadata(levels, tuple(o.name for o in fiber.objects)))
     diag = validate_category(out)
     if not diag.valid:
         raise InvariantViolation(diag.issues[0])
@@ -285,7 +266,7 @@ def free_circle_borel(levels: int, ring: CoefficientRing = ZZ,
     """Borel model of the free rotation of S^1 on itself: one orbit
     circle, totalizing to S^{2N+1}."""
     fiber = FlowCategoryData(ring, (FlowObject("orbit", 0, 0, _circle(ring)),))
-    return borel_product(BorelSpec(levels, fiber))
+    return borel_product(levels, fiber)
 
 
 def s2_rotation_borel(levels: int, ring: CoefficientRing = ZZ,
@@ -296,7 +277,7 @@ def s2_rotation_borel(levels: int, ring: CoefficientRing = ZZ,
         FlowObject("n", 0, 0, _point(ring)),
         FlowObject("s", 2, 2, _point(ring)),
     ))
-    return borel_product(BorelSpec(levels, fiber))
+    return borel_product(levels, fiber)
 
 
 # ---------------------------------------------------------------------------

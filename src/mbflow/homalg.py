@@ -126,8 +126,7 @@ CHECK_PRIME = 2147483647
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Trial division, for n >= 2: the caller refuses smaller n first."""
     d = 2
     while d * d <= n:
         if n % d == 0:

@@ -28,12 +28,14 @@ class InequalityReport:
     """Outcome of a Morse-Bott bound.
 
     mode is "partial_order" (mb_inequality, twisted_inequality) or
-    "equivariant" (equivariant_inequality). In partial_order mode,
-    holds means preceq(lhs, rhs) and witness is the nonnegative A with
-    rhs - lhs = (1+t)A; in equivariant mode, holds means lhs <= rhs
-    coefficientwise up to the cutoff and witness is the slack rhs - lhs.
-    failure_degree locates the first violated degree when the bound
-    fails.
+    "equivariant" (equivariant_inequality). In partial_order mode the
+    bound always holds and witness is the nonnegative A with
+    rhs - lhs = (1+t)A: the index-filtration spectral sequence proves
+    this for every valid twisted complex, so a failing verdict is a
+    fault and raises InvariantViolation. In equivariant mode, holds
+    means lhs <= rhs coefficientwise up to the cutoff and witness is the
+    slack rhs - lhs; failure_degree locates the first violated degree
+    when that bound fails, the only report that does.
     """
 
     mode: str
@@ -50,15 +52,17 @@ class InequalityReport:
 def _partial_order_report(lhs: LaurentPoly, rhs: LaurentPoly,
                           ) -> InequalityReport:
     verdict = preceq(lhs, rhs)
-    if verdict.holds:
-        # the (1+t)-order is stronger than the degreewise rank bound
-        if not (rhs - lhs).is_nonnegative():
-            raise InvariantViolation(
-                "partial-order verdict without the degreewise rank bound")
-        return InequalityReport("partial_order", lhs, rhs, True,
-                                witness=verdict.witness)
-    return InequalityReport("partial_order", lhs, rhs, False,
-                            failure_degree=verdict.failing_degree)
+    if not verdict.holds:  # a theorem fails: see InequalityReport
+        raise InvariantViolation(
+            f"Morse-Bott bound fails in degree "
+            f"{digits(verdict.failing_degree)}, which the spectral "
+            f"sequence rules out")
+    # the (1+t)-order is stronger than the degreewise rank bound
+    if not (rhs - lhs).is_nonnegative():
+        raise InvariantViolation(
+            "partial-order verdict without the degreewise rank bound")
+    return InequalityReport("partial_order", lhs, rhs, True,
+                            witness=verdict.witness)
 
 
 def mb_inequality(f: FlowCategoryData) -> InequalityReport:

@@ -44,6 +44,7 @@ from typing import Callable, Mapping, Sequence
 from . import _fplinalg
 from .errors import (
     ChainMapViolation,
+    InvalidRange,
     InvariantViolation,
     ShapeMismatch,
     UnsupportedRing,
@@ -108,10 +109,6 @@ class TwistedComplex:
 
     def piece(self, i: int) -> GradedChainComplex:
         return self.pieces[i]
-
-    def is_empty(self) -> bool:
-        return not self.pieces or all(c.total_dim() == 0
-                                      for c in self.pieces.values())
 
     @cached_property
     def _tot(self) -> "_Totalization":
@@ -300,33 +297,20 @@ def totalize(t: TwistedComplex) -> GradedChainComplex:
 # shift
 
 
-@dataclass(frozen=True)
-class ShiftWitness:
-    """Identification of Tot(shift(t, a)) with Tot(t).
-
-    The shifted complex re-labels piece i as i + a and lowers every
-    internal degree by a, so each total degree is untouched: the
-    isomorphism is the identity matrix degree by degree, recorded here
-    as the piece relabeling.
-    """
-
-    offset: int
-    piece_map: Mapping[int, int]
-
-
-def shift(t: TwistedComplex, a: int) -> tuple[TwistedComplex, ShiftWitness]:
+def shift(t: TwistedComplex, a: int) -> TwistedComplex:
     """Translate the index set by a without moving the totalization.
 
     Piece i becomes piece i + a carrying the same chain complex shifted
-    down by a, so generators keep their total degree and the total
-    differential is reproduced entry for entry.
+    down by a, so generators keep their total degree and Tot is
+    unchanged, cell for cell: the total differential is reproduced entry
+    for entry, and the identification with Tot(t) is the identity
+    matrix in every degree.
     """
     pieces = {i + a: shift_complex(c, -a) for i, c in t.pieces.items()}
     maps: dict[tuple[int, int], GradedMap] = {}
     for (i, j), blocks in t.structure_maps.items():
         maps[(i + a, j + a)] = {m - a: blk for m, blk in blocks.items()}
-    witness = ShiftWitness(a, {i: i + a for i in t.pieces})
-    return TwistedComplex(t.ring, pieces, maps), witness
+    return TwistedComplex(t.ring, pieces, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +818,7 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
         raise UnsupportedRing(
             "the index-filtration spectral sequence requires a prime field")
     if max_page < 1:
-        raise InvariantViolation("max_page must be at least 1")
+        raise InvalidRange("max_page must be at least 1")
     pr = t.ring.p
     tot = totalize(t)
     lay = t._tot

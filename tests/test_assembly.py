@@ -52,7 +52,7 @@ from mbflow.twisted import (
 def shifted_identity(t, a):
     """The identity of Tot(t) as a morphism to shift(t, a): blocks
     (i, i + a) of shift a, so every target layout differs."""
-    s, _ = shift(t, a)
+    s = shift(t, a)
     return TwistedMorphism(t, s, {
         (i, i + a): {m: IntegerMatrix.identity(c.dim(m))
                      for m in c.rank if c.dim(m)}

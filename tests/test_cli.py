@@ -1,9 +1,11 @@
 """File format round-trips, golden fixtures, and command exit codes."""
 
+import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -40,14 +42,16 @@ from mbflow.examples import (
     free_circle_borel,
     sphere_z2,
 )
+from mbflow import inequalities
 from mbflow.flowcat import (
+    BimoduleData,
     BorelMetadata,
     FlowCategoryData,
     category_homology,
     realize,
     validate_category,
 )
-from mbflow.homalg import ZZ, IntegerMatrix
+from mbflow.homalg import ZZ, IntegerMatrix, PreceqVerdict
 from mbflow.twisted import quotient_sequence
 
 
@@ -1175,6 +1179,90 @@ def test_cone_command(capsys):
          fixture_path("continuation_s2")], capsys)
     assert code == 0
     assert "quasi-isomorphism: yes" in out
+
+
+def test_cone_of_a_partial_map_is_not_a_quasi_isomorphism(tmp_path, capsys):
+    # only the block a -> eq of the continuation map: the cone keeps the
+    # maximum b and the poles
+    b = continuation_s2()
+    half = tmp_path / "half.json"
+    half.write_bytes(serialize_bimodule(BimoduleData(
+        b.source, b.target, {("a", "eq"): b.blocks[("a", "eq")]})))
+    code, out, _ = run_cli(
+        ["cone", fixture_path("s2_two_point"), fixture_path("sphere_z2"),
+         str(half)], capsys)
+    assert code == 0
+    assert out == ("cone homology:\nring: Z\ndegree  free  torsion\n"
+                   "     2     1  -\n     3     1  -\n"
+                   "quasi-isomorphism: no\n")
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+STYLED = [
+    (["homology", "@rp2"],
+     "ring: Z\n\x1b[1mdegree  free  torsion\x1b[0m\n     0     1  -\n"
+     "     1     0  2\n"),
+    (["check-ineq", "@sphere_z2"],
+     "mode: partial_order\nlhs:  1 + t^2\nrhs:  1 + t + 2*t^2\n"
+     "holds: \x1b[32myes\x1b[0m\nwitness: t\n"),
+    (["cone", "@s2_two_point", "@sphere_z2", "@continuation_s2"],
+     "cone homology:\nring: Z\nH = 0\n"
+     "quasi-isomorphism: \x1b[32myes\x1b[0m\n"),
+]
+
+
+@pytest.mark.parametrize("argv, styled", STYLED,
+                         ids=[argv[0] for argv, _ in STYLED])
+def test_styled_output_on_a_terminal(monkeypatch, argv, styled):
+    # ANSI codes only when stdout is a terminal, and none with
+    # MBFLOW_COLOR=0
+    argv = [fixture_path(a[1:]) if a.startswith("@") else a for a in argv]
+    for color, want in ((None, styled),
+                        ("0", re.sub("\x1b\\[[0-9]+m", "", styled))):
+        if color is None:
+            monkeypatch.delenv("MBFLOW_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("MBFLOW_COLOR", color)
+        out = _Terminal()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        assert out.getvalue() == want
+
+
+def test_ss_on_a_category_with_no_objects(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"format_version": "1", "ring": "Z", "objects": [], '
+                    '"correspondences": []}')
+    code, out, err = run_cli(["ss", str(path), "--field", "2"], capsys)
+    assert (code, out, err) == (0, "collapsed at page 1\nlimit\n", "")
+
+
+def test_ss_max_page_below_one_exits_1(capsys):
+    code, out, err = run_cli(
+        ["ss", fixture_path("sphere_z2"), "--field", "2", "--max-page", "0"],
+        capsys)
+    assert (code, out, err) == (1, "", "error: max_page must be at least 1\n")
+
+
+def test_check_ineq_plain_bound_failure_is_a_fault(monkeypatch, capsys):
+    # the plain bound is a theorem: a failing verdict exits 1, not 4
+    monkeypatch.setattr(inequalities, "preceq",
+                        lambda p, q: PreceqVerdict(False, None, 3))
+    code, out, err = run_cli(["check-ineq", fixture_path("sphere_z2")],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: Morse-Bott bound fails in degree 3, which the "
+                   "spectral sequence rules out\n")
+
+
+def test_python_m_mbflow_lists_the_fixtures():
+    proc = _child(["fixtures", "list"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(f"{name}\n" for name in fixture_names())
 
 
 def test_dual_command(capsys):

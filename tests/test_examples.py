@@ -11,8 +11,6 @@ from mbflow.errors import (
     ValidationError,
 )
 from mbflow.examples import (
-    BorelSpec,
-    MorseSpec,
     borel_product,
     broken_mc,
     continuation_s2,
@@ -70,9 +68,9 @@ def test_morse_s2_matches_cellular():
 
 
 def test_morse_standard_torus():
-    spec = MorseSpec((("m", 0), ("s1", 1), ("s2", 1), ("M", 2)))
+    points = (("m", 0), ("s1", 1), ("s2", 1), ("M", 2))
     for ring in (ZZ, F2):
-        got = category_homology(morse_category(spec, ring))
+        got = category_homology(morse_category(points, ring=ring))
         want = homology(cellular_oracles(ring)["t2"])
         assert got == want
 
@@ -89,19 +87,18 @@ def test_morse_rp2_matches_cellular():
 
 def test_morse_rejects_unknown_point():
     with pytest.raises(ValidationError):
-        morse_category(MorseSpec((("a", 0),), {("a", "ghost"): 1}))
+        morse_category((("a", 0),), {("a", "ghost"): 1})
 
 
 def test_morse_rejects_index_gap():
     with pytest.raises(ValidationError):
-        morse_category(MorseSpec((("a", 0), ("b", 2)), {("b", "a"): 1}))
+        morse_category((("a", 0), ("b", 2)), {("b", "a"): 1})
 
 
 def test_morse_rejects_broken_counts():
-    spec = MorseSpec((("e0", 0), ("e1", 1), ("e2", 2)),
-                     {("e2", "e1"): 1, ("e1", "e0"): 1})
     with pytest.raises(DifferentialSquaredNonzero):
-        morse_category(spec)
+        morse_category((("e0", 0), ("e1", 1), ("e2", 2)),
+                       {("e2", "e1"): 1, ("e1", "e0"): 1})
 
 
 def test_broken_mc_is_located():
@@ -267,7 +264,7 @@ def test_borel_metadata_attached():
 def test_borel_empty_fiber():
     from mbflow.flowcat import FlowCategoryData
 
-    empty = borel_product(BorelSpec(2, FlowCategoryData(ZZ)))
+    empty = borel_product(2, FlowCategoryData(ZZ))
     assert not empty.objects
     assert empty.borel.fiber_names == ()
 
@@ -282,7 +279,7 @@ def test_borel_custom_links_override_default():
 
     fiber = FlowCategoryData(ZZ, (FlowObject(
         "orbit", 0, 0, complex_from_ranks(ZZ, {0: 1, 1: 1})),))
-    b = borel_product(BorelSpec(2, fiber, level_links={"orbit": {}}))
+    b = borel_product(2, fiber, level_links={"orbit": {}})
     # no links: three disjoint shifted circles
     h = category_homology(b)
     assert dict(h.free) == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
@@ -294,12 +291,11 @@ def test_borel_bad_link_shape_rejected():
     fiber = FlowCategoryData(ZZ, (FlowObject(
         "orbit", 0, 0, complex_from_ranks(ZZ, {0: 1, 1: 1})),))
     with pytest.raises(InvariantViolation):
-        borel_product(BorelSpec(1, fiber,
-                                level_links={"orbit": {0: mat([[1], [1]])}}))
+        borel_product(1, fiber, level_links={"orbit": {0: mat([[1], [1]])}})
 
 
 def test_fiber_correspondences_replicate():
-    b = borel_product(BorelSpec(1, sphere_z2()))
+    b = borel_product(1, sphere_z2())
     names = {(c.source, c.target) for c in b.correspondences}
     assert ("n@0", "eq@0") in names
     assert ("n@1", "eq@1") in names

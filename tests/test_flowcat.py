@@ -338,7 +338,7 @@ def test_split_everything_or_nothing():
 @pytest.mark.parametrize("a", [1, -3, 5])
 def test_shift_category_matches_twisted_shift(a):
     for f in (two_point_sphere(), equator_sphere(), rp2_morse()):
-        shifted, _ = shift(realize(f), a)
+        shifted = shift(realize(f), a)
         assert realize(shift_category(f, a)) == shifted
 
 

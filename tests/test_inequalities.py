@@ -14,7 +14,6 @@ from mbflow.errors import (
     ValidationError,
 )
 from mbflow.examples import (
-    BorelSpec,
     borel_product,
     free_circle_borel,
     s2_rotation_borel,
@@ -22,8 +21,20 @@ from mbflow.examples import (
     standard_fixtures,
     torus_flat,
 )
-from mbflow.flowcat import BorelMetadata, FlowCategoryData, FlowObject
-from mbflow.homalg import F2, ZZ, LaurentPoly, complex_from_ranks
+from mbflow import inequalities
+from mbflow.flowcat import (
+    BorelMetadata,
+    FlowCategoryData,
+    FlowObject,
+    realize,
+)
+from mbflow.homalg import (
+    F2,
+    ZZ,
+    LaurentPoly,
+    PreceqVerdict,
+    complex_from_ranks,
+)
 from mbflow.inequalities import (
     equivariant_inequality,
     mb_inequality,
@@ -105,6 +116,18 @@ def test_random_twisted_bound_over_z():
         assert twisted_inequality(t).holds
 
 
+def test_plain_bound_failure_is_a_fault(monkeypatch):
+    # the plain bound is a theorem, so a failing verdict raises instead
+    # of returning a report that says it does not hold
+    monkeypatch.setattr(inequalities, "preceq",
+                        lambda p, q: PreceqVerdict(False, None, 3))
+    for build in (lambda: mb_inequality(sphere_z2()),
+                  lambda: twisted_inequality(realize(sphere_z2()))):
+        with pytest.raises(InvariantViolation,
+                           match="Morse-Bott bound fails in degree 3"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # equivariant bound
 
@@ -147,9 +170,7 @@ def test_non_borel_category_refused():
 
 
 def test_empty_fiber_trivial_bound():
-    from mbflow.examples import BorelSpec, borel_product
-
-    b = borel_product(BorelSpec(2, FlowCategoryData(ZZ)))
+    b = borel_product(2, FlowCategoryData(ZZ))
     rep = equivariant_inequality(b, 3)
     assert rep.holds
     assert rep.lhs.is_zero() and rep.rhs.is_zero()
@@ -175,9 +196,9 @@ def _random_borel(rng, ring):
     fiber = FlowCategoryData(ring, tuple(fiber))
     levels = rng.randint(0, 3)
     try:
-        b = borel_product(BorelSpec(levels, fiber))
+        b = borel_product(levels, fiber)
     except InvariantViolation:
-        b = borel_product(BorelSpec(levels, fiber, level_links={}))
+        b = borel_product(levels, fiber, level_links={})
     if rng.random() < 0.5:
         names = list(b.borel.fiber_names)
         names = rng.sample(names, rng.randint(0, len(names)))

@@ -20,6 +20,7 @@ from support import (
 
 from mbflow.errors import (
     ChainMapViolation,
+    InvalidRange,
     InvariantViolation,
     ShapeMismatch,
     UnsupportedRing,
@@ -183,17 +184,14 @@ def test_euler_characteristic_matches_totalization():
 
 def test_shift_zero_is_identity():
     t = flat_torus()
-    s, w = shift(t, 0)
-    assert s == t
-    assert w.offset == 0
+    assert shift(t, 0) == t
 
 
 def test_shift_preserves_total_complex_exactly():
     t = three_piece()
     for a in (3, -2, 7):
-        s, w = shift(t, a)
+        s = shift(t, a)
         assert sorted(s.pieces) == [i + a for i in sorted(t.pieces)]
-        assert w.piece_map == {i: i + a for i in t.pieces}
         lay_t, lay_s = t._tot, s._tot
         assert lay_t.ranks == lay_s.ranks
         for n in padded_degrees(lay_t.ranks):
@@ -222,16 +220,14 @@ def test_sparse_layout_matches_dense_offsets():
 
 def test_shift_homology_unchanged():
     t = flat_torus()
-    s, _ = shift(t, -2)
+    s = shift(t, -2)
     assert dict(homology(totalize(s)).free) == \
         dict(homology(totalize(t)).free)
 
 
 def test_double_shift_composes():
     t = sphere_two_pieces()
-    s1, _ = shift(t, 2)
-    s2, _ = shift(s1, -2)
-    assert s2 == t
+    assert shift(shift(t, 2), -2) == t
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +237,11 @@ def test_double_shift_composes():
 def test_quotient_below_and_above_range():
     t = flat_torus()
     qs = quotient_sequence(t, -5)
-    assert qs.sub.is_empty() and qs.quotient == t
+    assert not qs.sub.pieces and qs.quotient == t
     assert qs.audit.exact
     assert not qs.audit.connecting_rank
     qs = quotient_sequence(t, 5)
-    assert qs.quotient.is_empty() and qs.sub == t
+    assert not qs.quotient.pieces and qs.sub == t
     assert qs.audit.exact
 
 
@@ -900,6 +896,12 @@ def test_spectral_sequence_convergence_random():
 def test_spectral_sequence_max_page_cap():
     ss = spectral_sequence(flat_torus(F2), 1)
     assert len(ss.pages) == 1
+
+
+def test_spectral_sequence_refuses_max_page_below_one():
+    for max_page in (0, -3):
+        with pytest.raises(InvalidRange, match="max_page must be at least 1"):
+            spectral_sequence(flat_torus(F2), max_page)
 
 
 @given(st.integers(0, 2 ** 32), st.sampled_from((F2, F3, F5)))
