@@ -13,14 +13,24 @@ them. With unit columns only, it is also the integral sweep of homalg's
 homology over Z (homalg.unit_sweep).
 
 reduce_columns is the left-to-right column reduction of persistent
-homology, and rank the same without V. It works over any field and
-reduces every prefix of the columns on its own, so the one reduction of
-each differential that a chain complex keeps
+homology, and pivot_rows and rank the same without V. They work over
+any field, and each column is reduced against the columns before it
+alone, so every prefix of the columns is reduced as it would be on its
+own. The one reduction of each differential that a chain complex keeps
 (homalg.GradedChainComplex.column_reductions) gives the ranks of its
 homology over F_p and, for a twisted complex's Tot (twisted), the
 index-filtration spectral sequence and the homology frames of the long
 exact sequence at every cut, over F_p and, for Z after tensoring with
 Q, over Q, whose coordinates clear_tops reads.
+
+reduce_columns and pivot_rows can skip columns that reduce to zero (the
+twist of Chen and Kerber, "Persistent homology computation with a
+twist", EuroCG 2011): when d_n d_{n+1} = 0 and the reduced column of
+d_{n+1} with top row j is a cycle with a nonzero entry at j, column j
+of d_n is a combination of the columns before it. A complex reduced
+from its highest degree down hands the tops of each d_{n+1} to d_n,
+and no column it skips is ever reduced; the tops and the pairs stay
+those of the full reduction.
 
 rref, solve and null_space are dense elimination by rows on numpy int64
 arrays reduced mod p, so p*p must be below 2^63; each scalar is reduced
@@ -31,7 +41,7 @@ numpy is imported only when one of them runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,14 +150,15 @@ def inverse(a: int | Fraction, p: int | None) -> int | Fraction:
     return a if a in (1, -1) else Fraction(1, a)
 
 
-def columns(m: IntegerMatrix, p: int | None) -> dict[int, dict[int, int]]:
+def columns(m: IntegerMatrix, p: int | None, skip: Iterable[int] = (),
+            ) -> dict[int, dict[int, int]]:
     """The nonzero columns of m mod p (as they are over Q when p is
-    None), in column order: column -> {row: value}."""
+    None), in column order, but those in skip: column -> {row: value}."""
     cols: dict[int, dict[int, int]] = {}
     for (i, j), v in m.entries.items():
         if p:
             v %= p
-        if v:
+        if v and j not in skip:
             cols.setdefault(j, {})[i] = v
     return dict(sorted(cols.items()))
 
@@ -188,6 +199,7 @@ def clear_tops(x: dict[int, int], tops: Mapping[int, tuple], p: int | None,
 
 
 def reduce_columns(d: IntegerMatrix, p: int | None,
+                   clear: Mapping[int, Mapping[int, int]] | None = None,
                    ) -> tuple[dict, dict, dict]:
     """Left-to-right column reduction of d over F_p, or over Q when p is
     None.
@@ -206,6 +218,16 @@ def reduce_columns(d: IntegerMatrix, p: int | None,
     >>> low, {j: sorted(col.items()) for j, col in v.items()}
     ({0: 1, 1: 2}, {2: [(0, 1), (1, 1), (2, 1)]})
 
+    clear maps a column j to a cycle of d whose top row is j: the column
+    of the next differential's R with low j. Column j is then not
+    reduced: R_j is zero, as the full reduction finds it, and V_j is
+    that cycle scaled to 1 at j, shared with it when its entry there is
+    already 1. Here the triangle's filling gives column 2 at once:
+
+    >>> r, v, low = reduce_columns(d, 2, clear={2: {0: 1, 1: 1, 2: 1}})
+    >>> low, {j: sorted(col.items()) for j, col in v.items()}
+    ({0: 1, 1: 2}, {2: [(0, 1), (1, 1), (2, 1)]})
+
     Over Q a pivot other than +-1 brings in fractions: here the kernel,
     spanned over Z by (1, 1, -2), has V_2 = (-1/2, -1/2, 1).
 
@@ -216,7 +238,8 @@ def reduce_columns(d: IntegerMatrix, p: int | None,
     """
     r, v, low = {}, {}, {}
     tops: dict[int, tuple] = {}  # top row -> (column of R, 1 / top, j)
-    for j, x in columns(d, p).items():
+    clear = clear or {}
+    for j, x in columns(d, p, clear).items():
         vj = {j: 1}
         for k, f in clear_tops(x, tops, p):
             subtract(vj, v.get(k, {k: 1}), f, p)
@@ -226,22 +249,41 @@ def reduce_columns(d: IntegerMatrix, p: int | None,
             r[j] = x
         if len(vj) > 1:
             v[j] = vj
+    for j, y in clear.items():
+        f = inverse(y[j], p)
+        if len(y) > 1:
+            v[j] = y if f == 1 else \
+                {i: x * f % p if p else x * f for i, x in y.items()}
     return r, v, low
 
 
+def pivot_rows(d: IntegerMatrix, p: int | None, clear: Iterable[int] = (),
+               ) -> set[int]:
+    """The top rows of the nonzero reduced columns of d over F_p (over Q
+    when p is None): the values of reduce_columns' low, without R and V.
+    The columns in clear are skipped, as in reduce_columns.
+
+    >>> from mbflow.homalg import IntegerMatrix
+    >>> d = IntegerMatrix.from_rows([[-1, 0, -1], [1, -1, 0], [0, 1, 1]])
+    >>> sorted(pivot_rows(d, 2)), sorted(pivot_rows(d, 2, clear={2}))
+    ([1, 2], [1, 2])
+    """
+    tops: dict[int, tuple] = {}
+    for x in columns(d, p, clear).values():
+        clear_tops(x, tops, p)
+        if x:
+            i = max(x)
+            tops[i] = (x, inverse(x[i], p), None)
+    return set(tops)
+
+
 def rank(d: IntegerMatrix, p: int | None) -> int:
-    """Rank of d over F_p (over Q when p is None): the column reduction
-    without V.
+    """Rank of d over F_p (over Q when p is None): the number of its
+    pivot rows.
 
     >>> from mbflow.homalg import IntegerMatrix
     >>> d = IntegerMatrix.from_rows([[-1, 0, -1], [1, -1, 0], [0, 1, 1]])
     >>> rank(d, 2)
     2
     """
-    tops: dict[int, tuple] = {}
-    for x in columns(d, p).values():
-        clear_tops(x, tops, p)
-        if x:
-            i = max(x)
-            tops[i] = (x, inverse(x[i], p), None)
-    return len(tops)
+    return len(pivot_rows(d, p))

@@ -463,17 +463,20 @@ def bimodule_to_map(b: BimoduleData) -> TwistedMorphism:
     re-entering one index and one framing rank up, with negated
     differentials and correspondences, bimodule blocks as new
     correspondences) and asserts that its realization is exactly the
-    twisted mapping cone of the returned morphism.
+    twisted mapping cone of the returned morphism. That realization,
+    whose Tot is built and squared, then is the morphism's cone, so
+    cone(morphism) builds and squares no second Tot.
     """
     src_t = realize(b.source)
     dst_t = realize(b.target)
     blocks = b.source._realized[1].place(b.blocks.items(),
                                          b.target._realized[1], 0)
     morphism = TwistedMorphism(src_t, dst_t, blocks)
-    cone_cat = _cone_category(b)
-    if realize(cone_cat) != cone(morphism):
+    realized = realize(_cone_category(b))
+    if realized != cone(morphism):
         raise InvariantViolation(
             "cone category realization disagrees with the twisted cone")
+    morphism.__dict__["_cone"] = realized
     return morphism
 
 

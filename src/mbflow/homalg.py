@@ -11,7 +11,10 @@ inequality verdict in the package.
 Each chain complex keeps one column reduction of each differential over
 its ring's field (GradedChainComplex.column_reductions): homology over
 F_p reads its ranks there, and twisted's spectral sequence and
-long-exact-sequence audit read the same reductions of Tot.
+long-exact-sequence audit read the same reductions of Tot. Every
+degree-by-degree elimination here runs from the highest degree down
+and skips the columns of d_n that its elimination of d_{n+1} pairs
+(clearing; see _fplinalg).
 
 Integer homology works in two stages (Dumas, Heckenbach, Saunders and
 Welker 2003): unit_sweep, a sparse column elimination of each
@@ -617,11 +620,22 @@ class GradedChainComplex:
     @cached_property
     def column_reductions(self) -> dict[int, tuple]:
         """(R, V, low) of every stored d_n over the ring's field, mod p or
-        over Q for Z (_fplinalg.reduce_columns), as sparse columns:
-        rk d_n = len(low) for homology over F_p, and the pairs and frames
-        of twisted's spectral sequence and long-exact-sequence audit."""
-        return {n: _fplinalg.reduce_columns(d, self.ring.p)
-                for n, d in self.differential.items()}
+        over Q for Z (_fplinalg.reduce_columns), as sparse columns, by
+        ascending n: rk d_n = len(low) for homology over F_p, and the
+        pairs and frames of twisted's spectral sequence and
+        long-exact-sequence audit.
+
+        They run from the highest degree down, and each d_n skips the
+        columns at the lows of R_{n+1}: such a column j reduces to zero,
+        and its V_j is the cycle of R_{n+1} with low j, scaled to 1 at j.
+        Every R and low is that of d_n reduced on its own."""
+        out: dict[int, tuple] = {}
+        for n in sorted(self.differential, reverse=True):
+            r, _, low = out.get(n + 1, ({}, {}, {}))
+            out[n] = _fplinalg.reduce_columns(
+                self.differential[n], self.ring.p,
+                {i: r[k] for k, i in low.items()})
+        return dict(sorted(out.items()))
 
     def with_ring(self, ring: CoefficientRing) -> "GradedChainComplex":
         """Same integer matrices read over another coefficient ring.
@@ -850,13 +864,15 @@ class HomologySummary:
         return not self.free and not self.torsion_factors
 
 
-def unit_sweep(d: IntegerMatrix) -> tuple[int, IntegerMatrix]:
+def unit_sweep(d: IntegerMatrix, clear: Iterable[int] = (),
+               ) -> tuple[set[int], IntegerMatrix]:
     """Sparse elimination of d over Z that pivots only on +-1.
 
-    Returns (units, leftover): d is equivalent over Z to the identity of
-    size units plus the leftover, a matrix on its own rows and columns,
-    so rk d = units + rk leftover and the invariant factors of d other
-    than 1 are those of the leftover.
+    Returns (pivots, leftover): d is equivalent over Z to the identity
+    on as many rows as pivots holds plus the leftover, a matrix on its
+    own rows and columns, so rk d = len(pivots) + rk leftover and the
+    invariant factors of d other than 1 are those of the leftover.
+    pivots holds the top rows of the unit columns.
 
     Each column of d in turn is cleared while its top (largest) row is
     the top of an earlier unit column (_fplinalg.clear_tops over Z): the
@@ -871,14 +887,21 @@ def unit_sweep(d: IntegerMatrix) -> tuple[int, IntegerMatrix]:
     This is the sparse first stage of Dumas, Heckenbach, Saunders and
     Welker (2003); the Smith form runs only on what is left.
 
-    >>> units, rest = unit_sweep(IntegerMatrix.from_rows([[1, 1], [1, -1]]))
-    >>> units, rest.to_rows()
-    (1, [[2]])
+    The columns in clear are dropped unread. homology passes the pivots
+    of the next differential d_{n+1}: each is the top row j of a unit
+    column d_{n+1} w with +-1 at j, and d_n d_{n+1} w = 0 makes column j
+    of d_n a combination of the columns before it, so dropping it is a
+    unimodular column operation and keeps the rank and the invariant
+    factors.
+
+    >>> pivots, rest = unit_sweep(IntegerMatrix.from_rows([[1, 1], [1, -1]]))
+    >>> pivots, rest.to_rows()
+    ({1}, [[2]])
     """
     # top row -> (unit column, 1 / its top, which is its top, None)
     tops: dict[int, tuple] = {}
     rest = []
-    for x in _fplinalg.columns(d, None).values():
+    for x in _fplinalg.columns(d, None, clear).values():
         _fplinalg.clear_tops(x, tops, None)
         if x:
             i = max(x)
@@ -900,7 +923,7 @@ def unit_sweep(d: IntegerMatrix) -> tuple[int, IntegerMatrix]:
                         heapq.heappush(todo, -k)
     rest = [x for x in rest if x]
     rows = {i: k for k, i in enumerate(sorted({i for x in rest for i in x}))}
-    return len(tops), IntegerMatrix(
+    return set(tops), IntegerMatrix(
         len(rows), len(rest),
         {(rows[i], j): v for j, x in enumerate(rest) for i, v in x.items()})
 
@@ -916,7 +939,12 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     Each rank is cross-checked against an independent one: the rank of
     d_n mod the prime CHECK_PRIME must equal units + rk leftover minus
     the number of invariant factors it divides, by the sparse column
-    elimination of d_n's entries (_fplinalg.rank). Over F_p, rk d_n is
+    elimination of d_n's entries (_fplinalg.pivot_rows). Both run from
+    the highest degree down, and each skips the columns of d_n that its
+    own elimination of d_{n+1} already pairs: the sweep those at the
+    pivots of d_{n+1}'s sweep, the rank mod CHECK_PRIME those at its
+    pivot rows mod CHECK_PRIME. So the two sides of the check still
+    come from separate eliminations. Over F_p, rk d_n is
     the number of lows of the column reduction c keeps
     (GradedChainComplex.column_reductions), which the spectral sequence
     and the exactness audit of a Tot read too. Over either ring every
@@ -939,16 +967,22 @@ def homology(c: GradedChainComplex) -> HomologySummary:
     else:
         q = CHECK_PRIME
         rk = {}
-        for n, d in sorted(c.differential.items()):
-            units, rest = unit_sweep(d)
+        # per d_n: the pivots of its sweep, and its pivot rows mod q
+        paired: dict[int, tuple[set[int], set[int]]] = {}
+        for n in sorted(c.differential, reverse=True):
+            d = c.differential[n]
+            swept_above, mod_q_above = paired.get(n + 1, ((), ()))
+            pivots, rest = unit_sweep(d, swept_above)
+            mod_q = _fplinalg.pivot_rows(d, q, mod_q_above)
+            paired[n] = pivots, mod_q
             diag, rank = smith_normal_form(rest)
-            got = _fplinalg.rank(d, q)
-            want = units + rank - sum(1 for x in diag if x % q == 0)
+            got = len(mod_q)
+            want = len(pivots) + rank - sum(1 for x in diag if x % q == 0)
             if got != want:
                 raise InvariantViolation(
                     f"rank of d_{n} mod {q} is {got}, the reduction and "
                     f"Smith form give {want}")
-            rk[n] = units + rank
+            rk[n] = len(pivots) + rank
             if diag and diag[-1] > 1:
                 torsion[n - 1] = tuple(x for x in diag if x > 1)
     free: dict[int, int] = {}
@@ -958,7 +992,7 @@ def homology(c: GradedChainComplex) -> HomologySummary:
             raise InvariantViolation(f"negative free rank in degree {n}")
         if f:
             free[n] = f
-    return HomologySummary(c.ring, free, torsion)
+    return HomologySummary(c.ring, free, dict(sorted(torsion.items())))
 
 
 # ---------------------------------------------------------------------------

@@ -32,18 +32,22 @@ class InequalityReport:
     bound always holds and witness is the nonnegative A with
     rhs - lhs = (1+t)A: the index-filtration spectral sequence proves
     this for every valid twisted complex, so a failing verdict is a
-    fault and raises InvariantViolation. In equivariant mode, holds
-    means lhs <= rhs coefficientwise up to the cutoff and witness is the
+    fault and raises InvariantViolation. In equivariant mode the bound
+    is lhs <= rhs coefficientwise up to the cutoff, and witness is the
     slack rhs - lhs; failure_degree locates the first violated degree
-    when that bound fails, the only report that does.
+    when that bound fails, the only report that has one. So the bound
+    holds exactly when failure_degree is None.
     """
 
     mode: str
     lhs: LaurentPoly
     rhs: LaurentPoly
-    holds: bool
     witness: LaurentPoly | None = None
     failure_degree: int | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.failure_degree is None
 
     def is_equality(self) -> bool:
         return self.holds and (self.witness is None or self.witness.is_zero())
@@ -61,7 +65,7 @@ def _partial_order_report(lhs: LaurentPoly, rhs: LaurentPoly,
     if not (rhs - lhs).is_nonnegative():
         raise InvariantViolation(
             "partial-order verdict without the degreewise rank bound")
-    return InequalityReport("partial_order", lhs, rhs, True,
+    return InequalityReport("partial_order", lhs, rhs,
                             witness=verdict.witness)
 
 
@@ -131,10 +135,9 @@ def equivariant_inequality(b: FlowCategoryData, cutoff: int,
     rhs = LaurentPoly.from_coeffs(rhs_coeffs)
     for d in lhs.support():
         if d >= 0 and lhs.coefficient(d) > rhs.coefficient(d):
-            return InequalityReport("equivariant", lhs, rhs, False,
+            return InequalityReport("equivariant", lhs, rhs,
                                     failure_degree=d)
-    return InequalityReport("equivariant", lhs, rhs, True,
-                            witness=rhs - lhs)
+    return InequalityReport("equivariant", lhs, rhs, witness=rhs - lhs)
 
 
 def _check_borel(b: FlowCategoryData) -> None:

@@ -331,18 +331,26 @@ class _FieldFrame:
     Built from the column reductions (R, V, low), R = d V, that c keeps
     over its field (GradedChainComplex.column_reductions; Q for Z), and
     framing the window of cells lo[n] .. hi[n] - 1 of each c_n
-    (_window): all of c, or the sub (hi
-    at a cut) or the quotient (lo at the cut). Each prefix is reduced on
-    its own, and a column whose low lies past the cut is only added
-    columns past the cut, so the window's rows carry its cycles and
-    boundaries: V_j for each j of the window whose column has no low or
-    one before the window (top entry 1 at j), and the columns of R_{n+1}
-    in the window with a low in it (top row that low). These are the
-    basis vectors, kept as sparse columns by their top row with 1 / their
-    top entry. The representatives are the columns V_j whose j is no
-    boundary's top: chains of c, and for the quotient lifts of its
-    cycles to c. Over Q each is scaled to a primitive integer column, so
-    over Z they span the free part of homology after tensoring with Q.
+    (_window): all of c, or the sub (hi at a cut) or the quotient (lo at
+    the cut). Each prefix is reduced as it would be on its own, and a
+    column whose low lies past the cut is only added columns past the
+    cut, so the window's rows carry its cycles and boundaries: V_j for
+    each j of the window whose column has no low or one before the
+    window (top entry 1 at j), and the columns of R_{n+1} in the window
+    with a low in it (top row that low). These are the basis vectors,
+    kept as sparse columns by their top row with 1 / their top entry.
+    The representatives are the columns V_j whose j is no boundary's
+    top: chains of c, and for the quotient lifts of its cycles to c.
+    Over Q each is scaled to a primitive integer column, so over Z they
+    span the free part of homology after tensoring with Q.
+
+    A column j that the reduction skipped by clearing, a low of R_{n+1},
+    has for V_j the column of R_{n+1} with low j, scaled to 1 at j: a
+    cycle with top j, as the basis needs. Only a sub reads it, where that
+    column of R_{n+1} lies past the cut: there V_j represents a class of
+    the sub that bounds in c. In all of c and in a quotient, j is that
+    column's low inside the window, a boundary's top, and no
+    representative.
 
     coords takes chains of c with no entry at or past hi[n] (mod p) and
     ignores their entries before lo[n]. It clears each chain from the
@@ -792,11 +800,14 @@ def spectral_sequence(t: TwistedComplex, max_page: int,
     _fplinalg.rank), and pages stop at the filtration width + 1, where
     only unpaired cells remain. The reductions are those Tot's chain
     complex keeps, which homology over F_p and the frames of
-    quotient_sequence read too. So the audit of the E-infinity total
-    dimensions against homology(Tot) checks the filtration and spot
-    bookkeeping against Tot's degrees, not the reduction; the tests
-    test_integer_homology_agrees_with_fp_by_universal_coefficients and
-    test_reduce_columns_exact check that. On the 2-sphere over F_2, d_2
+    quotient_sequence read too. Their clearing skips only columns that
+    reduce to zero, so it changes no pair. So the audit of the
+    E-infinity total dimensions against homology(Tot) checks the
+    filtration and spot bookkeeping against Tot's degrees, not the
+    reduction; the tests
+    test_integer_homology_agrees_with_fp_by_universal_coefficients,
+    test_reduce_columns_exact and test_clearing_changes_no_answer check
+    that. On the 2-sphere over F_2, d_2
     carries the first of the two poles onto the 1-cell of the
     equator, and the second survives:
 

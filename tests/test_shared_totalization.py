@@ -110,14 +110,21 @@ class Eliminations:
         self.ranked: list[tuple] = []
 
 
+def top_down(differentials, p):
+    """The reductions of a complex's differentials, one per stored D_n,
+    from the highest degree down, as Eliminations.reduced lists them."""
+    return [(d.rows, d.cols, p)
+            for _, d in sorted(differentials.items(), reverse=True)]
+
+
 @pytest.fixture
 def reductions(monkeypatch):
     made = Eliminations()
     reduce_columns, rank = _fplinalg.reduce_columns, _fplinalg.rank
 
-    def reduced(a, p):
+    def reduced(a, p, clear=None):
         made.reduced.append((a.rows, a.cols, p))
-        return reduce_columns(a, p)
+        return reduce_columns(a, p, clear)
 
     def ranked(a, p):
         made.ranked.append((a, p))
@@ -137,16 +144,14 @@ def test_integral_quotient_sequence_reduces_once(reductions):
     # nonzero D_n, kept on Tot
     t = realize(parse_category(fixture_bytes("borel_free_circle_3")))
     _audit_every_cut(t)
-    assert reductions.reduced == [(d.rows, d.cols, t.ring.p)
-                                  for d in t._tot.differentials.values()]
+    assert reductions.reduced == top_down(t._tot.differentials, t.ring.p)
 
 
 def test_field_quotient_sequence_reduces_nothing(reductions):
     # nothing beyond the column reductions kept on Tot
     t = random_twisted(random.Random(7), F3)
     _audit_every_cut(t)
-    assert reductions.reduced == [(d.rows, d.cols, t.ring.p)
-                                  for d in t._tot.differentials.values()]
+    assert reductions.reduced == top_down(t._tot.differentials, t.ring.p)
 
 
 def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
@@ -157,8 +162,7 @@ def test_field_audits_and_spectral_sequence_reduce_tot_once(reductions):
     assert len(t.pieces) == 5 and len(t.structure_maps) == 3
     assert spectral_sequence(t, 4).pages
     _audit_every_cut(t)
-    assert reductions.reduced == [(d.rows, d.cols, t.ring.p)
-                                  for d in t._tot.differentials.values()]
+    assert reductions.reduced == top_down(t._tot.differentials, t.ring.p)
 
 
 def test_ring_change_builds_each_totalization_once(counts, reductions):
@@ -172,8 +176,7 @@ def test_ring_change_builds_each_totalization_once(counts, reductions):
     assert counts["realize"].per_object() == [1]
     assert counts["assemble"].per_object() == [1]
     assert counts["dd"].per_object() == [1]
-    assert reductions.reduced == [(d.rows, d.cols, 2)
-                                  for d in t._tot.differentials.values()]
+    assert reductions.reduced == top_down(t._tot.differentials, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -190,7 +193,7 @@ def test_fp_command_reduces_tot_once_and_ranks_none_of_it(
     [(t, _)] = counts["assemble"].calls.values()
     stored = list(t._tot.differentials.values())
     assert len(stored) == 3
-    assert reductions.reduced == [(d.rows, d.cols, 2) for d in stored]
+    assert reductions.reduced == top_down(t._tot.differentials, 2)
     # no D_n of Tot is ranked, nor a zero matrix such as a missing D_n
     assert not [m for m, _ in reductions.ranked
                 if not m.entries or any(m is d for d in stored)]
@@ -211,8 +214,7 @@ def test_homology_and_frame_share_one_reduction(reductions):
     assert c.differential
     homology(c)
     _FieldFrame(c)
-    assert reductions.reduced == [(d.rows, d.cols, 3)
-                                  for d in c.differential.values()]
+    assert reductions.reduced == top_down(c.differential, 3)
     assert reductions.ranked == []
 
 
@@ -228,6 +230,18 @@ def test_cone_command_builds_the_cone_once(monkeypatch):
                        ("s2_two_point", "sphere_z2", "continuation_s2")]
     assert run(argv) == 0
     assert len(built) == 1
+
+
+def test_cone_command_squares_each_totalization_once(counts):
+    # the source, the target and the cone category are each realized,
+    # assembled and squared once; the morphism's cone is the checked
+    # realization of the cone category, so its Tot is not built again
+    argv = ["cone"] + [fixture_path(name) for name in
+                       ("s2_two_point", "sphere_z2", "continuation_s2")]
+    assert run(argv) == 0
+    assert counts["realize"].per_object() == [1, 1, 1]
+    assert counts["assemble"].per_object() == [1, 1, 1]
+    assert counts["dd"].per_object() == [1, 1, 1]
 
 
 def _block(m, rows, cols):
